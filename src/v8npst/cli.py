@@ -4,15 +4,17 @@ Three subcommands, each printing a single JSON document on stdout (a short
 human-readable summary goes to stderr when attached to a terminal):
 
   analyze --n N --set SPEC [--verify]
-  search  --n N [--max-classes K] [--verify] [--workers W]
+  search  --n N [--max-classes K] [--verify]
   probe   --n N --set SPEC --u U --v V [--grid POINTS]
 
 SPEC is either a '+'-joined list of conjugacy-class tags (as printed by the
 analyzer, e.g. "b+a*b") or a comma-separated list of explicit elements
 "a^r*b^s".  Explicit lists are validated as-is and never auto-symmetrised.
 
-Exit codes: 0 ok, 1 usage error, 2 invalid connection set, 3 numerically
-ambiguous integrality, 4 decision/oracle disagreement (with --verify).
+Exit codes: 0 ok, 1 usage error (an invalid PST_GRID_POINTS is reported as
+an InvalidGridPoints error document), 2 invalid connection set, 3
+numerically ambiguous integrality, 4 decision/oracle disagreement (with
+--verify).
 """
 
 from __future__ import annotations
@@ -22,7 +24,6 @@ import json
 import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -55,17 +56,25 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
+class InvalidGridPoints(SystemExit):
+    """PST_GRID_POINTS is not a positive integer; `main` reports it as JSON."""
+
+    def __init__(self, raw: str) -> None:
+        super().__init__(EXIT_USAGE)
+        self.message = f"PST_GRID_POINTS must be a positive integer, got {raw!r}"
+
+
 def _grid_points() -> int:
     raw = os.environ.get("PST_GRID_POINTS")
     if raw is None:
         return DEFAULT_GRID_POINTS
     try:
         val = int(raw)
-        if val < 1:
-            raise ValueError
-        return val
     except ValueError:
-        raise SystemExit(EXIT_USAGE)
+        raise InvalidGridPoints(raw) from None
+    if val < 1:
+        raise InvalidGridPoints(raw)
+    return val
 
 
 def _f(x: float):
@@ -107,10 +116,10 @@ def _spectrum_json(table: spectrum.SpectrumTable) -> list[dict]:
     return out
 
 
-def _types_json(table: spectrum.SpectrumTable):
-    if table.params.is_odd:
+def _types_json(graph: pst.GraphVerdict):
+    t = graph.types
+    if t is None:
         return None
-    t = pst.classify_graph_type(table)
     return {"type1": t.type1, "type2": t.type2, "type3": t.type3}
 
 
@@ -153,7 +162,8 @@ def _oracle_check(conn, table, verdicts, grid_points: int):
 
 
 def _analysis_report(conn, table, *, verify: bool, grid_points: int):
-    verdicts = pst.all_pst_pairs(table)
+    graph = pst.decide_graph(table)
+    verdicts = pst.all_pst_pairs(table, graph)
     report = {
         "n": conn.params.n,
         "parity": conn.params.parity,
@@ -164,7 +174,7 @@ def _analysis_report(conn, table, *, verify: bool, grid_points: int):
         },
         "spectrum": _spectrum_json(table),
         "integral": table.all_integral,
-        "types": _types_json(table),
+        "types": _types_json(graph),
         "pstPairs": _pst_pairs_json(verdicts),
         "oracle": {"checked": False, "maxDeviation": None},
     }
@@ -214,22 +224,16 @@ def cmd_search(args) -> int:
         return _structured_error(
             "BoundExceeded", f"n={args.n} above configured bound {args.max_n}", EXIT_USAGE
         )
+    grid_points = _grid_points()
     params = GroupParams(args.n)
     max_classes = args.max_classes or len(conjugacy_classes(params))
     sets = list(enumerate_connection_sets(params, max_classes))
-    grid_points = _grid_points()
-
-    def run(conn):
-        table = spectrum.eigenvalues(conn)
-        return _analysis_report(
-            conn, table, verify=args.verify, grid_points=grid_points
+    results = [
+        _analysis_report(
+            conn, spectrum.eigenvalues(conn), verify=args.verify, grid_points=grid_points
         )
-
-    if args.workers > 1:
-        with ThreadPoolExecutor(max_workers=args.workers) as pool:
-            results = list(pool.map(run, sets))
-    else:
-        results = [run(conn) for conn in sets]
+        for conn in sets
+    ]
 
     reports = [r for r, _ in results]
     disagreements = sum(d for _, d in results)
@@ -323,7 +327,6 @@ def build_parser() -> _Parser:
     ps.add_argument("--max-classes", type=positive_int, default=None)
     ps.add_argument("--max-n", type=positive_int, default=8, help=argparse.SUPPRESS)
     ps.add_argument("--verify", action="store_true")
-    ps.add_argument("--workers", type=positive_int, default=1)
     ps.set_defaults(func=cmd_search)
 
     pp = sub.add_parser("probe", help="numeric |H(tau)_{uv}| scan for one pair")
@@ -339,7 +342,10 @@ def build_parser() -> _Parser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except InvalidGridPoints as exc:
+        return _structured_error("InvalidGridPoints", exc.message, EXIT_USAGE)
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -12,6 +12,22 @@ gaps nu2(alpha_1 - lambda) to follow a parity-dependent pattern:
            n mod 4 (+-n within a block, +-3n/+-5n between opposite blocks,
            or +-4n).
 
+None of this depends on the pair beyond its blocks and displacement, so
+each graph is decided once (`decide_graph`): integrality, the odd-n
+valuation pattern or the even-n Type flags, and the clause of each of
+three displacement families of 4n pairs u < v each:
+
+  antipodal    (u, u + 4n) for u < 4n; odd-antipodal (odd n, pattern) or
+               type3-antipodal (even n, Type 3);
+  same region  (b*2n + r, b*2n + r + n), b = 0..3, r < n (even n only);
+               type1 if n = 0 mod 4, type2 if n = 2 mod 4;
+  cross        (b*2n + r, (b+2)*2n + (r+n) mod 2n), b = 0, 1, r < 2n (even
+               n only); type2 if n = 0 mod 4, type1 if n = 2 mod 4.
+
+`all_pst_pairs` lists the pairs of the positive families, and
+`classify_pair` looks one pair up in the same verdict: region no-go first,
+then displacement, then non-integral, then valuation.
+
 When transfer exists, the minimum time is pi/M with
 M = gcd(alpha_1 - lambda) over the distinct eigenvalues lambda != alpha_1.
 
@@ -26,7 +42,7 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
-from .group import region
+from .group import GroupParams, region
 from .spectrum import SpectrumTable
 
 INF = float("inf")
@@ -158,109 +174,151 @@ def classify_graph_type(table: SpectrumTable) -> TypeClassification:
     return TypeClassification(type1, type2, type3)
 
 
-_BLOCK_PAIRS = ({1, 2}, {1, 4}, {2, 3}, {3, 4})
+_BLOCK_PAIRS = ((1, 2), (1, 4), (2, 3), (3, 4))
+
+NON_INTEGRAL = "no-pst:non-integral"
+VALUATION = "no-pst:valuation"
+DISPLACEMENT = "no-pst:displacement"
 
 
-def _blocked_clause(params, u: int, v: int, same_region_blocked: bool) -> Optional[str]:
-    """First region pair that rules the pair out, if any."""
+@dataclass(frozen=True)
+class GraphVerdict:
+    """The transfer decision of one graph, shared by all of its vertex pairs.
+
+    Each family field is the clause of every pair in that displacement
+    family: a "pst:" clause, "no-pst:non-integral", "no-pst:valuation", or
+    "no-pst:displacement" for a family that n's parity never admits.
+    """
+
+    params: GroupParams
+    types: Optional[TypeClassification]  # None for odd n
+    antipodal: str  # u - v = +-4n, opposite blocks
+    same_region: str  # u - v = +-n, one block (even n)
+    cross: str  # u - v = +-3n or +-5n, opposite blocks (even n)
+    M: Optional[int]  # gap gcd, set when some family has transfer
+
+
+def _is_positive(clause: str) -> bool:
+    return clause.startswith("pst:")
+
+
+def decide_graph(table: SpectrumTable) -> GraphVerdict:
+    """Decide integrality, the valuation pattern or Type 1/2/3 flags, and M once."""
+    params = table.params
+    n = params.n
+
+    def family(clause: str, holds: bool) -> str:
+        if not table.all_integral:
+            return NON_INTEGRAL
+        return clause if holds else VALUATION
+
+    if params.is_odd:
+        types = None
+        antipodal = family(
+            "pst:odd-antipodal", table.all_integral and _odd_valuation_pattern(table)
+        )
+        same_region = cross = DISPLACEMENT
+    else:
+        types = classify_graph_type(table)
+        antipodal = family("pst:type3-antipodal", types.type3)
+        if n % 4 == 0:
+            same_region = family("pst:type1-same-region", types.type1)
+            cross = family("pst:type2-cross", types.type2)
+        else:
+            same_region = family("pst:type2-same-region", types.type2)
+            cross = family("pst:type1-cross", types.type1)
+    positive = any(map(_is_positive, (antipodal, same_region, cross)))
+    return GraphVerdict(
+        params=params,
+        types=types,
+        antipodal=antipodal,
+        same_region=same_region,
+        cross=cross,
+        M=gap_gcd(table) if positive else None,
+    )
+
+
+def _pair_clause(graph: GraphVerdict, u: int, v: int) -> str:
+    """Region no-gos first, then the displacement family of the pair."""
+    params = graph.params
+    n = params.n
     ru, rv = region(params, u), region(params, v)
-    pair = {ru, rv}
-    if pair in ({1, 3}, {2, 4}):
-        return None
-    if len(pair) == 1 and not same_region_blocked:
-        return None
-    for union in _BLOCK_PAIRS:
-        if pair <= union:
-            members = sorted(union)
-            return f"no-pst:region-block:V{members[0]}V{members[1]}"
-    raise AssertionError("unreachable region combination")
+    d = abs(u - v)
+    if abs(ru - rv) == 2:  # opposite blocks V1/V3 or V2/V4
+        if d == 4 * n:
+            return graph.antipodal
+        return graph.cross if d in (3 * n, 5 * n) else DISPLACEMENT
+    if ru == rv and not params.is_odd:
+        return graph.same_region if d == n else DISPLACEMENT
+    low, high = next(p for p in _BLOCK_PAIRS if ru in p and rv in p)
+    return f"no-pst:region-block:V{low}V{high}"
 
 
-def _verdict(u, v, clause, table=None) -> PstVerdict:
-    if table is None:
+def _pair_verdict(graph: GraphVerdict, u: int, v: int) -> PstVerdict:
+    if u == v:
+        raise SameVertex("perfect state transfer needs two distinct vertices")
+    clause = _pair_clause(graph, u, v)
+    if not _is_positive(clause):
         return PstVerdict(u=u, v=v, has_pst=False, clause=clause)
-    M = gap_gcd(table)
     return PstVerdict(
-        u=u, v=v, has_pst=True, clause=clause, M=M, min_time=math.pi / M
+        u=u, v=v, has_pst=True, clause=clause, M=graph.M, min_time=math.pi / graph.M
     )
 
 
 def classify_pair_odd(table: SpectrumTable, u: int, v: int) -> PstVerdict:
-    """Decision for odd n: region no-gos, then displacement +-4n,
-    integrality, and the beta-baseline valuation pattern."""
-    params = table.params
-    if not params.is_odd:
+    """Verdict for one pair of an odd-n graph."""
+    if not table.params.is_odd:
         raise WrongParity("classify_pair_odd requires odd n")
-    if u == v:
-        raise SameVertex("perfect state transfer needs two distinct vertices")
-    blocked = _blocked_clause(params, u, v, same_region_blocked=True)
-    if blocked is not None:
-        return _verdict(u, v, blocked)
-    if u - v not in (4 * params.n, -4 * params.n):
-        return _verdict(u, v, "no-pst:displacement")
-    if not table.all_integral:
-        return _verdict(u, v, "no-pst:non-integral")
-    if not _odd_valuation_pattern(table):
-        return _verdict(u, v, "no-pst:valuation")
-    return _verdict(u, v, "pst:odd-antipodal", table)
+    return classify_pair(table, u, v)
 
 
 def classify_pair_even(table: SpectrumTable, u: int, v: int) -> PstVerdict:
-    """Decision for even n via the Type 1/2/3 patterns."""
-    params = table.params
-    if params.is_odd:
+    """Verdict for one pair of an even-n graph."""
+    if table.params.is_odd:
         raise WrongParity("classify_pair_even requires even n")
-    if u == v:
-        raise SameVertex("perfect state transfer needs two distinct vertices")
-    blocked = _blocked_clause(params, u, v, same_region_blocked=False)
-    if blocked is not None:
-        return _verdict(u, v, blocked)
-    n = params.n
-    d = u - v
-    same_region = region(params, u) == region(params, v)
-    if same_region:
-        if d not in (n, -n):
-            return _verdict(u, v, "no-pst:displacement")
-        if not table.all_integral:
-            return _verdict(u, v, "no-pst:non-integral")
-        types = classify_graph_type(table)
-        if n % 4 == 0 and types.type1:
-            return _verdict(u, v, "pst:type1-same-region", table)
-        if n % 4 == 2 and types.type2:
-            return _verdict(u, v, "pst:type2-same-region", table)
-        return _verdict(u, v, "no-pst:valuation")
-    # opposite blocks V1<->V3 or V2<->V4
-    if d in (4 * n, -4 * n):
-        if not table.all_integral:
-            return _verdict(u, v, "no-pst:non-integral")
-        if classify_graph_type(table).type3:
-            return _verdict(u, v, "pst:type3-antipodal", table)
-        return _verdict(u, v, "no-pst:valuation")
-    if d in (3 * n, -3 * n, 5 * n, -5 * n):
-        if not table.all_integral:
-            return _verdict(u, v, "no-pst:non-integral")
-        types = classify_graph_type(table)
-        if n % 4 == 0 and types.type2:
-            return _verdict(u, v, "pst:type2-cross", table)
-        if n % 4 == 2 and types.type1:
-            return _verdict(u, v, "pst:type1-cross", table)
-        return _verdict(u, v, "no-pst:valuation")
-    return _verdict(u, v, "no-pst:displacement")
+    return classify_pair(table, u, v)
 
 
 def classify_pair(table: SpectrumTable, u: int, v: int) -> PstVerdict:
-    if table.params.is_odd:
-        return classify_pair_odd(table, u, v)
-    return classify_pair_even(table, u, v)
+    return _pair_verdict(decide_graph(table), u, v)
 
 
-def all_pst_pairs(table: SpectrumTable) -> tuple[PstVerdict, ...]:
-    """Every unordered pair (u < v) with perfect state transfer."""
-    order = table.params.order
-    out = []
-    for u in range(order):
-        for v in range(u + 1, order):
-            verdict = classify_pair(table, u, v)
-            if verdict.has_pst:
-                out.append(verdict)
-    return tuple(out)
+def all_pst_pairs(
+    table: SpectrumTable, graph: Optional[GraphVerdict] = None
+) -> tuple[PstVerdict, ...]:
+    """Every unordered pair (u < v) with perfect state transfer, sorted.
+
+    `graph` is the table's `decide_graph` verdict when the caller already
+    holds it.
+    """
+    if graph is None:
+        graph = decide_graph(table)
+    if graph.M is None:
+        return ()
+    n, two_n = graph.params.n, graph.params.two_n
+    families = (
+        (graph.antipodal, ((u, u + 4 * n) for u in range(4 * n))),
+        (
+            graph.same_region,
+            ((b * two_n + r, b * two_n + r + n) for b in range(4) for r in range(n)),
+        ),
+        (
+            graph.cross,
+            (
+                (b * two_n + r, (b + 2) * two_n + (r + n) % two_n)
+                for b in range(2)
+                for r in range(two_n)
+            ),
+        ),
+    )
+    pairs = sorted(
+        (u, v, clause)
+        for clause, family in families
+        if _is_positive(clause)
+        for u, v in family
+    )
+    min_time = math.pi / graph.M
+    return tuple(
+        PstVerdict(u=u, v=v, has_pst=True, clause=clause, M=graph.M, min_time=min_time)
+        for u, v, clause in pairs
+    )

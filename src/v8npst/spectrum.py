@@ -219,10 +219,6 @@ class EigenvectorSet:
         return np.array([by_label[lab] for lab in self.labels])
 
 
-def _region_vector(params: GroupParams, pieces: list[np.ndarray]) -> np.ndarray:
-    return np.concatenate(pieces)
-
-
 def eigenvectors(connection: ConnectionSet) -> EigenvectorSet:
     """The printed orthonormal eigenbasis of C^{8n} (independent of S)."""
     params = connection.params

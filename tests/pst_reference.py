@@ -1,0 +1,126 @@
+"""Per-pair reference for the transfer decision in `v8npst.pst`.
+
+This is the decision as it was before `pst` decided each graph once: every
+vertex pair is walked through the region no-gos, the displacement test,
+integrality and the valuation pattern on its own.  Tests compare the
+per-graph decision against it.  The valuation patterns themselves
+(`_odd_valuation_pattern`, `classify_graph_type`) and `gap_gcd` are read
+through the `pst` module, so a test that patches them patches both sides.
+"""
+
+from __future__ import annotations
+
+import math
+from typing import Optional
+
+from v8npst import pst
+from v8npst.group import region
+from v8npst.pst import PstVerdict, SameVertex, WrongParity, gap_gcd
+from v8npst.spectrum import SpectrumTable
+
+_BLOCK_PAIRS = ({1, 2}, {1, 4}, {2, 3}, {3, 4})
+
+
+def _blocked_clause(params, u: int, v: int, same_region_blocked: bool) -> Optional[str]:
+    """First region pair that rules the pair out, if any."""
+    ru, rv = region(params, u), region(params, v)
+    pair = {ru, rv}
+    if pair in ({1, 3}, {2, 4}):
+        return None
+    if len(pair) == 1 and not same_region_blocked:
+        return None
+    for union in _BLOCK_PAIRS:
+        if pair <= union:
+            members = sorted(union)
+            return f"no-pst:region-block:V{members[0]}V{members[1]}"
+    raise AssertionError("unreachable region combination")
+
+
+def _verdict(u, v, clause, table=None) -> PstVerdict:
+    if table is None:
+        return PstVerdict(u=u, v=v, has_pst=False, clause=clause)
+    M = gap_gcd(table)
+    return PstVerdict(
+        u=u, v=v, has_pst=True, clause=clause, M=M, min_time=math.pi / M
+    )
+
+
+def classify_pair_odd(table: SpectrumTable, u: int, v: int) -> PstVerdict:
+    """Decision for odd n: region no-gos, then displacement +-4n,
+    integrality, and the beta-baseline valuation pattern."""
+    params = table.params
+    if not params.is_odd:
+        raise WrongParity("classify_pair_odd requires odd n")
+    if u == v:
+        raise SameVertex("perfect state transfer needs two distinct vertices")
+    blocked = _blocked_clause(params, u, v, same_region_blocked=True)
+    if blocked is not None:
+        return _verdict(u, v, blocked)
+    if u - v not in (4 * params.n, -4 * params.n):
+        return _verdict(u, v, "no-pst:displacement")
+    if not table.all_integral:
+        return _verdict(u, v, "no-pst:non-integral")
+    if not pst._odd_valuation_pattern(table):
+        return _verdict(u, v, "no-pst:valuation")
+    return _verdict(u, v, "pst:odd-antipodal", table)
+
+
+def classify_pair_even(table: SpectrumTable, u: int, v: int) -> PstVerdict:
+    """Decision for even n via the Type 1/2/3 patterns."""
+    params = table.params
+    if params.is_odd:
+        raise WrongParity("classify_pair_even requires even n")
+    if u == v:
+        raise SameVertex("perfect state transfer needs two distinct vertices")
+    blocked = _blocked_clause(params, u, v, same_region_blocked=False)
+    if blocked is not None:
+        return _verdict(u, v, blocked)
+    n = params.n
+    d = u - v
+    same_region = region(params, u) == region(params, v)
+    if same_region:
+        if d not in (n, -n):
+            return _verdict(u, v, "no-pst:displacement")
+        if not table.all_integral:
+            return _verdict(u, v, "no-pst:non-integral")
+        types = pst.classify_graph_type(table)
+        if n % 4 == 0 and types.type1:
+            return _verdict(u, v, "pst:type1-same-region", table)
+        if n % 4 == 2 and types.type2:
+            return _verdict(u, v, "pst:type2-same-region", table)
+        return _verdict(u, v, "no-pst:valuation")
+    # opposite blocks V1<->V3 or V2<->V4
+    if d in (4 * n, -4 * n):
+        if not table.all_integral:
+            return _verdict(u, v, "no-pst:non-integral")
+        if pst.classify_graph_type(table).type3:
+            return _verdict(u, v, "pst:type3-antipodal", table)
+        return _verdict(u, v, "no-pst:valuation")
+    if d in (3 * n, -3 * n, 5 * n, -5 * n):
+        if not table.all_integral:
+            return _verdict(u, v, "no-pst:non-integral")
+        types = pst.classify_graph_type(table)
+        if n % 4 == 0 and types.type2:
+            return _verdict(u, v, "pst:type2-cross", table)
+        if n % 4 == 2 and types.type1:
+            return _verdict(u, v, "pst:type1-cross", table)
+        return _verdict(u, v, "no-pst:valuation")
+    return _verdict(u, v, "no-pst:displacement")
+
+
+def classify_pair(table: SpectrumTable, u: int, v: int) -> PstVerdict:
+    if table.params.is_odd:
+        return classify_pair_odd(table, u, v)
+    return classify_pair_even(table, u, v)
+
+
+def reference_pairs(table: SpectrumTable) -> tuple[PstVerdict, ...]:
+    """Every unordered pair (u < v) with perfect state transfer."""
+    order = table.params.order
+    out = []
+    for u in range(order):
+        for v in range(u + 1, order):
+            verdict = classify_pair(table, u, v)
+            if verdict.has_pst:
+                out.append(verdict)
+    return tuple(out)

@@ -133,11 +133,10 @@ def test_search_n2_verify_no_disagreements(capsys, monkeypatch):
     assert doc["pstCount"] == 60
 
 
-def test_search_workers_match_serial(capsys, monkeypatch):
-    monkeypatch.setenv("PST_GRID_POINTS", "500")
-    _, serial = run_cli(capsys, ["search", "--n", "2"])
-    _, parallel = run_cli(capsys, ["search", "--n", "2", "--workers", "4"])
-    assert serial == parallel
+def test_search_workers_flag_is_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["search", "--n", "2", "--workers", "4"])
+    assert exc.value.code == 1
 
 
 def test_search_detects_planted_disagreement(capsys, monkeypatch):
@@ -220,3 +219,33 @@ def test_grid_points_env_validation(monkeypatch):
     with pytest.raises(SystemExit) as exc:
         cli._grid_points()
     assert exc.value.code == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["analyze", "--n", "1", "--set", "a+b+a*b", "--verify"],
+        ["search", "--n", "1"],
+    ],
+)
+@pytest.mark.parametrize("raw", ["banana", "0"])
+def test_invalid_grid_points_prints_error_document(capsys, monkeypatch, argv, raw):
+    monkeypatch.setenv("PST_GRID_POINTS", raw)
+    code, out = run_cli(capsys, argv)
+    assert code == 1
+    assert json.loads(out) == {
+        "error": {
+            "code": "InvalidGridPoints",
+            "message": f"PST_GRID_POINTS must be a positive integer, got {raw!r}",
+        }
+    }
+
+
+def test_search_reads_grid_points_before_enumerating(capsys, monkeypatch):
+    def enumerate_fails(*args, **kwargs):
+        raise AssertionError("enumerated before PST_GRID_POINTS was read")
+
+    monkeypatch.setattr(cli, "enumerate_connection_sets", enumerate_fails)
+    monkeypatch.setenv("PST_GRID_POINTS", "-3")
+    code, out = run_cli(capsys, ["search", "--n", "3"])
+    assert code == 1 and json.loads(out)["error"]["code"] == "InvalidGridPoints"

@@ -1,6 +1,7 @@
 """2-adic valuations, graph types, and the transfer decision procedure."""
 
 import math
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -12,11 +13,13 @@ from v8npst.group import (
     element,
     validate_connection_set,
 )
+from v8npst import pst
 from v8npst.pst import (
     INF,
     DegenerateSpectrum,
     NotIntegral,
     SameVertex,
+    TypeClassification,
     WrongParity,
     all_pst_pairs,
     classify_graph_type,
@@ -30,6 +33,7 @@ from v8npst.spectrum import Eigenvalue, SpectrumTable, eigenvalues
 from v8npst.oracle import pair_amplitudes
 
 from conftest import valid_sets
+import pst_reference
 
 
 def full_set(n):
@@ -333,3 +337,120 @@ def test_verdict_symmetry():
         a = classify_pair(table, u, v)
         b = classify_pair(table, v, u)
         assert a.has_pst == b.has_pst and a.clause == b.clause
+
+
+# -- per-graph decision against the per-pair reference -----------------------
+
+
+@lru_cache(maxsize=None)
+def spectra(n):
+    return tuple(eigenvalues(conn) for conn in valid_sets(n))
+
+
+def assert_matches_reference(table, ordered_pairs=True):
+    """all_pst_pairs, and optionally classify_pair on every ordered pair,
+    equal the per-pair reference (u, v, clause, M and min_time included)."""
+    assert all_pst_pairs(table) == pst_reference.reference_pairs(table)
+    if not ordered_pairs:
+        return
+    order = table.params.order
+    for u in range(order):
+        for v in range(order):
+            if u != v:
+                assert classify_pair(table, u, v) == pst_reference.classify_pair(table, u, v)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_all_pst_pairs_match_reference_every_set(n):
+    for table in spectra(n):
+        assert_matches_reference(table, ordered_pairs=False)
+
+
+def decision_inputs(table):
+    """What the reference reads from a table besides the pair: integrality,
+    the valuation pattern (odd n) or Type flags (even n), and M."""
+    if not table.all_integral:
+        return (False,)
+    if table.params.is_odd:
+        shape = pst._odd_valuation_pattern(table)
+    else:
+        shape = classify_graph_type(table)
+    return (True, shape, gap_gcd(table))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_classify_pair_matches_reference_every_ordered_pair(n):
+    # Pair verdicts depend on the table only through decision_inputs, so one
+    # graph per distinct value covers every clause the reference can give.
+    representatives = {}
+    for table in spectra(n):
+        representatives.setdefault(decision_inputs(table), table)
+    for table in representatives.values():
+        assert_matches_reference(table)
+
+
+# Gaps of 2 (nu2 = 1) for the (kind, index parity) groups a Type pattern
+# holds at its baseline, gaps of 4 (nu2 = 2) for every other gap.
+TYPE_BASELINE_GROUPS = {
+    "type1": {("beta", 1), ("gamma", 1)},
+    "type2": {("alpha", 0), ("beta", 1), ("gamma", 0)},
+    "type3": {("alpha", 0), ("gamma", 0), ("gamma", 1)},
+}
+
+
+def typed_table(n, type_name):
+    base = eigenvalues(full_set(n))
+    groups = TYPE_BASELINE_GROUPS[type_name]
+    values = [
+        20 if ev.label == "alpha_1" else 20 - (2 if (ev.kind, ev.index % 2) in groups else 4)
+        for ev in base.eigenvalues
+    ]
+    return _table_with_values(base, values)
+
+
+# (n, type) -> clause of the one family it makes positive
+SYNTHETIC_CLAUSES = {
+    (6, "type1"): "pst:type1-cross",
+    (6, "type2"): "pst:type2-same-region",
+    (6, "type3"): "pst:type3-antipodal",
+    (8, "type1"): "pst:type1-same-region",
+    (8, "type2"): "pst:type2-cross",
+    (8, "type3"): "pst:type3-antipodal",
+}
+
+
+@pytest.mark.parametrize("n, type_name", sorted(SYNTHETIC_CLAUSES))
+def test_synthetic_single_type_matches_reference(n, type_name):
+    table = typed_table(n, type_name)
+    flags = classify_graph_type(table)
+    assert [name for name, on in flags._asdict().items() if on] == [type_name]
+    verdicts = all_pst_pairs(table)
+    assert len(verdicts) == 4 * n
+    assert {v.clause for v in verdicts} == {SYNTHETIC_CLAUSES[n, type_name]}
+    assert {v.M for v in verdicts} == {2}
+    assert_matches_reference(table)
+
+
+@pytest.mark.parametrize("n", [6, 8])
+def test_synthetic_all_types_matches_reference(n, monkeypatch):
+    # The three patterns exclude one another on real gap valuations (Type 2
+    # needs the beta_1 gap at the alpha_2 baseline, Type 3 needs it above,
+    # Type 1 needs the alpha_2 gap above the beta_1 baseline), so the flags
+    # are forced for the decision and the reference alike.
+    monkeypatch.setattr(pst, "classify_graph_type", lambda table: TypeClassification(True, True, True))
+    table = typed_table(n, "type1")
+    verdicts = all_pst_pairs(table)
+    assert len(verdicts) == 12 * n
+    assert {v.clause for v in verdicts} == {SYNTHETIC_CLAUSES[n, t] for t in ("type1", "type2", "type3")}
+    assert_matches_reference(table)
+
+
+@pytest.mark.parametrize("n", [6, 8])
+def test_synthetic_negative_tables_match_reference(n):
+    base = eigenvalues(full_set(n))
+    no_type = _table_with_values(base, [20] + [16] * (len(base.eigenvalues) - 1))
+    non_integral = _table_with_values(base, [20] + [None] * (len(base.eigenvalues) - 1))
+    for table in (no_type, non_integral):
+        assert classify_graph_type(table) == (False, False, False)
+        assert all_pst_pairs(table) == ()
+        assert_matches_reference(table)
