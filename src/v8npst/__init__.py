@@ -14,7 +14,7 @@ from .group import (
     enumerate_connection_sets,
     validate_connection_set,
 )
-from .spectrum import NumericallyAmbiguous, SpectrumTable, eigenvalues, eigenvectors
+from .spectrum import SpectrumTable, eigenvalues, eigenvectors
 from .pst import (
     PstVerdict,
     TypeClassification,
@@ -36,7 +36,6 @@ __all__ = [
     "NotGenerating",
     "NotNormal",
     "NotSymmetric",
-    "NumericallyAmbiguous",
     "PstVerdict",
     "SpectrumTable",
     "TypeClassification",

@@ -119,9 +119,13 @@ class CycloInt:
         im = math.fsum(c * roots[e].imag for e, c in enumerate(self.c) if c)
         return complex(re, im)
 
-    def is_zero(self) -> bool:
-        if all(c == 0 for c in self.c):
-            return True
+    def _reduced(self) -> list[int]:
+        """Coefficients of the remainder of this polynomial mod Phi_m.
+
+        The remainder has degree below phi(m); since 1, zeta, ..,
+        zeta^{phi(m)-1} is a basis of Z[zeta_m], it is the unique reduced
+        form of the value.
+        """
         phi = cyclotomic_polynomial(self.m)
         rem = list(self.c)
         deg_phi = len(phi) - 1
@@ -130,15 +134,15 @@ class CycloInt:
             if coeff:
                 for j, p in enumerate(phi):
                     rem[i - deg_phi + j] -= coeff * p
-        return all(c == 0 for c in rem)
+        return rem[:deg_phi]
+
+    def is_zero(self) -> bool:
+        return all(c == 0 for c in self._reduced())
 
     def as_integer(self):
         """The exact integer this value equals, or None."""
-        v = self.value()
-        if abs(v.imag) > 0.5:
-            return None
-        k = round(v.real)
-        return k if (self - CycloInt.integer(self.m, k)).is_zero() else None
+        rem = self._reduced()
+        return rem[0] if all(c == 0 for c in rem[1:]) else None
 
     def __eq__(self, other) -> bool:
         if isinstance(other, int):

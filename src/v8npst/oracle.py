@@ -310,32 +310,30 @@ def ratio_index_table(params: GroupParams) -> np.ndarray:
     return W
 
 
+_GRID_CHUNK = 2048  # times per phase block; bounds the (reps, chunk) buffer
+
+
 def grid_amplitude_maxima(
-    connection: ConnectionSet,
-    times,
-    table: SpectrumTable | None = None,
-    *,
-    check_invariance: bool = True,
-    chunk: int = 2048,
+    connection: ConnectionSet, times, table: SpectrumTable | None = None
 ) -> np.ndarray:
     """max over `times` of |H(tau)_{w, 0}| for every vertex w.
 
     Combined with ratio_index_table this yields the per-pair grid maxima of
     |H(tau)_{uv}| for the full 10^4-point scan at a fraction of the cost of
-    building every H(tau).  check_invariance re-verifies the translation
-    identity on the full matrix at a few sample times.
+    building every H(tau).  The translation identity is re-verified on the
+    full matrix at a few sample times.
     """
     lams, mats = _spectral_data(connection, table)
     col = mats[:, :, 0]  # (reps, order) column of each projector sum
     times = np.asarray(times, dtype=float)
     order = col.shape[1]
     best = np.zeros(order)
-    for start in range(0, len(times), chunk):
-        t = times[start : start + chunk]
+    for start in range(0, len(times), _GRID_CHUNK):
+        t = times[start : start + _GRID_CHUNK]
         phases = np.exp(-1j * np.outer(lams, t))  # (reps, chunk)
         amps = np.abs(col.T @ phases)  # (order, chunk)
         np.maximum(best, amps.max(axis=1), out=best)
-    if check_invariance and len(times):
+    if len(times):
         W = ratio_index_table(connection.params)
         rng = np.random.default_rng(7)
         for tau in rng.choice(times, size=min(3, len(times)), replace=False):

@@ -9,11 +9,10 @@ ones).  Eigenvalues are kept per representation, labelled alpha_i / beta_j /
 gamma_k, and never merged across representations even when numerically
 equal: the transfer-time decision rules distinguish them by label.
 
-Integrality is decided in two tiers: a numeric screen at 1e-8, with the
-exact cyclotomic form consulted when the numeric distance to the nearest
-integer falls in the inconclusive band (1e-8, 1e-4).  An eigenvalue inside
-the band with no exact form available raises NumericallyAmbiguous rather
-than guessing.
+Integrality is decided exactly: the numerator sum_{s in S} chi(s) is built
+in Z[zeta_4n], and lambda is an integer iff the numerator's reduced form
+mod Phi_4n is an integer k with d | k.  The float value serves only for
+display and for the numerical oracle.
 """
 
 from __future__ import annotations
@@ -27,14 +26,6 @@ from .cyclotomic import CycloInt
 from .group import ConnectionSet, GroupParams, conjugacy_classes
 from .characters import character_table, rep_descriptors
 
-NUMERIC_TOL = 1e-8
-AMBIGUOUS_TOL = 1e-4
-
-
-class NumericallyAmbiguous(ArithmeticError):
-    """An eigenvalue sits in the gap between the numeric tolerances."""
-
-
 _KIND_BY_REP = {"theta": "alpha", "psi": "beta", "phi": "gamma"}
 
 
@@ -45,8 +36,6 @@ class Eigenvalue:
     index: int
     multiplicity: int
     value: float
-    exact_num: Optional[CycloInt]
-    exact_den: int
     is_integer: bool
     integer_value: Optional[int]
 
@@ -85,40 +74,6 @@ class SpectrumTable:
     def gamma_indices(self) -> tuple[int, ...]:
         return tuple(ev.index for ev in self.eigenvalues if ev.kind == "gamma")
 
-    def values_with_multiplicity(self) -> list[tuple[float, int]]:
-        return [(ev.value, ev.multiplicity) for ev in self.eigenvalues]
-
-
-def _decide_integrality(
-    value: float, exact_num: Optional[CycloInt], den: int
-) -> tuple[bool, Optional[int]]:
-    nearest = round(value)
-    dist = abs(value - nearest)
-    if dist <= NUMERIC_TOL:
-        if exact_num is not None:
-            if not (exact_num - CycloInt.integer(exact_num.m, nearest * den)).is_zero():
-                raise NumericallyAmbiguous(
-                    f"value {value!r} passes the numeric screen but is not exactly {nearest}"
-                )
-        return True, nearest
-    if dist < AMBIGUOUS_TOL:
-        if exact_num is None:
-            raise NumericallyAmbiguous(
-                f"value {value!r} is within {dist:.2e} of {nearest} "
-                f"(between tolerances {NUMERIC_TOL} and {AMBIGUOUS_TOL})"
-            )
-        if (exact_num - CycloInt.integer(exact_num.m, nearest * den)).is_zero():
-            return True, nearest
-        return False, None
-    return False, None
-
-
-def eigenvalue_labels(params: GroupParams) -> tuple[str, ...]:
-    out = []
-    for d in rep_descriptors(params):
-        out.append(f"{_KIND_BY_REP[d.kind]}_{d.index}")
-    return tuple(out)
-
 
 def eigenvalues(connection: ConnectionSet) -> SpectrumTable:
     """Per-representation eigenvalues of Cay(V_8n, S), exact and numeric."""
@@ -134,19 +89,17 @@ def eigenvalues(connection: ConnectionSet) -> SpectrumTable:
         den = desc.degree
         z = num.value()
         assert abs(z.imag) < 1e-10, f"eigenvalue for {desc} is not real: {z}"
-        value = z.real / den
-        is_int, int_val = _decide_integrality(value, num, den)
+        k = num.as_integer()
+        is_int = k is not None and k % den == 0
         entries.append(
             Eigenvalue(
                 label=f"{_KIND_BY_REP[desc.kind]}_{desc.index}",
                 kind=_KIND_BY_REP[desc.kind],
                 index=desc.index,
                 multiplicity=desc.degree ** 2,
-                value=value,
-                exact_num=num,
-                exact_den=den,
+                value=z.real / den,
                 is_integer=is_int,
-                integer_value=int_val,
+                integer_value=k // den if is_int else None,
             )
         )
     table_out = SpectrumTable(
@@ -171,33 +124,6 @@ def _assert_consistency(table: SpectrumTable) -> None:
     assert abs(second - order * size) < 1e-6 * max(1.0, order * size), (
         "second-moment identity violated"
     )
-
-
-def check_integrality(table: SpectrumTable) -> bool:
-    """Re-run the integrality decision and verify the rounded identities.
-
-    Returns the all-integral flag; raises NumericallyAmbiguous when a value
-    falls in the undecidable band.  Integer values must reproduce the exact
-    trace and edge-count identities.
-    """
-    flags = []
-    ints = []
-    for ev in table.eigenvalues:
-        is_int, int_val = _decide_integrality(ev.value, ev.exact_num, ev.exact_den)
-        assert is_int == ev.is_integer and int_val == ev.integer_value, (
-            "stored integrality flags disagree with a fresh decision"
-        )
-        flags.append(is_int)
-        ints.append(int_val)
-    all_int = all(flags)
-    assert all_int == table.all_integral
-    if all_int:
-        mults = [e.multiplicity for e in table.eigenvalues]
-        assert sum(m * v for m, v in zip(mults, ints)) == 0
-        assert sum(m * v * v for m, v in zip(mults, ints)) == table.params.order * len(
-            table.connection
-        )
-    return all_int
 
 
 # --------------------------------------------------------------------------

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from v8npst import cli, oracle, spectrum
+from v8npst import cli, oracle
 from v8npst.group import GroupParams, conjugacy_classes
 
 
@@ -93,16 +93,6 @@ def test_analyze_alpha1_lists_degree_first(capsys):
     doc = json.loads(out)
     assert doc["spectrum"][0]["label"] == "alpha_1"
     assert doc["spectrum"][0]["value"] == doc["connectionSet"]["size"]
-
-
-def test_analyze_numerically_ambiguous_exit_3(capsys, monkeypatch):
-    def boom(conn):
-        raise spectrum.NumericallyAmbiguous("forced for the exit-code contract")
-
-    monkeypatch.setattr(cli.spectrum, "eigenvalues", boom)
-    code, out = run_cli(capsys, ["analyze", "--n", "1", "--set", full_set_spec(1)])
-    assert code == 3
-    assert json.loads(out)["error"]["code"] == "NumericallyAmbiguous"
 
 
 def test_search_usage_error_exit_1(capsys):

@@ -63,3 +63,12 @@ def test_ring_operations():
     assert (z * z * z * z).as_integer() == -1
     assert (2 * z - z - z).is_zero()
     assert (-z) + z == 0
+
+
+def test_as_integer_is_exact_for_large_coefficients():
+    # 1 + z^2 + z^4 + z^6 = 0 in Z[zeta_8]; scaled by 10^17 its float value
+    # is off by more than 1 in both parts
+    vanishing = sum((CycloInt.root(8, e) for e in (0, 2, 4, 6)), CycloInt.zero(8))
+    x = CycloInt.integer(8, 3) + 10**17 * vanishing
+    assert x == 3
+    assert x.as_integer() == 3

@@ -90,8 +90,6 @@ def _table_with_values(base, values):
                 index=ev.index,
                 multiplicity=ev.multiplicity,
                 value=float(v) if v is not None else 2.5,
-                exact_num=None,
-                exact_den=ev.exact_den,
                 is_integer=v is not None,
                 integer_value=v,
             )
