@@ -200,9 +200,11 @@ def cmd_analyze(args) -> int:
         conn = parse_set_spec(params, args.set)
     except (ConnectionSetError, ValueError) as exc:
         return _structured_error(type(exc).__name__, str(exc), EXIT_INVALID_SET)
+    # the grid is only read, and PST_GRID_POINTS only checked, with --verify
+    grid_points = _grid_points() if args.verify else DEFAULT_GRID_POINTS
     table = spectrum.eigenvalues(conn)
     report, disagreements = _analysis_report(
-        conn, table, verify=args.verify, grid_points=_grid_points()
+        conn, table, verify=args.verify, grid_points=grid_points
     )
     human = [
         f"Cay(V_{8 * args.n}, S) |S|={len(conn)} integral={report['integral']} "

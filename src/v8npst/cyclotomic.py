@@ -139,6 +139,15 @@ class CycloInt:
     def is_zero(self) -> bool:
         return all(c == 0 for c in self._reduced())
 
+    def is_real(self) -> bool:
+        """Exactly equal to its complex conjugate.
+
+        Coefficients symmetric under e -> -e give a real value as written;
+        any other vector is decided by reducing self - conj(self).
+        """
+        c = self.c
+        return c[1:] == c[:0:-1] or (self - self.conj()).is_zero()
+
     def as_integer(self):
         """The exact integer this value equals, or None."""
         rem = self._reduced()

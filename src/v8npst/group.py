@@ -16,7 +16,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 
 class GroupElement(NamedTuple):
@@ -198,20 +198,6 @@ class ConjugacyClass:
         return len(self.members)
 
 
-def _orbit_partition(params: GroupParams) -> list[frozenset[GroupElement]]:
-    """Conjugation orbits {g x g^{-1} : g in G}, computed from scratch."""
-    elems = all_elements(params)
-    remaining = set(elems)
-    orbits = []
-    for x in elems:
-        if x not in remaining:
-            continue
-        orbit = frozenset(conjugate(params, g, x) for g in elems)
-        orbits.append(orbit)
-        remaining -= orbit
-    return orbits
-
-
 def _paper_partition_odd(params: GroupParams) -> list[frozenset[GroupElement]]:
     n, two_n = params.n, params.two_n
     classes: list[frozenset[GroupElement]] = [
@@ -274,20 +260,23 @@ def _paper_partition_even(params: GroupParams) -> list[frozenset[GroupElement]]:
 
 @lru_cache(maxsize=None)
 def conjugacy_classes(params: GroupParams) -> tuple[ConjugacyClass, ...]:
-    """Conjugacy classes, cross-checked against a fresh orbit computation.
+    """Conjugacy classes, listed from the closed-form partition.
 
     Classes come out in a fixed listing order (identity, b^2, the large
     classes, then the two-element classes by exponent); each class is tagged
-    by its smallest-label member.
+    by its smallest-label member.  The tests check the listing against a
+    fresh computation of the conjugation orbits.
     """
     if params.is_odd:
         listed = _paper_partition_odd(params)
     else:
         listed = _paper_partition_even(params)
-    orbits = {frozenset(o) for o in _orbit_partition(params)}
-    assert {frozenset(c) for c in listed} == orbits, "class listing disagrees with conjugation orbits"
     expected = 2 * params.n + (3 if params.is_odd else 6)
-    assert len(listed) == expected
+    if len(listed) != expected:
+        raise RuntimeError(
+            f"class listing for n={params.n} has {len(listed)} classes, "
+            f"expected {expected}"
+        )
 
     out = []
     for members in listed:
@@ -304,6 +293,58 @@ def class_index_map(params: GroupParams) -> dict[GroupElement, int]:
         for x in cls.members:
             mapping[x] = i
     return mapping
+
+
+# r mod 2 and s mod 2 are homomorphisms V_8n -> Z/2; the kernels of r, s
+# and r + s mod 2 are the only index-2 subgroups, since the abelianisation
+# is Z/2 x Z/2 (odd n) or Z/4 x Z/2 (even n) and has no odd prime factor.
+_INDEX_TWO_SUBGROUPS = (
+    lambda x: x.r % 2 == 0,
+    lambda x: x.s % 2 == 0,
+    lambda x: (x.r + x.s) % 2 == 0,
+)
+
+
+class ClassMasks(NamedTuple):
+    """Per-n bitmasks over class indices: bit i stands for class i.
+
+    Inversion permutes the classes, so a union of classes is inverse-closed
+    exactly when the bits of its classes' inverse classes give back its own
+    mask.  A union of classes S generates a normal subgroup <S>; V_8n is
+    solvable, so a proper normal subgroup lies in a normal subgroup of prime
+    index, which is one of the three index-2 subgroups.  Hence S generates
+    V_8n iff, for each of them, S has a class outside it.
+    """
+
+    inverse_bit: tuple[int, ...]  # class i -> bit of the class of its inverses
+    outside: tuple[int, ...]  # per index-2 subgroup, the classes outside it
+
+    def is_symmetric(self, class_indices: Sequence[int]) -> bool:
+        """The union of these distinct classes is inverse-closed."""
+        return sum(self.inverse_bit[i] for i in class_indices) == sum(
+            1 << i for i in class_indices
+        )
+
+    def generates(self, class_indices: Iterable[int]) -> bool:
+        """The union of these distinct classes generates V_8n."""
+        mask = sum(1 << i for i in class_indices)
+        return all(mask & out for out in self.outside)
+
+
+@lru_cache(maxsize=None)
+def class_masks(params: GroupParams) -> ClassMasks:
+    """Inverse-class bits and index-2-subgroup masks, computed once per n."""
+    cmap = class_index_map(params)
+    # a normal subgroup holds a class wholly or not at all, so any member
+    # decides for the class
+    reps = [min(c.members) for c in conjugacy_classes(params)]
+    return ClassMasks(
+        inverse_bit=tuple(1 << cmap[inverse(params, x)] for x in reps),
+        outside=tuple(
+            sum(1 << i for i, x in enumerate(reps) if not inside(x))
+            for inside in _INDEX_TWO_SUBGROUPS
+        ),
+    )
 
 
 @dataclass(frozen=True)
@@ -347,16 +388,6 @@ def generated_subgroup(
     return frozenset(seen)
 
 
-def is_normal_subset(params: GroupParams, members: frozenset[GroupElement]) -> bool:
-    """Sg = gS for every g; must agree with the union-of-classes test."""
-    for g in all_elements(params):
-        left = {multiply(params, g, s) for s in members}
-        right = {multiply(params, s, g) for s in members}
-        if left != right:
-            return False
-    return True
-
-
 def validate_connection_set(
     params: GroupParams,
     members: Iterable[GroupElement | tuple[int, int]],
@@ -389,18 +420,10 @@ def validate_connection_set(
     cmap = class_index_map(params)
     classes = conjugacy_classes(params)
     idxs = sorted({cmap[x] for x in mset})
-    union_ok = all(classes[i].members <= mset for i in idxs) and sum(
-        len(classes[i]) for i in idxs
-    ) == len(mset)
-    assert union_ok == is_normal_subset(params, mset), (
-        "class-union and Sg=gS normality tests disagree"
-    )
-    if not union_ok:
+    # mset lies inside the union of its classes, so equal sizes mean equality
+    if sum(len(classes[i]) for i in idxs) != len(mset):
         raise NotNormal("set is not a union of conjugacy classes (Sg != gS)")
-
-    if require_generating and generated_subgroup(params, mset) != frozenset(
-        all_elements(params)
-    ):
+    if require_generating and not class_masks(params).generates(idxs):
         raise NotGenerating("set does not generate the whole group")
     return ConnectionSet(params=params, members=mset, class_indices=tuple(idxs))
 
@@ -412,18 +435,15 @@ def enumerate_connection_sets(
 
     Deterministic order: by class count, then lexicographically by the tuple
     of class indices.  Invalid unions (non-symmetric or non-generating) are
-    skipped.
+    skipped; both are decided on the per-n class masks.
     """
     classes = conjugacy_classes(params)
+    masks = class_masks(params)
     non_identity = [i for i, c in enumerate(classes) if IDENTITY not in c.members]
-    full = frozenset(all_elements(params))
     for k in range(1, min(max_classes, len(non_identity)) + 1):
         for combo in itertools.combinations(non_identity, k):
-            members = frozenset().union(*(classes[i].members for i in combo))
-            if any(inverse(params, x) not in members for x in members):
-                continue
-            if generated_subgroup(params, members) != full:
-                continue
-            yield ConnectionSet(
-                params=params, members=members, class_indices=tuple(combo)
-            )
+            if masks.is_symmetric(combo) and masks.generates(combo):
+                members = frozenset().union(*(classes[i].members for i in combo))
+                yield ConnectionSet(
+                    params=params, members=members, class_indices=combo
+                )

@@ -11,8 +11,9 @@ equal: the transfer-time decision rules distinguish them by label.
 
 Integrality is decided exactly: the numerator sum_{s in S} chi(s) is built
 in Z[zeta_4n], and lambda is an integer iff the numerator's reduced form
-mod Phi_4n is an integer k with d | k.  The float value serves only for
-display and for the numerical oracle.
+mod Phi_4n is an integer k with d | k.  Realness is decided exactly too
+(`CycloInt.is_real`).  The float value serves only for display and for the
+numerical oracle.
 """
 
 from __future__ import annotations
@@ -27,6 +28,11 @@ from .group import ConnectionSet, GroupParams, conjugacy_classes
 from .characters import character_table, rep_descriptors
 
 _KIND_BY_REP = {"theta": "alpha", "psi": "beta", "phi": "gamma"}
+
+
+class NonRealEigenvalue(ArithmeticError):
+    """A character sum over S is not real: S is not inverse-closed, or the
+    character table is wrong."""
 
 
 @dataclass(frozen=True)
@@ -87,8 +93,8 @@ def eigenvalues(connection: ConnectionSet) -> SpectrumTable:
         for ci in connection.class_indices:
             num = num + len(classes[ci]) * row[ci]
         den = desc.degree
-        z = num.value()
-        assert abs(z.imag) < 1e-10, f"eigenvalue for {desc} is not real: {z}"
+        if not num.is_real():
+            raise NonRealEigenvalue(f"eigenvalue for {desc} is not real: {num}")
         k = num.as_integer()
         is_int = k is not None and k % den == 0
         entries.append(
@@ -97,7 +103,7 @@ def eigenvalues(connection: ConnectionSet) -> SpectrumTable:
                 kind=_KIND_BY_REP[desc.kind],
                 index=desc.index,
                 multiplicity=desc.degree ** 2,
-                value=z.real / den,
+                value=num.value().real / den,
                 is_integer=is_int,
                 integer_value=k // den if is_int else None,
             )

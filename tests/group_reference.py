@@ -1,0 +1,60 @@
+"""Element-level reference for connection-set checks in `v8npst.group`.
+
+`enumerate_connection_sets` is the enumeration as it was before `group`
+decided symmetry and generation from per-n class bitmasks: every union of
+classes is checked element by element for inverse-closure, and its
+generated subgroup is computed by BFS.  `is_normal_subset` is the Sg = gS
+normality test that `validate_connection_set` once asserted against its
+class-union test.  Tests compare the mask-based code against both.
+"""
+
+from __future__ import annotations
+
+import itertools
+from typing import Iterator
+
+from v8npst.group import (
+    IDENTITY,
+    ConnectionSet,
+    GroupElement,
+    GroupParams,
+    all_elements,
+    conjugacy_classes,
+    generated_subgroup,
+    inverse,
+    multiply,
+)
+
+
+def is_normal_subset(params: GroupParams, members: frozenset[GroupElement]) -> bool:
+    """Sg = gS for every g; must agree with the union-of-classes test."""
+    for g in all_elements(params):
+        left = {multiply(params, g, s) for s in members}
+        right = {multiply(params, s, g) for s in members}
+        if left != right:
+            return False
+    return True
+
+
+def enumerate_connection_sets(
+    params: GroupParams, max_classes: int
+) -> Iterator[ConnectionSet]:
+    """All valid connection sets that are unions of <= max_classes classes.
+
+    Deterministic order: by class count, then lexicographically by the tuple
+    of class indices.  Invalid unions (non-symmetric or non-generating) are
+    skipped.
+    """
+    classes = conjugacy_classes(params)
+    non_identity = [i for i, c in enumerate(classes) if IDENTITY not in c.members]
+    full = frozenset(all_elements(params))
+    for k in range(1, min(max_classes, len(non_identity)) + 1):
+        for combo in itertools.combinations(non_identity, k):
+            members = frozenset().union(*(classes[i].members for i in combo))
+            if any(inverse(params, x) not in members for x in members):
+                continue
+            if generated_subgroup(params, members) != full:
+                continue
+            yield ConnectionSet(
+                params=params, members=members, class_indices=tuple(combo)
+            )

@@ -239,3 +239,12 @@ def test_search_reads_grid_points_before_enumerating(capsys, monkeypatch):
     monkeypatch.setenv("PST_GRID_POINTS", "-3")
     code, out = run_cli(capsys, ["search", "--n", "3"])
     assert code == 1 and json.loads(out)["error"]["code"] == "InvalidGridPoints"
+
+
+def test_analyze_without_verify_ignores_grid_points(capsys, monkeypatch):
+    argv = ["analyze", "--n", "1", "--set", "a+b+a*b"]
+    _, plain = run_cli(capsys, argv)
+    monkeypatch.setenv("PST_GRID_POINTS", "banana")
+    code, out = run_cli(capsys, argv)
+    assert code == 0 and out == plain
+    assert json.loads(out)["oracle"] == {"checked": False, "maxDeviation": None}

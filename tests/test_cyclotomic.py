@@ -72,3 +72,13 @@ def test_as_integer_is_exact_for_large_coefficients():
     x = CycloInt.integer(8, 3) + 10**17 * vanishing
     assert x == 3
     assert x.as_integer() == 3
+
+
+def test_is_real_is_exact():
+    z = [CycloInt.root(8, e) for e in range(8)]
+    assert (z[1] + z[7]).is_real()  # sqrt2, symmetric coefficients
+    assert (z[1] + z[5]).is_real()  # exactly 0, coefficients not symmetric
+    assert (z[1] - z[3]).is_real()  # sqrt2, coefficients not symmetric
+    assert not z[2].is_real()  # i
+    assert not (z[1] + z[3]).is_real()  # i sqrt2
+    assert not (CycloInt.integer(8, 10**17) + z[2] - z[6] + z[1] + z[5]).is_real()  # 10^17 + 2i

@@ -14,6 +14,7 @@ from v8npst.group import (
     NotNormal,
     NotSymmetric,
     all_elements,
+    class_masks,
     conjugacy_classes,
     conjugate,
     element,
@@ -21,14 +22,15 @@ from v8npst.group import (
     enumerate_connection_sets,
     generated_subgroup,
     inverse,
-    is_normal_subset,
     multiply,
     parse_element,
     validate_connection_set,
     vertex_index,
 )
 
+import group_reference
 from conftest import coset_apply, coset_of, coset_oracle
+from group_reference import is_normal_subset
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 5])
@@ -161,7 +163,7 @@ def test_classes_partition_group(n):
     assert union == set(all_elements(p)) and total == 8 * n
 
 
-@pytest.mark.parametrize("n", range(1, 7))
+@pytest.mark.parametrize("n", range(1, 9))
 def test_classes_match_fresh_orbit_computation(n):
     p = GroupParams(n)
     classes = {frozenset(c.members) for c in conjugacy_classes(p)}
@@ -177,21 +179,45 @@ def test_classes_match_fresh_orbit_computation(n):
     assert classes == orbits
 
 
-@pytest.mark.parametrize("n", [1, 2, 3])
+def _symmetric_closure(p, subset):
+    return frozenset(subset) | {inverse(p, x) for x in subset}
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
 def test_normal_iff_class_union(n, rng):
-    """Sg = gS holds exactly when the subset is a union of conjugacy classes."""
+    """Sg = gS holds exactly when the subset is a union of conjugacy classes,
+    and validate_connection_set's class-union test agrees with Sg = gS."""
     p = GroupParams(n)
     classes = conjugacy_classes(p)
     elems = all_elements(p)
+    non_identity = [c for c in classes if IDENTITY not in c.members]
+    candidates = []
     for _ in range(40):
         size = int(rng.integers(1, 8 * n))
-        subset = frozenset(
-            elems[i] for i in rng.choice(8 * n, size=size, replace=False)
+        candidates.append(
+            frozenset(elems[i] for i in rng.choice(8 * n, size=size, replace=False))
         )
+        # a symmetric class union, and the same union with one inverse
+        # pair dropped (symmetric, normal only by coincidence)
+        k = int(rng.integers(1, len(non_identity) + 1))
+        picks = rng.choice(len(non_identity), size=k, replace=False)
+        union = _symmetric_closure(
+            p, frozenset().union(*(non_identity[i].members for i in picks))
+        )
+        x = sorted(union)[int(rng.integers(len(union)))]
+        candidates += [union, union - {x, inverse(p, x)}]
+    for subset in candidates:
         is_union = all(
             c.members <= subset or not (c.members & subset) for c in classes
         )
         assert is_normal_subset(p, subset) == is_union
+        symmetric = _symmetric_closure(p, subset) - {IDENTITY}
+        try:
+            validate_connection_set(p, symmetric, require_generating=False)
+        except NotNormal:
+            assert not is_normal_subset(p, symmetric)
+        else:
+            assert is_normal_subset(p, symmetric)
 
 
 def test_validate_full_set_n1_is_k8():
@@ -278,6 +304,60 @@ def test_enumerate_deterministic_validated_and_complete(n):
                 continue
             expected.add(members)
     assert {c.members for c in first} == expected
+
+
+@pytest.mark.parametrize(
+    "n,max_classes", [(n, 99) for n in range(1, 6)] + [(6, 3), (7, 3), (8, 3)]
+)
+def test_enumerate_matches_reference(n, max_classes):
+    """The mask-based enumeration yields the BFS reference's sets, in order."""
+    p = GroupParams(n)
+    got = [(c.class_indices, c.members) for c in enumerate_connection_sets(p, max_classes)]
+    want = [
+        (c.class_indices, c.members)
+        for c in group_reference.enumerate_connection_sets(p, max_classes)
+    ]
+    assert got == want
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+def test_class_masks_match_element_checks(n):
+    """On every union of non-identity classes, the mask tests give the
+    element-level inverse-closure and the BFS generation verdicts."""
+    p = GroupParams(n)
+    classes = conjugacy_classes(p)
+    masks = class_masks(p)
+    full = frozenset(all_elements(p))
+    non_identity = [i for i, c in enumerate(classes) if IDENTITY not in c.members]
+    for k in range(1, len(non_identity) + 1):
+        for combo in itertools.combinations(non_identity, k):
+            members = frozenset().union(*(classes[i].members for i in combo))
+            symmetric = all(inverse(p, x) in members for x in members)
+            assert masks.is_symmetric(combo) == symmetric
+            assert masks.generates(combo) == (generated_subgroup(p, members) == full)
+
+
+@pytest.mark.parametrize("n", [3, 4])
+@pytest.mark.parametrize(
+    "inside",
+    [
+        lambda x: x.r % 2 == 0,
+        lambda x: x.s % 2 == 0,
+        lambda x: (x.r + x.s) % 2 == 0,
+    ],
+    ids=["r-even", "s-even", "r+s-even"],
+)
+def test_validate_rejects_index_two_subgroup(n, inside):
+    """Each index-2 subgroup minus the identity is a symmetric class union
+    that does not generate."""
+    p = GroupParams(n)
+    members = frozenset(x for x in all_elements(p) if inside(x)) - {IDENTITY}
+    assert len(members) == 4 * n - 1
+    assert generated_subgroup(p, members) == members | {IDENTITY}
+    with pytest.raises(NotGenerating):
+        validate_connection_set(p, members)
+    conn = validate_connection_set(p, members, require_generating=False)
+    assert conn.members == members
 
 
 def test_element_str_round_trip():

@@ -127,33 +127,42 @@ def test_trace_and_second_moment(n):
             assert sum(m * k * k for m, k in zip(mults, ints)) == 8 * n * len(conn)
 
 
+def _patch_b2_entry(monkeypatch, p, extra):
+    """Add `extra` to the second row's entry at the one-element class {b^2};
+    returns that class's index."""
+    b2 = next(i for i, c in enumerate(conjugacy_classes(p)) if c.tag == "b^2")
+    assert len(conjugacy_classes(p)[b2]) == 1
+    chars = spectrum.character_table(p)
+    row = chars[1][:b2] + (chars[1][b2] + extra,) + chars[1][b2 + 1 :]
+    monkeypatch.setattr(spectrum, "character_table", lambda params: (chars[0], row) + chars[2:])
+    return b2
+
+
 def test_near_integer_irrational_is_not_integral(monkeypatch):
     # (sqrt2 - 1)^21 = -54608393 + 38613965 sqrt2 is about 3.7e-9: added to
     # one eigenvalue's numerator it stays far inside any float tolerance of
     # the true integer and within the spectral identities' bounds, yet the
-    # eigenvalue is irrational.  The multiple of 1 + z^4 (exactly 0) cancels
-    # the float imaginary residue of the large coefficients, so the value
-    # passes the realness check.
+    # eigenvalue is irrational.  It is exactly real, but its float value has
+    # an imaginary residue that a float realness test would reject.
     z = [CycloInt.root(8, e) for e in range(8)]
-    eps = (
-        CycloInt.integer(8, -54608393)
-        + 38613965 * (z[1] + z[7])
-        + 60838607 * (z[0] + z[4])
-    )
-    assert 0 < eps.value().real < 1e-8 and abs(eps.value().imag) < 1e-12
+    eps = CycloInt.integer(8, -54608393) + 38613965 * (z[1] + z[7])
+    assert 0 < eps.value().real < 1e-8 and abs(eps.value().imag) > 1e-10
     p = GroupParams(2)
     conn = full_set(2)
     plain = eigenvalues(conn)
-    b2 = next(i for i, c in enumerate(conjugacy_classes(p)) if c.tag == "b^2")
-    assert len(conjugacy_classes(p)[b2]) == 1 and b2 in conn.class_indices
-    chars = spectrum.character_table(p)
-    row = chars[1][:b2] + (chars[1][b2] + eps,) + chars[1][b2 + 1 :]
-    monkeypatch.setattr(spectrum, "character_table", lambda params: (chars[0], row) + chars[2:])
+    assert _patch_b2_entry(monkeypatch, p, eps) in conn.class_indices
     table = eigenvalues(conn)
     ev = table.eigenvalues[1]
     assert abs(ev.value - plain.eigenvalues[1].value) < 1e-8
     assert (ev.is_integer, ev.integer_value) == (False, None)
     assert not table.all_integral
+
+
+def test_non_real_numerator_raises(monkeypatch):
+    conn = full_set(2)
+    _patch_b2_entry(monkeypatch, GroupParams(2), CycloInt.root(8, 2))  # + i
+    with pytest.raises(spectrum.NonRealEigenvalue, match="not real"):
+        eigenvalues(conn)
 
 
 @pytest.mark.parametrize("n,expected", [(1, (0,)), (3, (0, 1, 2)), (2, (1,)), (4, (1, 2, 3))])
