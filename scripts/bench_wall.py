@@ -1,0 +1,88 @@
+"""Wall time of whole `v8npst search` CLI processes, recorded in a BENCH file.
+
+Usage:
+
+    python scripts/bench_wall.py --label change --out BENCH_x.json [--src DIR]
+
+Each run starts one fresh interpreter, `python -m v8npst.cli search ...`,
+with `PYTHONPATH` set to `--src` (the `src` directory of any checkout,
+default this repository's), and times it from start to exit.  The runs are
+`search --n N --verify` for N = 4, 5, 6 and `search --n N` for N = 7, 8.
+Each result holds the wall seconds, the exit code and the SHA-256 of stdout,
+so two checkouts recorded into one file can be compared for identical
+reports as well as for time.  Each invocation appends one round of results
+under `--label` and keeps everything else in the file, so run it for each
+checkout on the same machine, alternating which goes first, and commit the
+file.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import os
+import platform
+import subprocess
+import sys
+import time
+from pathlib import Path
+
+REPO = Path(__file__).resolve().parent.parent
+
+RUNS = (
+    ("search", "--n", "4", "--verify"),
+    ("search", "--n", "5", "--verify"),
+    ("search", "--n", "6", "--verify"),
+    ("search", "--n", "7"),
+    ("search", "--n", "8"),
+)
+
+NOTE = (
+    "Wall time of one CLI process per run, measured with no other benchmark "
+    "running. The per-layer split of these runs is not recorded: it needs "
+    "an opt-in --stats report from the CLI, which does not exist yet."
+)
+
+
+def time_run(src: Path, argv: tuple[str, ...]) -> dict:
+    env = dict(os.environ, PYTHONPATH=str(src))
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "v8npst.cli", *argv], env=env, capture_output=True
+    )
+    wall = time.perf_counter() - start
+    return {
+        "argv": " ".join(argv),
+        "wall_s": round(wall, 3),
+        "exit": proc.returncode,
+        "stdout_sha256": hashlib.sha256(proc.stdout).hexdigest(),
+    }
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--label", required=True, help="key for this checkout's results")
+    parser.add_argument("--out", required=True, type=Path, help="BENCH_*.json to update")
+    parser.add_argument("--src", type=Path, default=REPO / "src", help="package source dir")
+    args = parser.parse_args()
+
+    doc = json.loads(args.out.read_text()) if args.out.exists() else {}
+    doc["note"] = NOTE
+    doc["host"] = {
+        "cpus": os.cpu_count(),
+        "machine": platform.machine(),
+        "python": platform.python_version(),
+    }
+    results = []
+    for argv in RUNS:
+        result = time_run(args.src.resolve(), argv)
+        print(json.dumps(result), file=sys.stderr)
+        results.append(result)
+    doc.setdefault("runs", {}).setdefault(args.label, []).append(results)
+    args.out.write_text(json.dumps(doc, indent=2) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -15,7 +15,8 @@ from functools import lru_cache
 
 
 @lru_cache(maxsize=None)
-def _unit_roots(m: int) -> tuple[complex, ...]:
+def unit_roots(m: int) -> tuple[complex, ...]:
+    """zeta_m^e as floats, e = 0 .. m-1."""
     return tuple(cmath.exp(2j * cmath.pi * e / m) for e in range(m))
 
 
@@ -114,7 +115,7 @@ class CycloInt:
 
     # evaluation and exact predicates ------------------------------------
     def value(self) -> complex:
-        roots = _unit_roots(self.m)
+        roots = unit_roots(self.m)
         re = math.fsum(c * roots[e].real for e, c in enumerate(self.c) if c)
         im = math.fsum(c * roots[e].imag for e, c in enumerate(self.c) if c)
         return complex(re, im)
@@ -165,3 +166,13 @@ class CycloInt:
     def __repr__(self) -> str:
         terms = [f"{c}*z^{e}" for e, c in enumerate(self.c) if c]
         return f"CycloInt(m={self.m}: {' + '.join(terms) or '0'})"
+
+
+@lru_cache(maxsize=None)
+def reduced_powers(m: int) -> tuple[tuple[int, ...], ...]:
+    """Row e is the reduced form of zeta_m^e mod Phi_m.
+
+    Reduction is linear, so a coefficient vector times this matrix is the
+    vector's reduced form.
+    """
+    return tuple(tuple(CycloInt.root(m, e)._reduced()) for e in range(m))

@@ -16,7 +16,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple
 
 
 class GroupElement(NamedTuple):
@@ -309,21 +309,15 @@ class ClassMasks(NamedTuple):
     """Per-n bitmasks over class indices: bit i stands for class i.
 
     Inversion permutes the classes, so a union of classes is inverse-closed
-    exactly when the bits of its classes' inverse classes give back its own
-    mask.  A union of classes S generates a normal subgroup <S>; V_8n is
-    solvable, so a proper normal subgroup lies in a normal subgroup of prime
-    index, which is one of the three index-2 subgroups.  Hence S generates
-    V_8n iff, for each of them, S has a class outside it.
+    exactly when it holds the inverse class of each of its classes.  A union
+    of classes S generates a normal subgroup <S>; V_8n is solvable, so a
+    proper normal subgroup lies in a normal subgroup of prime index, which
+    is one of the three index-2 subgroups.  Hence S generates V_8n iff, for
+    each of them, S has a class outside it.
     """
 
     inverse_bit: tuple[int, ...]  # class i -> bit of the class of its inverses
     outside: tuple[int, ...]  # per index-2 subgroup, the classes outside it
-
-    def is_symmetric(self, class_indices: Sequence[int]) -> bool:
-        """The union of these distinct classes is inverse-closed."""
-        return sum(self.inverse_bit[i] for i in class_indices) == sum(
-            1 << i for i in class_indices
-        )
 
     def generates(self, class_indices: Iterable[int]) -> bool:
         """The union of these distinct classes generates V_8n."""
@@ -434,16 +428,24 @@ def enumerate_connection_sets(
     """All valid connection sets that are unions of <= max_classes classes.
 
     Deterministic order: by class count, then lexicographically by the tuple
-    of class indices.  Invalid unions (non-symmetric or non-generating) are
-    skipped; both are decided on the per-n class masks.
+    of class indices.  Only inverse-closed unions are visited: each is a
+    union of inverse orbits (a self-inverse class, or a class with its
+    inverse class).  Unions that do not generate are skipped, decided on the
+    per-n class masks.
     """
     classes = conjugacy_classes(params)
     masks = class_masks(params)
-    non_identity = [i for i, c in enumerate(classes) if IDENTITY not in c.members]
-    for k in range(1, min(max_classes, len(non_identity)) + 1):
-        for combo in itertools.combinations(non_identity, k):
-            if masks.is_symmetric(combo) and masks.generates(combo):
-                members = frozenset().union(*(classes[i].members for i in combo))
-                yield ConnectionSet(
-                    params=params, members=members, class_indices=combo
-                )
+    orbits = []
+    for i, c in enumerate(classes):
+        j = masks.inverse_bit[i].bit_length() - 1
+        if IDENTITY not in c.members and i <= j:
+            orbits.append((i,) if i == j else (i, j))
+    unions = [
+        tuple(sorted(itertools.chain.from_iterable(combo)))
+        for k in range(1, min(max_classes, len(orbits)) + 1)
+        for combo in itertools.combinations(orbits, k)
+        if sum(map(len, combo)) <= max_classes
+    ]
+    for combo in sorted(filter(masks.generates, unions), key=lambda u: (len(u), u)):
+        members = frozenset().union(*(classes[i].members for i in combo))
+        yield ConnectionSet(params=params, members=members, class_indices=combo)

@@ -9,23 +9,29 @@ ones).  Eigenvalues are kept per representation, labelled alpha_i / beta_j /
 gamma_k, and never merged across representations even when numerically
 equal: the transfer-time decision rules distinguish them by label.
 
-Integrality is decided exactly: the numerator sum_{s in S} chi(s) is built
-in Z[zeta_4n], and lambda is an integer iff the numerator's reduced form
-mod Phi_4n is an integer k with d | k.  Realness is decided exactly too
-(`CycloInt.is_real`).  The float value serves only for display and for the
-numerical oracle.
+S is a union of classes, so the numerator sum_{c in S} |c| * chi(c) is
+linear in the class indicator of S.  The exact character table is turned,
+once per n, into an integer map from classes to coefficient vectors over
+Z[zeta_4n]: unreduced, reduced mod Phi_4n, and the reduced imaginary part.
+A spectrum is then a sum of integer rows over the classes of S, and
+realness and integrality are decided exactly on those sums: lambda is real
+iff the imaginary row is zero, and an integer iff the reduced row is an
+integer k with d | k.  `CycloInt` arithmetic only builds the table and the
+map.  The float value, evaluated from the unreduced row, serves only for
+display and for the numerical oracle.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .cyclotomic import CycloInt
+from .cyclotomic import cyclotomic_polynomial, reduced_powers, unit_roots
 from .group import ConnectionSet, GroupParams, conjugacy_classes
-from .characters import character_table, rep_descriptors
+from .characters import RepDescriptor, character_table, rep_descriptors
 
 _KIND_BY_REP = {"theta": "alpha", "psi": "beta", "phi": "gamma"}
 
@@ -81,29 +87,85 @@ class SpectrumTable:
         return tuple(ev.index for ev in self.eigenvalues if ev.kind == "gamma")
 
 
+class _ClassMap(NamedTuple):
+    """The spectrum as an integer linear map of the class indicator of S.
+
+    Built once per n from one character table.  For representation rho and
+    class c, `stacked[rho, c]` holds three coefficient vectors of
+    |c| * chi_rho(c), side by side:
+
+      [:m]           over zeta^0 .. zeta^{m-1}, as the table writes it;
+      [m:m+phi]      reduced mod Phi_m (row e of the reduction is the
+                     reduced form of zeta^e);
+      [m+phi:]       the reduced form of the value minus its conjugate.
+
+    All three are linear in the coefficients, so their sums over the classes
+    of S are the eigenvalue numerator, its reduced form and its imaginary
+    part.  Entries are class sizes times coefficients of a few units, so the
+    int64 sums are exact.
+    """
+
+    table: tuple  # the character table the map was built from
+    stacked: np.ndarray  # int64, (reps, classes, m + 2 * phi)
+    reps: tuple[tuple[RepDescriptor, str, str], ...]  # descriptor, label, kind
+
+
+_class_maps: dict[GroupParams, _ClassMap] = {}
+
+
+def _class_map(params: GroupParams) -> _ClassMap:
+    """The cached map, rebuilt whenever `character_table` returns a new table."""
+    table = character_table(params)
+    cached = _class_maps.get(params)
+    if cached is None or cached.table is not table:
+        cached = _class_maps[params] = _build_class_map(params, table)
+    return cached
+
+
+def _build_class_map(params: GroupParams, table) -> _ClassMap:
+    m = 4 * params.n
+    sizes = [len(c) for c in conjugacy_classes(params)]
+    unreduced = np.array(
+        [[[size * x for x in entry.c] for size, entry in zip(sizes, row)] for row in table],
+        dtype=np.int64,
+    )
+    reduce = np.array(reduced_powers(m), dtype=np.int64)
+    conj_reduce = reduce[(-np.arange(m)) % m]
+    stacked = np.concatenate(
+        [unreduced, unreduced @ reduce, unreduced @ (reduce - conj_reduce)], axis=2
+    )
+    reps = tuple(
+        (desc, f"{_KIND_BY_REP[desc.kind]}_{desc.index}", _KIND_BY_REP[desc.kind])
+        for desc in rep_descriptors(params)
+    )
+    return _ClassMap(table=table, stacked=stacked, reps=reps)
+
+
 def eigenvalues(connection: ConnectionSet) -> SpectrumTable:
     """Per-representation eigenvalues of Cay(V_8n, S), exact and numeric."""
     params = connection.params
-    classes = conjugacy_classes(params)
-    table = character_table(params)
     m = 4 * params.n
+    phi = len(cyclotomic_polynomial(m)) - 1
+    class_map = _class_map(params)
+    sums = class_map.stacked[:, list(connection.class_indices)].sum(axis=1).tolist()
+    re_roots = [z.real for z in unit_roots(m)]
     entries = []
-    for row, desc in zip(table, rep_descriptors(params)):
-        num = CycloInt.zero(m)
-        for ci in connection.class_indices:
-            num = num + len(classes[ci]) * row[ci]
+    for row, (desc, label, kind) in zip(sums, class_map.reps):
+        num, reduced, imaginary = row[:m], row[m : m + phi], row[m + phi :]
+        if any(imaginary):
+            raise NonRealEigenvalue(
+                f"eigenvalue for {desc} is not real: numerator coefficients {num}"
+            )
         den = desc.degree
-        if not num.is_real():
-            raise NonRealEigenvalue(f"eigenvalue for {desc} is not real: {num}")
-        k = num.as_integer()
-        is_int = k is not None and k % den == 0
+        k = reduced[0]
+        is_int = not any(reduced[1:]) and k % den == 0
         entries.append(
             Eigenvalue(
-                label=f"{_KIND_BY_REP[desc.kind]}_{desc.index}",
-                kind=_KIND_BY_REP[desc.kind],
+                label=label,
+                kind=kind,
                 index=desc.index,
-                multiplicity=desc.degree ** 2,
-                value=num.value().real / den,
+                multiplicity=den**2,
+                value=math.fsum([c * r for c, r in zip(num, re_roots) if c]) / den,
                 is_integer=is_int,
                 integer_value=k // den if is_int else None,
             )
@@ -113,23 +175,26 @@ def eigenvalues(connection: ConnectionSet) -> SpectrumTable:
         eigenvalues=tuple(entries),
         all_integral=all(e.is_integer for e in entries),
     )
-    _assert_consistency(table_out)
+    _check_consistency(table_out)
     return table_out
 
 
-def _assert_consistency(table: SpectrumTable) -> None:
+def _check_consistency(table: SpectrumTable) -> None:
+    """The spectral identities every Cayley graph spectrum satisfies."""
     order = table.params.order
     size = len(table.connection)
     total_mult = sum(e.multiplicity for e in table.eigenvalues)
-    assert total_mult == order, "eigenvalue multiplicities do not sum to 8n"
+    if total_mult != order:
+        raise RuntimeError("eigenvalue multiplicities do not sum to 8n")
     alpha1 = table.alpha(1)
-    assert abs(alpha1.value - size) < 1e-9, "alpha_1 must equal |S|"
+    if not abs(alpha1.value - size) < 1e-9:
+        raise RuntimeError("alpha_1 must equal |S|")
     trace = sum(e.multiplicity * e.value for e in table.eigenvalues)
-    assert abs(trace) < 1e-7 * max(1.0, size), "trace identity violated"
+    if not abs(trace) < 1e-7 * max(1.0, size):
+        raise RuntimeError("trace identity violated")
     second = sum(e.multiplicity * e.value ** 2 for e in table.eigenvalues)
-    assert abs(second - order * size) < 1e-6 * max(1.0, order * size), (
-        "second-moment identity violated"
-    )
+    if not abs(second - order * size) < 1e-6 * max(1.0, order * size):
+        raise RuntimeError("second-moment identity violated")
 
 
 # --------------------------------------------------------------------------

@@ -307,10 +307,11 @@ def test_enumerate_deterministic_validated_and_complete(n):
 
 
 @pytest.mark.parametrize(
-    "n,max_classes", [(n, 99) for n in range(1, 6)] + [(6, 3), (7, 3), (8, 3)]
+    "n,max_classes",
+    [(n, 99) for n in range(1, 6)] + [(6, 3), (7, 3), (8, 3), (6, 99), (8, 4)],
 )
 def test_enumerate_matches_reference(n, max_classes):
-    """The mask-based enumeration yields the BFS reference's sets, in order."""
+    """The orbit-union enumeration yields the BFS reference's sets, in order."""
     p = GroupParams(n)
     got = [(c.class_indices, c.members) for c in enumerate_connection_sets(p, max_classes)]
     want = [
@@ -333,7 +334,8 @@ def test_class_masks_match_element_checks(n):
         for combo in itertools.combinations(non_identity, k):
             members = frozenset().union(*(classes[i].members for i in combo))
             symmetric = all(inverse(p, x) in members for x in members)
-            assert masks.is_symmetric(combo) == symmetric
+            inverse_mask = sum(masks.inverse_bit[i] for i in combo)
+            assert (inverse_mask == sum(1 << i for i in combo)) == symmetric
             assert masks.generates(combo) == (generated_subgroup(p, members) == full)
 
 

@@ -11,11 +11,13 @@ from v8npst.group import (
     all_elements,
     conjugacy_classes,
     element,
+    enumerate_connection_sets,
     validate_connection_set,
 )
 from v8npst.oracle import adjacency
 from v8npst.spectrum import eigenvalues, eigenvectors
 
+import spectrum_reference
 from conftest import valid_sets
 
 
@@ -127,15 +129,41 @@ def test_trace_and_second_moment(n):
             assert sum(m * k * k for m, k in zip(mults, ints)) == 8 * n * len(conn)
 
 
-def _patch_b2_entry(monkeypatch, p, extra):
-    """Add `extra` to the second row's entry at the one-element class {b^2};
+@pytest.mark.parametrize(
+    "n,max_classes", [(n, 99) for n in range(1, 6)] + [(6, 3), (7, 3), (8, 3)]
+)
+def test_class_map_matches_cyclotomic_reference(n, max_classes):
+    """Summing the per-n class map gives the per-set CycloInt computation's
+    eigenvalues, floats compared bit for bit through repr."""
+    for conn in enumerate_connection_sets(GroupParams(n), max_classes):
+        got = eigenvalues(conn)
+        want = spectrum_reference.eigenvalues(conn)
+        assert repr(got.eigenvalues) == repr(want.eigenvalues)
+        assert got.all_integral == want.all_integral
+
+
+def _patch_b2_entry(monkeypatch, p, extra, row_index=1):
+    """Add `extra` to one row's entry at the one-element class {b^2};
     returns that class's index."""
     b2 = next(i for i, c in enumerate(conjugacy_classes(p)) if c.tag == "b^2")
     assert len(conjugacy_classes(p)[b2]) == 1
     chars = spectrum.character_table(p)
-    row = chars[1][:b2] + (chars[1][b2] + extra,) + chars[1][b2 + 1 :]
-    monkeypatch.setattr(spectrum, "character_table", lambda params: (chars[0], row) + chars[2:])
+    old = chars[row_index]
+    row = old[:b2] + (old[b2] + extra,) + old[b2 + 1 :]
+    monkeypatch.setattr(
+        spectrum,
+        "character_table",
+        lambda params: chars[:row_index] + (row,) + chars[row_index + 1 :],
+    )
     return b2
+
+
+def test_broken_spectral_identity_raises(monkeypatch):
+    # the trivial character is 1 everywhere; 2 at {b^2} makes alpha_1 = |S| + 1
+    conn = full_set(2)
+    _patch_b2_entry(monkeypatch, GroupParams(2), CycloInt.integer(8, 1), row_index=0)
+    with pytest.raises(RuntimeError, match="alpha_1 must equal"):
+        eigenvalues(conn)
 
 
 def test_near_integer_irrational_is_not_integral(monkeypatch):
