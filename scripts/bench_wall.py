@@ -7,7 +7,7 @@ Usage:
 Each run starts one fresh interpreter, `python -m v8npst.cli search ...`,
 with `PYTHONPATH` set to `--src` (the `src` directory of any checkout,
 default this repository's), and times it from start to exit.  The runs are
-`search --n N --verify` for N = 4, 5, 6 and `search --n N` for N = 7, 8.
+`search --n N --verify` for N = 1..6 and `search --n N` for N = 7, 8.
 Each result holds the wall seconds, the exit code and the SHA-256 of stdout,
 so two checkouts recorded into one file can be compared for identical
 reports as well as for time.  Each invocation appends one round of results
@@ -31,6 +31,9 @@ from pathlib import Path
 REPO = Path(__file__).resolve().parent.parent
 
 RUNS = (
+    ("search", "--n", "1", "--verify"),
+    ("search", "--n", "2", "--verify"),
+    ("search", "--n", "3", "--verify"),
     ("search", "--n", "4", "--verify"),
     ("search", "--n", "5", "--verify"),
     ("search", "--n", "6", "--verify"),

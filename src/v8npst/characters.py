@@ -255,7 +255,8 @@ def _column_info(params: GroupParams, cls: ConjugacyClass) -> tuple[str, int]:
         if s_values == {0}:
             e = min(x.r for x in members)
         return "a", e
-    assert s_values == {2}
+    if s_values != {2}:
+        raise AssertionError(f"unrecognised class {cls}")
     return "ab2", min(x.r for x in members)
 
 

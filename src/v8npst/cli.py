@@ -45,8 +45,6 @@ EXIT_INVALID_SET = 2
 EXIT_DISAGREEMENT = 4
 
 DEFAULT_GRID_POINTS = 10_000
-POSITIVE_TOL = 1e-6
-NEGATIVE_TOL = 1e-4
 
 
 class _Parser(argparse.ArgumentParser):
@@ -134,33 +132,18 @@ def _pst_pairs_json(verdicts) -> list[dict]:
     ]
 
 
-def _oracle_check(conn, table, verdicts, grid_points: int):
-    """Corroborate every verdict; returns (json block, disagreement count)."""
-    times = np.arange(1, grid_points + 1) * (2 * math.pi / grid_points)
-    disagreements = 0
-    max_dev = 0.0
-    for v in verdicts:
-        amp = oracle.pair_amplitudes(conn, v.u, v.v, [v.min_time], table)[0]
-        max_dev = max(max_dev, 1.0 - amp)
-        if amp <= 1.0 - POSITIVE_TOL:
-            disagreements += 1
-    best = oracle.grid_amplitude_maxima(conn, times, table)
-    W = oracle.ratio_index_table(conn.params)
-    # negative pairs u < w whose grid maximum reaches the transfer threshold
-    hit = np.triu(best[W] >= 1.0 - NEGATIVE_TOL, 1)
-    for v in verdicts:  # every verdict has u < v
-        hit[v.u, v.v] = False
-    disagreements += int(np.count_nonzero(hit))
-    return (
-        {"checked": True, "maxDeviation": _f(max_dev)},
-        disagreements,
-    )
-
-
-def _analysis_report(conn, table, *, verify: bool, grid_points: int):
+def _decide(conn, table, *, verify: bool, grid_points: int):
+    """(graph verdict, transfer pairs, "oracle" JSON block, disagreements)."""
     graph = pst.decide_graph(table)
     verdicts = pst.all_pst_pairs(table, graph)
-    report = {
+    if not verify:
+        return graph, verdicts, {"checked": False, "maxDeviation": None}, 0
+    max_dev, disagreements = oracle.verify(conn, table, verdicts, grid_points)
+    return graph, verdicts, {"checked": True, "maxDeviation": _f(max_dev)}, disagreements
+
+
+def _analysis_report(conn, table, graph, verdicts, oracle_json) -> dict:
+    return {
         "n": conn.params.n,
         "parity": conn.params.parity,
         "connectionSet": {
@@ -172,14 +155,8 @@ def _analysis_report(conn, table, *, verify: bool, grid_points: int):
         "integral": table.all_integral,
         "types": _types_json(graph),
         "pstPairs": _pst_pairs_json(verdicts),
-        "oracle": {"checked": False, "maxDeviation": None},
+        "oracle": oracle_json,
     }
-    disagreements = 0
-    if verify:
-        report["oracle"], disagreements = _oracle_check(
-            conn, table, verdicts, grid_points
-        )
-    return report, disagreements
 
 
 def _emit(doc, human_lines=None) -> None:
@@ -203,9 +180,10 @@ def cmd_analyze(args) -> int:
     # the grid is only read, and PST_GRID_POINTS only checked, with --verify
     grid_points = _grid_points() if args.verify else DEFAULT_GRID_POINTS
     table = spectrum.eigenvalues(conn)
-    report, disagreements = _analysis_report(
+    graph, verdicts, oracle_json, disagreements = _decide(
         conn, table, verify=args.verify, grid_points=grid_points
     )
+    report = _analysis_report(conn, table, graph, verdicts, oracle_json)
     human = [
         f"Cay(V_{8 * args.n}, S) |S|={len(conn)} integral={report['integral']} "
         f"pst-pairs={len(report['pstPairs'])}"
@@ -223,34 +201,35 @@ def cmd_search(args) -> int:
     params = GroupParams(args.n)
     max_classes = args.max_classes or len(conjugacy_classes(params))
     sets = list(enumerate_connection_sets(params, max_classes))
-    results = [
-        _analysis_report(
-            conn, spectrum.eigenvalues(conn), verify=args.verify, grid_points=grid_points
+    rows = []
+    pst_reports = []
+    disagreements = 0
+    for conn in sets:
+        table = spectrum.eigenvalues(conn)
+        graph, verdicts, oracle_json, found = _decide(
+            conn, table, verify=args.verify, grid_points=grid_points
         )
-        for conn in sets
-    ]
-
-    reports = [r for r, _ in results]
-    disagreements = sum(d for _, d in results)
-    pst_reports = [r for r in reports if r["pstPairs"]]
+        disagreements += found
+        rows.append(
+            {
+                "classes": list(conn.class_tags),
+                "size": len(conn),
+                "integral": table.all_integral,
+                "pstPairCount": len(verdicts),
+            }
+        )
+        if verdicts:
+            pst_reports.append(_analysis_report(conn, table, graph, verdicts, oracle_json))
     summary = {
         "n": args.n,
         "parity": params.parity,
         "maxClasses": max_classes,
         "totalSets": len(sets),
-        "integralCount": sum(1 for r in reports if r["integral"]),
+        "integralCount": sum(1 for r in rows if r["integral"]),
         "pstCount": len(pst_reports),
         "verified": bool(args.verify),
         "disagreements": disagreements,
-        "sets": [
-            {
-                "classes": r["connectionSet"]["classes"],
-                "size": r["connectionSet"]["size"],
-                "integral": r["integral"],
-                "pstPairCount": len(r["pstPairs"]),
-            }
-            for r in reports
-        ],
+        "sets": rows,
         "pstGraphs": pst_reports,
     }
     _emit(summary, [f"{len(sets)} sets, {len(pst_reports)} with transfer"])

@@ -26,11 +26,13 @@ def _poly_div_exact(num: tuple[int, ...], den: tuple[int, ...]) -> tuple[int, ..
     q = [0] * (len(num_l) - len(den) + 1)
     for i in range(len(q) - 1, -1, -1):
         coeff, rem = divmod(num_l[i + len(den) - 1], den[-1])
-        assert rem == 0, "non-exact polynomial division"
+        if rem:
+            raise RuntimeError("non-exact polynomial division")
         q[i] = coeff
         for j, d in enumerate(den):
             num_l[i + j] -= coeff * d
-    assert all(c == 0 for c in num_l), "non-exact polynomial division"
+    if any(num_l):
+        raise RuntimeError("non-exact polynomial division")
     return tuple(q)
 
 

@@ -11,6 +11,10 @@ blocks z^{p-q} for the 2-dimensional ones.  Every closed form is validated
 against the eigenvector outer products in the test suite; where the printed
 first-row convention of a circulant disagrees with the outer product (it
 happens for one family), the outer-product orientation is used.
+
+The per-representation projector sums depend only on n: they are stacked
+once per n, on first use, and shared read-only by every graph.  `verify`
+owns the numerical check of a graph's verdicts (grid, W-reduction, thresholds).
 """
 
 from __future__ import annotations
@@ -46,7 +50,11 @@ __all__ = [
     "pair_amplitudes",
     "grid_amplitude_maxima",
     "ratio_index_table",
+    "verify",
 ]
+
+POSITIVE_TOL = 1e-6  # a positive pair must exceed 1 - POSITIVE_TOL at pi/M
+NEGATIVE_TOL = 1e-4  # any other pair must stay below 1 - NEGATIVE_TOL
 
 
 def adjacency(connection: ConnectionSet) -> np.ndarray:
@@ -202,19 +210,23 @@ class TransitionMatrix:
     H: np.ndarray
 
 
+_STACKS: dict[tuple[GroupParams, tuple[str, ...]], np.ndarray] = {}
+
+
 def _spectral_data(
     connection: ConnectionSet, table: SpectrumTable | None
 ) -> tuple[np.ndarray, np.ndarray]:
     """(eigenvalues, stacked per-representation projectors) aligned by label."""
     if table is None:
         table = eigenvalues(connection)
-    sums = rep_projectors(connection)
-    lams = []
-    mats = []
-    for ev in table.eigenvalues:
-        lams.append(ev.value)
-        mats.append(sums[ev.label])
-    return np.array(lams), np.stack(mats)
+    labels = tuple(ev.label for ev in table.eigenvalues)
+    key = (connection.params, labels)
+    stack = _STACKS.get(key)
+    if stack is None:
+        sums = rep_projectors(connection)
+        stack = _STACKS[key] = np.stack([sums[label] for label in labels])
+        stack.flags.writeable = False
+    return np.array([ev.value for ev in table.eigenvalues]), stack
 
 
 def transition(
@@ -338,7 +350,33 @@ def grid_amplitude_maxima(
         rng = np.random.default_rng(7)
         for tau in rng.choice(times, size=min(3, len(times)), replace=False):
             H = transition(connection, float(tau), table).H
-            assert np.max(np.abs(np.abs(H) - np.abs(H[W, 0]))) < 1e-10, (
-                "translation invariance of |H| violated"
-            )
+            if np.max(np.abs(np.abs(H) - np.abs(H[W, 0]))) >= 1e-10:
+                raise RuntimeError("translation invariance of |H| violated")
     return best
+
+
+def verify(
+    connection: ConnectionSet, table: SpectrumTable, verdicts, grid_points: int
+) -> tuple[float, int]:
+    """(max 1 - |H(pi/M)_{uv}| over positive pairs, disagreements) of one graph.
+
+    A positive pair disagrees at or below 1 - POSITIVE_TOL, any other pair
+    u < v when its maximum over the grid of 2 pi / grid_points steps reaches
+    1 - NEGATIVE_TOL.
+    """
+    times = np.arange(1, grid_points + 1) * (2 * math.pi / grid_points)
+    disagreements = 0
+    max_dev = 0.0
+    for v in verdicts:
+        amp = pair_amplitudes(connection, v.u, v.v, [v.min_time], table)[0]
+        max_dev = max(max_dev, 1.0 - amp)
+        if amp <= 1.0 - POSITIVE_TOL:
+            disagreements += 1
+    best = grid_amplitude_maxima(connection, times, table)
+    W = ratio_index_table(connection.params)
+    # negative pairs u < w whose grid maximum reaches the transfer threshold
+    hit = np.triu(best[W] >= 1.0 - NEGATIVE_TOL, 1)
+    for v in verdicts:  # every verdict has u < v
+        hit[v.u, v.v] = False
+    disagreements += int(np.count_nonzero(hit))
+    return max_dev, disagreements

@@ -283,5 +283,6 @@ def eigenvectors(connection: ConnectionSet) -> EigenvectorSet:
             add(f"gamma_{k}", zc, zeros, -zc, zeros, s4)
 
     V = np.column_stack(cols)
-    assert V.shape == (params.order, params.order)
+    if V.shape != (params.order, params.order):
+        raise RuntimeError(f"eigenbasis has shape {V.shape}, not {params.order} square")
     return EigenvectorSet(connection=connection, labels=tuple(labels), matrix=V)

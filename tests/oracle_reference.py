@@ -1,0 +1,83 @@
+"""Per-call reference for the oracle's cached projector stack and `verify`.
+
+`spectral_data` is `oracle._spectral_data` as it was before the stack was
+kept per n: the label sums come from a fresh `rep_projectors` dict and are
+stacked again on every call.  `transition`, `pair_amplitudes` and
+`grid_amplitude_maxima` evaluate the oracle's formulas on that data (the
+grid scan without its translation spot check, which returns nothing), and
+`oracle_check` is the verification arithmetic the CLI used to hold, on the
+reference functions.  Tests compare `oracle` against them bit for bit.
+"""
+
+from __future__ import annotations
+
+import math
+
+import numpy as np
+
+from v8npst import oracle
+from v8npst.spectrum import eigenvalues
+
+POSITIVE_TOL = 1e-6
+NEGATIVE_TOL = 1e-4
+_GRID_CHUNK = 2048
+
+
+def spectral_data(connection, table):
+    """(eigenvalues, stacked per-representation projectors) aligned by label."""
+    if table is None:
+        table = eigenvalues(connection)
+    sums = oracle.rep_projectors(connection)
+    lams = []
+    mats = []
+    for ev in table.eigenvalues:
+        lams.append(ev.value)
+        mats.append(sums[ev.label])
+    return np.array(lams), np.stack(mats)
+
+
+def transition(connection, tau, table=None) -> np.ndarray:
+    lams, mats = spectral_data(connection, table)
+    phases = np.exp(-1j * lams * tau)
+    return np.tensordot(phases, mats, axes=(0, 0))
+
+
+def pair_amplitudes(connection, u, v, times, table=None) -> np.ndarray:
+    lams, mats = spectral_data(connection, table)
+    coeffs = mats[:, u, v]
+    times = np.asarray(times, dtype=float)
+    return np.abs(np.exp(-1j * np.outer(times, lams)) @ coeffs)
+
+
+def grid_amplitude_maxima(connection, times, table=None) -> np.ndarray:
+    lams, mats = spectral_data(connection, table)
+    col = mats[:, :, 0]
+    times = np.asarray(times, dtype=float)
+    order = col.shape[1]
+    best = np.zeros(order)
+    for start in range(0, len(times), _GRID_CHUNK):
+        t = times[start : start + _GRID_CHUNK]
+        phases = np.exp(-1j * np.outer(lams, t))
+        amps = np.abs(col.T @ phases)
+        np.maximum(best, amps.max(axis=1), out=best)
+    return best
+
+
+def oracle_check(conn, table, verdicts, grid_points: int) -> tuple[float, int]:
+    """Corroborate every verdict; returns (max deviation, disagreement count)."""
+    times = np.arange(1, grid_points + 1) * (2 * math.pi / grid_points)
+    disagreements = 0
+    max_dev = 0.0
+    for v in verdicts:
+        amp = pair_amplitudes(conn, v.u, v.v, [v.min_time], table)[0]
+        max_dev = max(max_dev, 1.0 - amp)
+        if amp <= 1.0 - POSITIVE_TOL:
+            disagreements += 1
+    best = grid_amplitude_maxima(conn, times, table)
+    W = oracle.ratio_index_table(conn.params)
+    # negative pairs u < w whose grid maximum reaches the transfer threshold
+    hit = np.triu(best[W] >= 1.0 - NEGATIVE_TOL, 1)
+    for v in verdicts:  # every verdict has u < v
+        hit[v.u, v.v] = False
+    disagreements += int(np.count_nonzero(hit))
+    return max_dev, disagreements

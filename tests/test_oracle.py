@@ -6,11 +6,13 @@ from collections import defaultdict
 import numpy as np
 import pytest
 
+from v8npst import oracle
 from v8npst.group import (
     IDENTITY,
     GroupParams,
     all_elements,
     element,
+    enumerate_connection_sets,
     multiply,
     validate_connection_set,
 )
@@ -30,6 +32,7 @@ from v8npst.oracle import (
 from v8npst.pst import all_pst_pairs, gap_gcd
 from v8npst.spectrum import eigenvalues, eigenvectors
 
+import oracle_reference
 from conftest import valid_sets
 
 
@@ -232,3 +235,45 @@ def test_candidate_times_stay_below_threshold_for_negative_pairs():
         H = np.abs(transition(conn, tau, table).H)
         off = H - np.diag(np.diag(H))
         assert off.max() < 1 - 1e-4
+
+
+def test_translation_spot_check_raises_on_wrong_ratio_table(monkeypatch):
+    conn = valid_sets(2)[7]
+    table = eigenvalues(conn)
+    real = ratio_index_table(conn.params)
+    monkeypatch.setattr(oracle, "ratio_index_table", lambda params: np.roll(real, 1, axis=0))
+    times = np.arange(1, 101) * (2 * math.pi / 100)
+    with pytest.raises(RuntimeError, match="translation invariance"):
+        oracle.grid_amplitude_maxima(conn, times, table)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7, 8])
+def test_cached_stack_matches_per_call_reference(n):
+    """Every oracle evaluation on the per-n stack equals the per-call stack, bit for bit."""
+    sets = valid_sets(n) if n <= 4 else tuple(enumerate_connection_sets(GroupParams(n), 3))
+    assert sets
+    times = np.arange(1, 513) * (2 * math.pi / 512)
+    for conn in sets:
+        table = eigenvalues(conn)
+        for tau in (0.7, math.pi / 3):
+            want = oracle_reference.transition(conn, tau, table)
+            assert np.array_equal(transition(conn, tau, table).H, want)
+        verdicts = all_pst_pairs(table)
+        for v in verdicts:
+            tau = [math.pi / v.M]
+            want = oracle_reference.pair_amplitudes(conn, v.u, v.v, tau, table)
+            assert np.array_equal(pair_amplitudes(conn, v.u, v.v, tau, table), want)
+        want = oracle_reference.grid_amplitude_maxima(conn, times, table)
+        assert np.array_equal(grid_amplitude_maxima(conn, times, table), want)
+        want = oracle_reference.oracle_check(conn, table, verdicts, 512)
+        assert oracle.verify(conn, table, verdicts, 512) == want
+        stack = oracle._spectral_data(conn, table)[1]
+        assert not stack.flags.writeable
+        with pytest.raises(ValueError):
+            stack[0, 0, 0] = 0
+    # one stack per n, shared by every graph
+    assert oracle._spectral_data(sets[0], None)[1] is stack
+
+
+def test_verification_thresholds():
+    assert (oracle.POSITIVE_TOL, oracle.NEGATIVE_TOL) == (1e-6, 1e-4)
