@@ -129,12 +129,6 @@ def vertex_index(params: GroupParams, x: GroupElement) -> int:
     return 2 * params.n * x.s + x.r
 
 
-def element_at(params: GroupParams, idx: int) -> GroupElement:
-    if not 0 <= idx < params.order:
-        raise ValueError(f"vertex index {idx} out of range [0, {params.order})")
-    return GroupElement(idx % params.two_n, idx // params.two_n)
-
-
 def region(params: GroupParams, idx: int) -> int:
     """Block number 1..4 of a vertex label (V1..V4)."""
     if not 0 <= idx < params.order:

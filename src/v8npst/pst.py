@@ -2,15 +2,19 @@
 
 The decision works entirely on the integer spectrum.  Transfer between a
 vertex pair requires the graph to be integral, the pair to sit at one of
-the admissible displacements, and the 2-adic valuations of the eigenvalue
-gaps nu2(alpha_1 - lambda) to follow a parity-dependent pattern:
+the admissible displacements, and the gaps alpha_1 - lambda of least 2-adic
+valuation to be exactly those of one named set of (kind, index % 2) groups:
 
-  odd n:   all beta gaps share one valuation and every alpha_2..alpha_4 and
-           gamma gap is strictly larger; transfer pairs are u - v = +-4n.
-  even n:  one of three valuation patterns (Type 1 / 2 / 3) must hold, and
-           the admissible displacement set depends on the pattern and on
-           n mod 4 (+-n within a block, +-3n/+-5n between opposite blocks,
-           or +-4n).
+  odd n    beta even, beta odd                 (transfer at u - v = +-4n)
+  Type 1   beta odd, gamma odd                 (even n)
+  Type 2   alpha even, beta odd, gamma even    (even n)
+  Type 3   alpha even, gamma even, gamma odd   (even n)
+
+As nu2(M) is the least valuation, (alpha_1 - lambda) / M is odd exactly on
+the named set.  A spectrum has one set of least gaps, so the Types exclude
+one another.  For even n the admissible displacements depend on the Type
+and on n mod 4 (+-n within a block, +-3n/+-5n between opposite blocks, or
++-4n).
 
 None of this depends on the pair beyond its blocks and displacement, so
 each graph is decided once (`decide_graph`): integrality, the odd-n
@@ -31,9 +35,9 @@ then displacement, then non-integral, then valuation.
 When transfer exists, the minimum time is pi/M with
 M = gcd(alpha_1 - lambda) over the distinct eigenvalues lambda != alpha_1.
 
-A gap of zero has valuation +infinity, which satisfies every "strictly
-greater" requirement and fails every equality against a finite baseline
-(connected graphs never produce zero gaps: alpha_1 = |S| is simple).
+alpha_1's own gap is zero, of valuation +infinity, and no named set holds
+odd alpha, so it needs no special case: when every gap is zero, alpha_1's
+is among the least and no pattern holds.
 """
 
 from __future__ import annotations
@@ -100,38 +104,30 @@ class PstVerdict:
     min_time: Optional[float] = None
 
 
-class _GapValuations:
-    """Valuations nu2(alpha_1 - lambda) of every labelled gap."""
+# The named (kind, index % 2) sets of least gaps in the module docstring.
+ODD_PATTERN = frozenset({("beta", 0), ("beta", 1)})
+TYPE1_PATTERN = frozenset({("beta", 1), ("gamma", 1)})
+TYPE2_PATTERN = frozenset({("alpha", 0), ("beta", 1), ("gamma", 0)})
+TYPE3_PATTERN = frozenset({("alpha", 0), ("gamma", 0), ("gamma", 1)})
 
-    def __init__(self, table: SpectrumTable) -> None:
-        alpha1 = table.alpha(1).integer_value
-        self.alpha = {
-            ev.index: nu2(alpha1 - ev.integer_value)
-            for ev in table.eigenvalues
-            if ev.kind == "alpha"
-        }
-        self.beta = {
-            ev.index: nu2(alpha1 - ev.integer_value)
-            for ev in table.eigenvalues
-            if ev.kind == "beta"
-        }
-        self.gamma = {
-            ev.index: nu2(alpha1 - ev.integer_value)
-            for ev in table.eigenvalues
-            if ev.kind == "gamma"
-        }
+
+def _least_gaps_are(table: SpectrumTable, *patterns: frozenset) -> tuple[bool, ...]:
+    """Per pattern: do its groups hold all and only the gaps of least nu2?"""
+    alpha1 = table.alpha(1).integer_value
+    gaps = [
+        ((ev.kind, ev.index % 2), nu2(alpha1 - ev.integer_value))
+        for ev in table.eigenvalues
+    ]
+    low = min(val for _, val in gaps)
+    return tuple(
+        all((val == low) == (group in pattern) for group, val in gaps)
+        for pattern in patterns
+    )
 
 
 def _odd_valuation_pattern(table: SpectrumTable) -> bool:
-    """All beta gaps share nu2(alpha_1 - beta_0); alpha and gamma gaps exceed it."""
-    g = _GapValuations(table)
-    base = g.beta[0]
-    if base == INF:
-        return False
-    if any(val != base for val in g.beta.values()):
-        return False
-    others = [g.alpha[i] for i in (2, 3, 4)] + list(g.gamma.values())
-    return all(val > base for val in others)
+    """The beta gaps, and only these, have the least valuation (odd n)."""
+    return _least_gaps_are(table, ODD_PATTERN)[0]
 
 
 def classify_graph_type(table: SpectrumTable) -> TypeClassification:
@@ -140,38 +136,9 @@ def classify_graph_type(table: SpectrumTable) -> TypeClassification:
         raise WrongParity("graph types are defined for even n only")
     if not table.all_integral:
         return TypeClassification(False, False, False)
-    g = _GapValuations(table)
-    beta_odd = [g.beta[j] for j in table.beta_indices if j % 2 == 1]
-    beta_even = [g.beta[j] for j in table.beta_indices if j % 2 == 0]
-    gamma_odd = [g.gamma[k] for k in table.gamma_indices if k % 2 == 1]
-    gamma_even = [g.gamma[k] for k in table.gamma_indices if k % 2 == 0]
-
-    def pattern(base, equal_groups, greater_groups) -> bool:
-        if base == INF:
-            return False
-        equal = [val for grp in equal_groups for val in grp]
-        greater = [val for grp in greater_groups for val in grp]
-        return all(v == base for v in equal) and all(v > base for v in greater)
-
-    alpha_even = [g.alpha[i] for i in (2, 4, 6, 8)]
-    alpha_odd = [g.alpha[i] for i in (3, 5, 7)]
-
-    type1 = pattern(
-        g.beta[1] if 1 in g.beta else INF,
-        [beta_odd, gamma_odd],
-        [alpha_even, alpha_odd, beta_even, gamma_even],
+    return TypeClassification(
+        *_least_gaps_are(table, TYPE1_PATTERN, TYPE2_PATTERN, TYPE3_PATTERN)
     )
-    type2 = pattern(
-        g.alpha[2],
-        [alpha_even, beta_odd, gamma_even],
-        [alpha_odd, beta_even, gamma_odd],
-    )
-    type3 = pattern(
-        g.alpha[2],
-        [alpha_even, gamma_odd, gamma_even],
-        [alpha_odd, beta_odd, beta_even],
-    )
-    return TypeClassification(type1, type2, type3)
 
 
 _BLOCK_PAIRS = ((1, 2), (1, 4), (2, 3), (3, 4))

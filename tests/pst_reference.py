@@ -1,11 +1,18 @@
-"""Per-pair reference for the transfer decision in `v8npst.pst`.
+"""References for the transfer decision in `v8npst.pst`.
 
-This is the decision as it was before `pst` decided each graph once: every
-vertex pair is walked through the region no-gos, the displacement test,
-integrality and the valuation pattern on its own.  Tests compare the
-per-graph decision against it.  The valuation patterns themselves
-(`_odd_valuation_pattern`, `classify_graph_type`) and `gap_gcd` are read
-through the `pst` module, so a test that patches them patches both sides.
+Two independent pieces:
+
+- The per-pair decision as it was before `pst` decided each graph once:
+  every vertex pair is walked through the region no-gos, the displacement
+  test, integrality and the valuation pattern on its own.  Tests compare
+  the per-graph decision against it.  It reads the valuation patterns
+  (`_odd_valuation_pattern`, `classify_graph_type`) and `gap_gcd` through
+  the `pst` module, so a test that patches them patches both sides.
+- The valuation patterns as they were before `pst` stated each one as a
+  named set of least gaps: per-kind valuation dicts, a baseline gap, and
+  lists of groups that must equal it or exceed it
+  (`reference_odd_pattern`, `reference_graph_type`).  Tests compare the
+  pattern flags against these.
 """
 
 from __future__ import annotations
@@ -15,8 +22,90 @@ from typing import Optional
 
 from v8npst import pst
 from v8npst.group import region
-from v8npst.pst import PstVerdict, SameVertex, WrongParity, gap_gcd
+from v8npst.pst import (
+    INF,
+    PstVerdict,
+    SameVertex,
+    TypeClassification,
+    WrongParity,
+    gap_gcd,
+    nu2,
+)
 from v8npst.spectrum import SpectrumTable
+
+
+class _GapValuations:
+    """Valuations nu2(alpha_1 - lambda) of every labelled gap."""
+
+    def __init__(self, table: SpectrumTable) -> None:
+        alpha1 = table.alpha(1).integer_value
+        self.alpha = {
+            ev.index: nu2(alpha1 - ev.integer_value)
+            for ev in table.eigenvalues
+            if ev.kind == "alpha"
+        }
+        self.beta = {
+            ev.index: nu2(alpha1 - ev.integer_value)
+            for ev in table.eigenvalues
+            if ev.kind == "beta"
+        }
+        self.gamma = {
+            ev.index: nu2(alpha1 - ev.integer_value)
+            for ev in table.eigenvalues
+            if ev.kind == "gamma"
+        }
+
+
+def reference_odd_pattern(table: SpectrumTable) -> bool:
+    """All beta gaps share nu2(alpha_1 - beta_0); alpha and gamma gaps exceed it."""
+    g = _GapValuations(table)
+    base = g.beta[0]
+    if base == INF:
+        return False
+    if any(val != base for val in g.beta.values()):
+        return False
+    others = [g.alpha[i] for i in (2, 3, 4)] + list(g.gamma.values())
+    return all(val > base for val in others)
+
+
+def reference_graph_type(table: SpectrumTable) -> TypeClassification:
+    """Type 1/2/3 valuation patterns (even n only)."""
+    if table.params.is_odd:
+        raise WrongParity("graph types are defined for even n only")
+    if not table.all_integral:
+        return TypeClassification(False, False, False)
+    g = _GapValuations(table)
+    beta_odd = [g.beta[j] for j in table.beta_indices if j % 2 == 1]
+    beta_even = [g.beta[j] for j in table.beta_indices if j % 2 == 0]
+    gamma_odd = [g.gamma[k] for k in table.gamma_indices if k % 2 == 1]
+    gamma_even = [g.gamma[k] for k in table.gamma_indices if k % 2 == 0]
+
+    def pattern(base, equal_groups, greater_groups) -> bool:
+        if base == INF:
+            return False
+        equal = [val for grp in equal_groups for val in grp]
+        greater = [val for grp in greater_groups for val in grp]
+        return all(v == base for v in equal) and all(v > base for v in greater)
+
+    alpha_even = [g.alpha[i] for i in (2, 4, 6, 8)]
+    alpha_odd = [g.alpha[i] for i in (3, 5, 7)]
+
+    type1 = pattern(
+        g.beta[1] if 1 in g.beta else INF,
+        [beta_odd, gamma_odd],
+        [alpha_even, alpha_odd, beta_even, gamma_even],
+    )
+    type2 = pattern(
+        g.alpha[2],
+        [alpha_even, beta_odd, gamma_even],
+        [alpha_odd, beta_even, gamma_odd],
+    )
+    type3 = pattern(
+        g.alpha[2],
+        [alpha_even, gamma_odd, gamma_even],
+        [alpha_odd, beta_odd, beta_even],
+    )
+    return TypeClassification(type1, type2, type3)
 
 _BLOCK_PAIRS = ({1, 2}, {1, 4}, {2, 3}, {3, 4})
 

@@ -5,12 +5,14 @@ from functools import lru_cache
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from v8npst.group import (
     IDENTITY,
     GroupParams,
     all_elements,
     element,
+    enumerate_connection_sets,
     validate_connection_set,
 )
 from v8npst import pst
@@ -36,6 +38,7 @@ from conftest import valid_sets
 import pst_reference
 
 
+@lru_cache(maxsize=None)
 def full_set(n):
     p = GroupParams(n)
     return validate_connection_set(p, [x for x in all_elements(p) if x != IDENTITY])
@@ -431,10 +434,9 @@ def test_synthetic_single_type_matches_reference(n, type_name):
 
 @pytest.mark.parametrize("n", [6, 8])
 def test_synthetic_all_types_matches_reference(n, monkeypatch):
-    # The three patterns exclude one another on real gap valuations (Type 2
-    # needs the beta_1 gap at the alpha_2 baseline, Type 3 needs it above,
-    # Type 1 needs the alpha_2 gap above the beta_1 baseline), so the flags
-    # are forced for the decision and the reference alike.
+    # The three Types name different sets of least gaps, and a spectrum has
+    # only one, so no real table holds two of them; the flags are forced for
+    # the decision and the reference alike.
     monkeypatch.setattr(pst, "classify_graph_type", lambda table: TypeClassification(True, True, True))
     table = typed_table(n, "type1")
     verdicts = all_pst_pairs(table)
@@ -452,3 +454,79 @@ def test_synthetic_negative_tables_match_reference(n):
         assert classify_graph_type(table) == (False, False, False)
         assert all_pst_pairs(table) == ()
         assert_matches_reference(table)
+
+
+# -- valuation patterns against the reference ---------------------------------
+
+
+def pattern_flags(table, odd_pattern, graph_type):
+    """The odd-n pattern (integral tables only) or the even-n Type flags."""
+    if not table.params.is_odd:
+        return graph_type(table)
+    return odd_pattern(table) if table.all_integral else None
+
+
+def assert_patterns_match_reference(table):
+    got = pattern_flags(table, pst._odd_valuation_pattern, classify_graph_type)
+    want = pattern_flags(
+        table, pst_reference.reference_odd_pattern, pst_reference.reference_graph_type
+    )
+    assert got == want
+    if not table.params.is_odd:
+        assert sum(got) <= 1
+
+
+@pytest.mark.parametrize("n, max_classes", [(n, None) for n in range(1, 6)] + [(6, 4), (7, 4), (8, 4)])
+def test_valuation_patterns_match_reference_every_set(n, max_classes):
+    if max_classes is None:  # every valid set
+        tables = spectra(n)
+    else:
+        tables = [eigenvalues(c) for c in enumerate_connection_sets(GroupParams(n), max_classes)]
+    for table in tables:
+        assert_patterns_match_reference(table)
+
+
+# The (kind, index % 2) sets the patterns name, by parity of n, so that
+# draws hit every pattern as well as arbitrary sets of groups.
+NAMED_LEAST_SETS = {
+    1: (frozenset({("beta", 0), ("beta", 1)}),),
+    0: tuple(map(frozenset, TYPE_BASELINE_GROUPS.values())),
+}
+
+
+@st.composite
+def valuation_spectra(draw, n):
+    """An integral spectrum on the real labels of n: one set of groups holds
+    its gaps at one valuation, every other gap is above it or zero, and now
+    and then one value is moved by +-1."""
+    base = eigenvalues(full_set(n))
+    groups = sorted({(ev.kind, ev.index % 2) for ev in base.eigenvalues})
+    least = draw(
+        st.sampled_from(NAMED_LEAST_SETS[n % 2]) | st.frozensets(st.sampled_from(groups))
+    )
+    low = draw(st.integers(0, 3))
+    alpha1 = draw(st.integers(-40, 40))
+    size = len(base.eigenvalues)
+    # one draw per gap: an odd factor in -11..9 and a rise of 0, 1 or 2
+    codes = draw(st.lists(st.integers(0, 32), min_size=size, max_size=size))
+    values = []
+    for ev, code in zip(base.eigenvalues, codes):
+        half, rise = divmod(code, 3)
+        odd = 2 * half - 11
+        if ev.label == "alpha_1":
+            gap = 0
+        elif (ev.kind, ev.index % 2) in least:
+            gap = odd << low
+        else:  # zero, or one or two above the least valuation
+            gap = rise and odd << (low + rise)
+        values.append(alpha1 - gap)
+    if draw(st.integers(0, 9)) == 0:
+        values[draw(st.integers(0, size - 1))] += draw(st.sampled_from((-1, 1)))
+    return _table_with_values(base, values)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(data=st.data())
+def test_valuation_patterns_match_reference_drawn(n, data):
+    assert_patterns_match_reference(data.draw(valuation_spectra(n)))
