@@ -127,6 +127,8 @@ def _least_gaps_are(table: SpectrumTable, *patterns: frozenset) -> tuple[bool, .
 
 def _odd_valuation_pattern(table: SpectrumTable) -> bool:
     """The beta gaps, and only these, have the least valuation (odd n)."""
+    if not table.all_integral:
+        return False
     return _least_gaps_are(table, ODD_PATTERN)[0]
 
 
@@ -181,9 +183,7 @@ def decide_graph(table: SpectrumTable) -> GraphVerdict:
 
     if params.is_odd:
         types = None
-        antipodal = family(
-            "pst:odd-antipodal", table.all_integral and _odd_valuation_pattern(table)
-        )
+        antipodal = family("pst:odd-antipodal", _odd_valuation_pattern(table))
         same_region = cross = DISPLACEMENT
     else:
         types = classify_graph_type(table)

@@ -2,11 +2,13 @@
 
 `spectral_data` is `oracle._spectral_data` as it was before the stack was
 kept per n: the label sums come from a fresh `rep_projectors` dict and are
-stacked again on every call.  `transition`, `pair_amplitudes` and
-`grid_amplitude_maxima` evaluate the oracle's formulas on that data (the
-grid scan without its translation spot check, which returns nothing), and
-`oracle_check` is the verification arithmetic the CLI used to hold, on the
-reference functions.  Tests compare `oracle` against them bit for bit.
+stacked again on every call.  `transition` and `pair_amplitudes` evaluate the
+oracle's formulas on that data, and tests compare them bit for bit.
+`grid_amplitude_maxima` is the plain scan the oracle replaced: one `exp` per
+label and time, over all 8n columns.  The oracle's scan must match it on the
+columns it scans and bound it on the others.  `oracle_check` is the
+verification arithmetic the CLI used to hold, on the reference functions;
+`oracle.verify` must return exactly what it returns.
 """
 
 from __future__ import annotations

@@ -144,6 +144,18 @@ def test_search_detects_planted_disagreement(capsys, monkeypatch):
     monkeypatch.setattr(cli.oracle, "pair_amplitudes", real)
 
 
+def test_search_detects_planted_negative_disagreement(capsys, monkeypatch):
+    monkeypatch.setenv("PST_GRID_POINTS", "300")
+
+    def sabotaged(conn, grid_points, table=None):
+        return np.ones(conn.params.order)
+
+    monkeypatch.setattr(cli.oracle, "grid_amplitude_maxima", sabotaged)
+    code, out = run_cli(capsys, ["search", "--n", "1", "--verify"])
+    assert code == 4
+    assert json.loads(out)["disagreements"] > 0
+
+
 def test_probe_self_pair_reports_unity(capsys):
     code, out = run_cli(
         capsys,

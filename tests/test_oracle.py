@@ -213,16 +213,51 @@ def test_ratio_table_translation_invariance():
         assert np.max(np.abs(H - H[W, 0])) < 1e-10
 
 
+def central_vertices(params):
+    """Vertex indices of the centre of V_8n, found by brute force."""
+    elems = all_elements(params)
+    return [
+        w
+        for w, g in enumerate(elems)
+        if all(multiply(params, g, h) == multiply(params, h, g) for h in elems)
+    ]
+
+
 def test_grid_maxima_agree_with_direct_scan():
     conn = valid_sets(1)[2]
     table = eigenvalues(conn)
     times = np.arange(1, 801) * (2 * math.pi / 800)
-    best = grid_amplitude_maxima(conn, times, table)
+    best = grid_amplitude_maxima(conn, 800, table)
     W = ratio_index_table(conn.params)
+    central = central_vertices(conn.params)
     for u in range(8):
         for v in range(8):
             direct = pair_amplitudes(conn, u, v, times, table).max()
-            assert abs(direct - best[W[u, v]]) < 1e-10
+            if W[u, v] in central:
+                assert abs(direct - best[W[u, v]]) < 1e-10
+            else:  # a bound for every tau, up to rounding of both sums
+                assert best[W[u, v]] >= direct - 1e-12
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7, 8])
+def test_projector_bound_certifies_all_but_central(n):
+    """Only the identity and the central involutions escape the bound B; they are scanned."""
+    params = GroupParams(n)
+    sets = valid_sets(n) if n <= 2 else tuple(enumerate_connection_sets(params, 2))
+    central = central_vertices(params)
+    assert len(central) == (2 if n % 2 else 4)
+    for conn in sets[:: max(1, len(sets) // 4)]:
+        table = eigenvalues(conn)
+        col = oracle._spectral_data(conn, table)[1][:, :, 0]
+        bound = np.abs(col).sum(axis=0)
+        assert list(np.flatnonzero(bound >= 1 - oracle.NEGATIVE_TOL)) == central
+        others = np.setdiff1d(np.arange(params.order), central)
+        for grid_points in (1, 2, 7, 300, 10000):
+            times = np.arange(1, grid_points + 1) * (2 * math.pi / grid_points)
+            want = oracle_reference.grid_amplitude_maxima(conn, times, table)
+            best = grid_amplitude_maxima(conn, grid_points, table)
+            assert np.max(np.abs(best[central] - want[central])) < 1e-12
+            assert np.array_equal(best[others], bound[others])
 
 
 def test_candidate_times_stay_below_threshold_for_negative_pairs():
@@ -237,21 +272,14 @@ def test_candidate_times_stay_below_threshold_for_negative_pairs():
         assert off.max() < 1 - 1e-4
 
 
-def test_translation_spot_check_raises_on_wrong_ratio_table(monkeypatch):
-    conn = valid_sets(2)[7]
-    table = eigenvalues(conn)
-    real = ratio_index_table(conn.params)
-    monkeypatch.setattr(oracle, "ratio_index_table", lambda params: np.roll(real, 1, axis=0))
-    times = np.arange(1, 101) * (2 * math.pi / 100)
-    with pytest.raises(RuntimeError, match="translation invariance"):
-        oracle.grid_amplitude_maxima(conn, times, table)
-
-
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7, 8])
 def test_cached_stack_matches_per_call_reference(n):
-    """Every oracle evaluation on the per-n stack equals the per-call stack, bit for bit."""
-    sets = valid_sets(n) if n <= 4 else tuple(enumerate_connection_sets(GroupParams(n), 3))
+    """The per-n stack equals the per-call stack bit for bit; the grid scan agrees with it."""
+    params = GroupParams(n)
+    sets = valid_sets(n) if n <= 4 else tuple(enumerate_connection_sets(params, 3))
     assert sets
+    central = central_vertices(params)
+    others = np.setdiff1d(np.arange(params.order), central)
     times = np.arange(1, 513) * (2 * math.pi / 512)
     for conn in sets:
         table = eigenvalues(conn)
@@ -264,7 +292,10 @@ def test_cached_stack_matches_per_call_reference(n):
             want = oracle_reference.pair_amplitudes(conn, v.u, v.v, tau, table)
             assert np.array_equal(pair_amplitudes(conn, v.u, v.v, tau, table), want)
         want = oracle_reference.grid_amplitude_maxima(conn, times, table)
-        assert np.array_equal(grid_amplitude_maxima(conn, times, table), want)
+        best = grid_amplitude_maxima(conn, 512, table)
+        assert np.max(np.abs(best[central] - want[central])) < 1e-12
+        assert np.all(best[others] >= want[others] - 1e-12)  # rounding of both sums
+        assert np.all(best[others] < 1 - oracle.NEGATIVE_TOL)
         want = oracle_reference.oracle_check(conn, table, verdicts, 512)
         assert oracle.verify(conn, table, verdicts, 512) == want
         stack = oracle._spectral_data(conn, table)[1]

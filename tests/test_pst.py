@@ -212,12 +212,11 @@ def test_k8_has_no_transfer():
 def test_odd_verdicts_match_oracle(n):
     from v8npst.oracle import grid_amplitude_maxima, ratio_index_table
 
-    times = np.arange(1, 2001) * (2 * np.pi / 2000)
     W = ratio_index_table(GroupParams(n))
     for conn in valid_sets(n):
         table = eigenvalues(conn)
         positives = {(v.u, v.v) for v in all_pst_pairs(table)}
-        best = grid_amplitude_maxima(conn, times, table)
+        best = grid_amplitude_maxima(conn, 2000, table)
         order = 8 * n
         for u in range(order):
             for v in range(u + 1, order):
@@ -237,6 +236,15 @@ def test_types_all_false_when_not_integral():
     values[3] = None
     synthetic = _table_with_values(base, values)
     assert classify_graph_type(synthetic) == (False, False, False)
+
+
+def test_odd_pattern_false_when_not_integral():
+    base = eigenvalues(full_set(3))
+    values = [ev.integer_value for ev in base.eigenvalues]
+    values[5] = None
+    synthetic = _table_with_values(base, values)
+    assert pst._odd_valuation_pattern(synthetic) is False
+    assert pst.decide_graph(synthetic).antipodal == pst.NON_INTEGRAL
 
 
 def test_type1_synthetic_pattern():
