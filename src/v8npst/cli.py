@@ -20,6 +20,7 @@ exactly, so no input is numerically ambiguous; the former code 3 is retired.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -277,7 +278,9 @@ def cmd_probe(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The argument parser, built once per process: parsing never changes it."""
     parser = _Parser(prog="v8npst", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 

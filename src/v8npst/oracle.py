@@ -13,14 +13,16 @@ first-row convention of a circulant disagrees with the outer product (it
 happens for one family), the outer-product orientation is used.
 
 The per-representation projector sums depend only on n: they are stacked
-once per n, on first use, and shared read-only by every graph.  `verify`
-owns the numerical check of a graph's verdicts (bound, grid, W-reduction,
-thresholds).  Positive pairs are checked at their transfer time.  Every other
-pair is certified for every real tau by the projector bound
-B[w] = sum |P_label[w, 0]| when B stays below the negative threshold; only
-the columns B cannot certify (for n = 1..8 the identity and the central
-involutions) are scanned on the time grid, with phases factorized into two
-short tables.
+once per n, on first use, and shared read-only by every graph; the rank-1
+projectors themselves are not kept.  `verify` owns the numerical check of a
+graph's verdicts (bounds, grid, W-reduction, thresholds).  Positive pairs
+are checked at their transfer time.  Every other pair is certified for every
+real tau when a bound on its column stays below the negative threshold: the
+projector bound B[w] = sum |P_label[w, 0]|, or the tighter eigenspace bound
+B'[w], which first adds up the labels that share an eigenvalue.  Only the
+non-identity columns B' cannot certify (for n = 1..8 some of the central
+involutions) are scanned on the time grid, over the distinct eigenvalues,
+with phases factorized into two short tables.
 """
 
 from __future__ import annotations
@@ -99,8 +101,13 @@ def _circulant(two_n: int, z: complex) -> np.ndarray:
     return z ** (p[:, None] - p[None, :])
 
 
-@lru_cache(maxsize=None)
-def _projectors_for_params(params: GroupParams) -> tuple[Eigenprojector, ...]:
+def projectors(connection: ConnectionSet) -> tuple[Eigenprojector, ...]:
+    """Closed-form rank-1 eigenprojectors (they depend only on n, not on S).
+
+    Built afresh on every call and not kept: `_spectral_data` keeps only
+    their per-representation sums, once per n.
+    """
+    params = connection.params
     n = params.n
     order = params.order
     two_n = 2 * n
@@ -192,11 +199,6 @@ def _projectors_for_params(params: GroupParams) -> tuple[Eigenprojector, ...]:
             add(f"F{k}.3", lab, _block_matrix(order, {(1, 1): Y2, (1, 3): -Y2, (3, 1): -Y2, (3, 3): Y2}) / (4 * n))
             add(f"F{k}.4", lab, _block_matrix(order, {(0, 0): Y2, (0, 2): -Y2, (2, 0): -Y2, (2, 2): Y2}) / (4 * n))
     return tuple(out)
-
-
-def projectors(connection: ConnectionSet) -> tuple[Eigenprojector, ...]:
-    """Closed-form rank-1 eigenprojectors (they depend only on n, not on S)."""
-    return _projectors_for_params(connection.params)
 
 
 def rep_projectors(connection: ConnectionSet) -> dict[str, np.ndarray]:
@@ -336,25 +338,37 @@ def grid_amplitude_maxima(
     H(tau) = sum over labels of e^{-i lambda tau} P_label, so
     B[w] = sum over labels of |P_label[w, 0]| bounds |H(tau)_{w, 0}| for every
     real tau and every spectrum: a column with B[w] < 1 - NEGATIVE_TOL is
-    certified by B alone.  The columns B cannot certify (for n = 1..8 the
-    identity and the central involutions) get their maximum over the grid
-    t_k = k h, h = 2 pi / grid_points, k = 1..grid_points.  Writing
-    k = q R + r with R = isqrt(grid_points) + 1 factorizes the phase as
-    e^{-i lambda q R h} e^{-i lambda r h}, so the scan is two short exp tables
-    and one matrix product.  Through ratio_index_table the result bounds
-    every pair's |H(tau)_{uv}|.
+    certified by B alone.  Labels whose float eigenvalues are bit-identical
+    share one phase, so summing their coefficients per eigenspace leaves H
+    unchanged and gives the tighter bound
+    B'[w] = sum over eigenspaces of |sum of P_label[w, 0]| <= B[w], which
+    certifies more of the columns B cannot (for n = 1..8 those are the
+    identity and the central involutions).  What is left gets its maximum
+    over the grid t_k = k h, h = 2 pi / grid_points, k = 1..grid_points.
+    Writing k = q R + r with R = isqrt(grid_points) + 1 factorizes the phase
+    as e^{-i lambda q R h} e^{-i lambda r h}, so the scan is two short exp
+    tables over the distinct eigenvalues and one matrix product.  Column 0
+    (the identity, the ratio of no pair u < v) keeps B[0], which bounds
+    |H(tau)_{00}| as well.  Through ratio_index_table the result bounds every
+    pair's |H(tau)_{uv}|.
     """
     lams, mats = _spectral_data(connection, table)
     col = mats[:, :, 0]  # (labels, order) column of each projector sum
     best = np.abs(col).sum(axis=0)
-    scan = np.flatnonzero(best >= 1.0 - NEGATIVE_TOL)
+    cand = 1 + np.flatnonzero(best[1:] >= 1.0 - NEGATIVE_TOL)
+    spaces, space_of = np.unique(lams, return_inverse=True)
+    coeffs = np.zeros((len(spaces), len(cand)), dtype=complex)
+    np.add.at(coeffs, space_of, col[:, cand])
+    best[cand] = np.abs(coeffs).sum(axis=0)
+    left = best[cand] >= 1.0 - NEGATIVE_TOL
+    scan = cand[left]
     h = 2 * math.pi / grid_points
     R = math.isqrt(grid_points) + 1
     Q = grid_points // R + 1
-    coarse = np.exp(-1j * np.outer(np.arange(Q) * R * h, lams))  # (Q, labels)
-    fine = np.exp(-1j * np.outer(lams, np.arange(R) * h))  # (labels, R)
-    weighted = col[:, scan].T[:, None, :] * coarse  # (C, Q, labels)
-    amps = np.abs(weighted.reshape(-1, len(lams)) @ fine).reshape(len(scan), Q * R)
+    coarse = np.exp(-1j * np.outer(np.arange(Q) * R * h, spaces))  # (Q, spaces)
+    fine = np.exp(-1j * np.outer(spaces, np.arange(R) * h))  # (spaces, R)
+    weighted = coeffs[:, left].T[:, None, :] * coarse  # (C, Q, spaces)
+    amps = np.abs(weighted.reshape(-1, len(spaces)) @ fine).reshape(len(scan), Q * R)
     best[scan] = amps[:, 1 : grid_points + 1].max(axis=1)
     return best
 
@@ -366,8 +380,10 @@ def verify(
 
     A positive pair disagrees at or below 1 - POSITIVE_TOL, any other pair
     u < v when grid_amplitude_maxima reaches 1 - NEGATIVE_TOL at its ratio:
-    its maximum over the grid of 2 pi / grid_points steps where the pair's
-    ratio is central, otherwise the projector bound, which covers every tau.
+    the projector bound B or the eigenspace bound B', which cover every tau,
+    and where neither certifies the ratio, its maximum over the grid of
+    2 pi / grid_points steps.  The ratio of a pair u < v is never the
+    identity, so the identity column is never counted.
     """
     disagreements = 0
     max_dev = 0.0

@@ -1,7 +1,8 @@
 """Per-call reference for the oracle's cached projector stack and `verify`.
 
 `spectral_data` is `oracle._spectral_data` as it was before the stack was
-kept per n: the label sums come from a fresh `rep_projectors` dict and are
+kept per n: the label sums come from a `rep_projectors` dict (kept per n
+here, so that the tests do not rebuild the projectors on every call) and are
 stacked again on every call.  `transition` and `pair_amplitudes` evaluate the
 oracle's formulas on that data, and tests compare them bit for bit.
 `grid_amplitude_maxima` is the plain scan the oracle replaced: one `exp` per
@@ -14,10 +15,12 @@ verification arithmetic the CLI used to hold, on the reference functions;
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 
 import numpy as np
 
 from v8npst import oracle
+from v8npst.group import ConnectionSet
 from v8npst.spectrum import eigenvalues
 
 POSITIVE_TOL = 1e-6
@@ -25,11 +28,17 @@ NEGATIVE_TOL = 1e-4
 _GRID_CHUNK = 2048
 
 
+@lru_cache(maxsize=None)
+def _rep_sums(params):
+    """`oracle.rep_projectors` per n; the oracle itself keeps no projectors."""
+    return oracle.rep_projectors(ConnectionSet(params, frozenset(), ()))
+
+
 def spectral_data(connection, table):
     """(eigenvalues, stacked per-representation projectors) aligned by label."""
     if table is None:
         table = eigenvalues(connection)
-    sums = oracle.rep_projectors(connection)
+    sums = _rep_sums(connection.params)
     lams = []
     mats = []
     for ev in table.eigenvalues:

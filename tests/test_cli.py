@@ -101,6 +101,19 @@ def test_search_usage_error_exit_1(capsys):
     assert exc.value.code == 1
 
 
+def test_parser_is_built_once_and_survives_a_usage_error(capsys):
+    assert cli.build_parser() is cli.build_parser()
+    argv = ["analyze", "--n", "1", "--set", "a+b+a*b", "--verify"]
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["analyze", "--n", "0", "--set", "a", "--verify"])
+    assert exc.value.code == 1
+    capsys.readouterr()
+    code, after_error = run_cli(capsys, argv)
+    cli.build_parser.cache_clear()
+    fresh_code, fresh = run_cli(capsys, argv)
+    assert (code, after_error) == (fresh_code, fresh) == (0, fresh)
+
+
 def test_search_n1_deterministic_summary(capsys):
     code, first = run_cli(capsys, ["search", "--n", "1"])
     assert code == 0

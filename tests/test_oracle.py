@@ -223,17 +223,55 @@ def central_vertices(params):
     ]
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7, 8])
+def test_vertex_zero_is_the_identity(n):
+    """grid_amplitude_maxima never scans column 0: it is the ratio of u = v only."""
+    params = GroupParams(n)
+    assert all_elements(params)[0] == IDENTITY
+    W = ratio_index_table(params)
+    assert np.array_equal(np.diag(W), np.zeros(params.order, dtype=int))
+    assert np.count_nonzero(W == 0) == params.order
+
+
+def eigenspace_bound(conn, table):
+    """B'[w]: column w's projector coefficients summed per eigenvalue, then |.| summed."""
+    lams, mats = oracle._spectral_data(conn, table)
+    col = mats[:, :, 0]
+    return sum(np.abs(col[lams == lam].sum(axis=0)) for lam in set(lams.tolist()))
+
+
+def check_grid_maxima(conn, table, grid_points):
+    """grid_amplitude_maxima against the all-column reference scan on the same grid.
+
+    The non-identity columns that B' cannot certify are scanned and match the
+    reference; every other column is a bound for every tau, so it is at least
+    the reference's grid maximum, up to rounding of both sums, and below the
+    negative threshold unless it is the identity.  Returns (maxima, scanned).
+    """
+    times = np.arange(1, grid_points + 1) * (2 * math.pi / grid_points)
+    want = oracle_reference.grid_amplitude_maxima(conn, times, table)
+    best = grid_amplitude_maxima(conn, grid_points, table)
+    scanned = np.flatnonzero(eigenspace_bound(conn, table) >= 1 - oracle.NEGATIVE_TOL)
+    scanned = scanned[scanned > 0]
+    rest = np.setdiff1d(np.arange(1, len(best)), scanned)
+    assert best[0] >= want[0] - 1e-12
+    assert np.all(np.abs(best[scanned] - want[scanned]) < 1e-12)
+    assert np.all(best[rest] >= want[rest] - 1e-12)
+    assert np.all(best[rest] < 1 - oracle.NEGATIVE_TOL)
+    return best, scanned
+
+
 def test_grid_maxima_agree_with_direct_scan():
-    conn = valid_sets(1)[2]
+    conn = valid_sets(1)[3]  # b^2 + b + a*b: B' cannot certify b^2, so it is scanned
     table = eigenvalues(conn)
     times = np.arange(1, 801) * (2 * math.pi / 800)
-    best = grid_amplitude_maxima(conn, 800, table)
+    best, scanned = check_grid_maxima(conn, table, 800)
+    assert len(scanned)
     W = ratio_index_table(conn.params)
-    central = central_vertices(conn.params)
     for u in range(8):
         for v in range(8):
             direct = pair_amplitudes(conn, u, v, times, table).max()
-            if W[u, v] in central:
+            if W[u, v] in scanned:
                 assert abs(direct - best[W[u, v]]) < 1e-10
             else:  # a bound for every tau, up to rounding of both sums
                 assert best[W[u, v]] >= direct - 1e-12
@@ -241,7 +279,7 @@ def test_grid_maxima_agree_with_direct_scan():
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7, 8])
 def test_projector_bound_certifies_all_but_central(n):
-    """Only the identity and the central involutions escape the bound B; they are scanned."""
+    """Only the identity and the central involutions escape the bound B."""
     params = GroupParams(n)
     sets = valid_sets(n) if n <= 2 else tuple(enumerate_connection_sets(params, 2))
     central = central_vertices(params)
@@ -253,11 +291,27 @@ def test_projector_bound_certifies_all_but_central(n):
         assert list(np.flatnonzero(bound >= 1 - oracle.NEGATIVE_TOL)) == central
         others = np.setdiff1d(np.arange(params.order), central)
         for grid_points in (1, 2, 7, 300, 10000):
-            times = np.arange(1, grid_points + 1) * (2 * math.pi / grid_points)
-            want = oracle_reference.grid_amplitude_maxima(conn, times, table)
-            best = grid_amplitude_maxima(conn, grid_points, table)
-            assert np.max(np.abs(best[central] - want[central])) < 1e-12
+            best, scanned = check_grid_maxima(conn, table, grid_points)
+            assert set(scanned) <= set(central)
             assert np.array_equal(best[others], bound[others])
+
+
+@pytest.mark.parametrize("n", [5, 6, 7, 8])
+def test_eigenspace_bound_certifies_a_central_column(n):
+    """Labels sharing an eigenvalue share a phase, so B' certifies central columns B cannot."""
+    params = GroupParams(n)
+    central = central_vertices(params)[1:]
+    for conn in enumerate_connection_sets(params, 3):
+        table = eigenvalues(conn)
+        bound = np.abs(oracle._spectral_data(conn, table)[1][:, :, 0]).sum(axis=0)
+        tight = eigenspace_bound(conn, table)
+        certified = [w for w in central if tight[w] < 1 - oracle.NEGATIVE_TOL <= bound[w]]
+        if certified:
+            best, scanned = check_grid_maxima(conn, table, 512)
+            assert not set(certified) & set(scanned)
+            assert np.all(np.abs(best[certified] - tight[certified]) < 1e-12)
+            return
+    pytest.fail(f"no central column certified by B' at n = {n}")
 
 
 def test_candidate_times_stay_below_threshold_for_negative_pairs():
@@ -274,13 +328,10 @@ def test_candidate_times_stay_below_threshold_for_negative_pairs():
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7, 8])
 def test_cached_stack_matches_per_call_reference(n):
-    """The per-n stack equals the per-call stack bit for bit; the grid scan agrees with it."""
+    """The per-n stack equals the per-call stack bit for bit; the grid scan keeps its contract."""
     params = GroupParams(n)
     sets = valid_sets(n) if n <= 4 else tuple(enumerate_connection_sets(params, 3))
     assert sets
-    central = central_vertices(params)
-    others = np.setdiff1d(np.arange(params.order), central)
-    times = np.arange(1, 513) * (2 * math.pi / 512)
     for conn in sets:
         table = eigenvalues(conn)
         for tau in (0.7, math.pi / 3):
@@ -291,11 +342,7 @@ def test_cached_stack_matches_per_call_reference(n):
             tau = [math.pi / v.M]
             want = oracle_reference.pair_amplitudes(conn, v.u, v.v, tau, table)
             assert np.array_equal(pair_amplitudes(conn, v.u, v.v, tau, table), want)
-        want = oracle_reference.grid_amplitude_maxima(conn, times, table)
-        best = grid_amplitude_maxima(conn, 512, table)
-        assert np.max(np.abs(best[central] - want[central])) < 1e-12
-        assert np.all(best[others] >= want[others] - 1e-12)  # rounding of both sums
-        assert np.all(best[others] < 1 - oracle.NEGATIVE_TOL)
+        check_grid_maxima(conn, table, 512)
         want = oracle_reference.oracle_check(conn, table, verdicts, 512)
         assert oracle.verify(conn, table, verdicts, 512) == want
         stack = oracle._spectral_data(conn, table)[1]
