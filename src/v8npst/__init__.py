@@ -14,7 +14,7 @@ from .group import (
     enumerate_connection_sets,
     validate_connection_set,
 )
-from .spectrum import SpectrumTable, eigenvalues, eigenvectors
+from .spectrum import SpectrumTable, eigenvalues
 from .pst import (
     PstVerdict,
     TypeClassification,
@@ -24,7 +24,7 @@ from .pst import (
     gap_gcd,
     nu2,
 )
-from .oracle import adjacency, pst_probe, periodicity_probe, transition
+from .oracle import pst_probe, transition
 
 __all__ = [
     "ConjugacyClass",
@@ -39,17 +39,14 @@ __all__ = [
     "PstVerdict",
     "SpectrumTable",
     "TypeClassification",
-    "adjacency",
     "all_pst_pairs",
     "classify_graph_type",
     "classify_pair",
     "conjugacy_classes",
     "eigenvalues",
-    "eigenvectors",
     "enumerate_connection_sets",
     "gap_gcd",
     "nu2",
-    "periodicity_probe",
     "pst_probe",
     "transition",
     "validate_connection_set",

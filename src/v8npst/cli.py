@@ -11,10 +11,12 @@ SPEC is either a '+'-joined list of conjugacy-class tags (as printed by the
 analyzer, e.g. "b+a*b") or a comma-separated list of explicit elements
 "a^r*b^s".  Explicit lists are validated as-is and never auto-symmetrised.
 
-Exit codes: 0 ok, 1 usage error (an invalid PST_GRID_POINTS is reported as
-an InvalidGridPoints error document), 2 invalid connection set, 4
-decision/oracle disagreement (with --verify).  Integrality is decided
-exactly, so no input is numerically ambiguous; the former code 3 is retired.
+Every failure prints one JSON error document on stdout.  Exit codes: 0 ok,
+1 usage error (a UsageError document, with the usage line on stderr; an
+invalid PST_GRID_POINTS is an InvalidGridPoints document and n above 8 for
+search a BoundExceeded one), 2 invalid connection set, 4 decision/oracle
+disagreement (with --verify).  Integrality is decided exactly, so no input
+is numerically ambiguous; the former code 3 is retired.
 """
 
 from __future__ import annotations
@@ -46,20 +48,21 @@ EXIT_INVALID_SET = 2
 EXIT_DISAGREEMENT = 4
 
 DEFAULT_GRID_POINTS = 10_000
+MAX_N = 8  # search enumerates every class union, so its cost grows fast with n
+
+
+class UsageError(Exception):
+    """A usage error; `main` prints it as a JSON error document, exit 1."""
+
+    def __init__(self, code: str, message: str) -> None:
+        super().__init__(message)
+        self.code = code
 
 
 class _Parser(argparse.ArgumentParser):
-    def error(self, message: str):  # usage errors exit 1, not argparse's 2
+    def error(self, message: str):  # a JSON document and exit 1, not argparse's 2
         self.print_usage(sys.stderr)
-        self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
-
-
-class InvalidGridPoints(SystemExit):
-    """PST_GRID_POINTS is not a positive integer; `main` reports it as JSON."""
-
-    def __init__(self, raw: str) -> None:
-        super().__init__(EXIT_USAGE)
-        self.message = f"PST_GRID_POINTS must be a positive integer, got {raw!r}"
+        raise UsageError("UsageError", message)
 
 
 def _grid_points() -> int:
@@ -69,9 +72,11 @@ def _grid_points() -> int:
     try:
         val = int(raw)
     except ValueError:
-        raise InvalidGridPoints(raw) from None
+        val = 0  # reported below, like any value under 1
     if val < 1:
-        raise InvalidGridPoints(raw)
+        raise UsageError(
+            "InvalidGridPoints", f"PST_GRID_POINTS must be a positive integer, got {raw!r}"
+        )
     return val
 
 
@@ -194,9 +199,9 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_search(args) -> int:
-    if args.n > args.max_n:
+    if args.n > MAX_N:
         return _structured_error(
-            "BoundExceeded", f"n={args.n} above configured bound {args.max_n}", EXIT_USAGE
+            "BoundExceeded", f"n={args.n} above the search bound {MAX_N}", EXIT_USAGE
         )
     grid_points = _grid_points()
     params = GroupParams(args.n)
@@ -299,7 +304,6 @@ def build_parser() -> _Parser:
     ps = sub.add_parser("search", help="enumerate all class-union connection sets")
     ps.add_argument("--n", type=positive_int, required=True)
     ps.add_argument("--max-classes", type=positive_int, default=None)
-    ps.add_argument("--max-n", type=positive_int, default=8, help=argparse.SUPPRESS)
     ps.add_argument("--verify", action="store_true")
     ps.set_defaults(func=cmd_search)
 
@@ -314,12 +318,11 @@ def build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
-    except InvalidGridPoints as exc:
-        return _structured_error("InvalidGridPoints", exc.message, EXIT_USAGE)
+    except UsageError as exc:
+        return _structured_error(exc.code, str(exc), EXIT_USAGE)
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -113,11 +113,6 @@ def inverse(params: GroupParams, x: GroupElement) -> GroupElement:
     )
 
 
-def conjugate(params: GroupParams, g: GroupElement, x: GroupElement) -> GroupElement:
-    """g x g^{-1}."""
-    return multiply(params, multiply(params, g, x), inverse(params, g))
-
-
 def all_elements(params: GroupParams) -> tuple[GroupElement, ...]:
     """All 8n elements in vertex-label order."""
     return tuple(
@@ -379,15 +374,11 @@ def generated_subgroup(
 def validate_connection_set(
     params: GroupParams,
     members: Iterable[GroupElement | tuple[int, int]],
-    *,
-    require_generating: bool = True,
 ) -> ConnectionSet:
     """Check identity-freeness, symmetry, normality and generation.
 
     Raises the ConnectionSetError subclass naming the first violated
-    hypothesis.  require_generating=False admits disconnected Cayley graphs
-    (useful for spectral computations only; the decision procedures always
-    demand a generating set).
+    hypothesis, in that order.
     """
     mset = frozenset(
         x if isinstance(x, GroupElement) else element(params, *x) for x in members
@@ -411,7 +402,7 @@ def validate_connection_set(
     # mset lies inside the union of its classes, so equal sizes mean equality
     if sum(len(classes[i]) for i in idxs) != len(mset):
         raise NotNormal("set is not a union of conjugacy classes (Sg != gS)")
-    if require_generating and not class_masks(params).generates(idxs):
+    if not class_masks(params).generates(idxs):
         raise NotGenerating("set does not generate the whole group")
     return ConnectionSet(params=params, members=mset, class_indices=tuple(idxs))
 

@@ -1,9 +1,11 @@
 """Numerical ground truth for the decision procedure.
 
-Dense adjacency matrix, the eigenprojectors of Cay(V_8n, S) in their printed
-closed forms, the transition matrix H(tau) = exp(-i tau A) assembled from the
-spectral decomposition, an independent scaling-and-squaring Taylor
-exponential as a second opinion, and brute-force probes of |H(tau)_{uv}|.
+The eigenprojectors of Cay(V_8n, S) in their printed closed forms, the
+transition matrix H(tau) = exp(-i tau A) assembled from the spectral
+decomposition, brute-force probes of |H(tau)_{uv}|, and `verify`.  The
+dense adjacency matrix and the Taylor exponential, the second opinion on
+H(tau) that uses no spectral information, are kept with the tests
+(tests/oracle_reference.py).
 
 The closed-form projectors are block matrices over the four 2n-blocks: J
 blocks and (-1)^{u+v} sign patterns for the linear characters, and circulant
@@ -44,17 +46,13 @@ from .group import (
 from .spectrum import SpectrumTable, eigenvalues
 
 __all__ = [
-    "adjacency",
     "Eigenprojector",
     "projectors",
     "rep_projectors",
     "TransitionMatrix",
     "transition",
-    "transition_expm",
-    "expm_taylor",
     "ProbeResult",
     "pst_probe",
-    "periodicity_probe",
     "pair_amplitudes",
     "grid_amplitude_maxima",
     "ratio_index_table",
@@ -63,21 +61,6 @@ __all__ = [
 
 POSITIVE_TOL = 1e-6  # a positive pair must exceed 1 - POSITIVE_TOL at pi/M
 NEGATIVE_TOL = 1e-4  # any other pair must stay below 1 - NEGATIVE_TOL
-
-
-def adjacency(connection: ConnectionSet) -> np.ndarray:
-    """A[u][v] = 1 iff g_u g_v^{-1} is in S, in vertex-label order."""
-    params = connection.params
-    elems = all_elements(params)
-    order = params.order
-    members = connection.members
-    A = np.zeros((order, order))
-    for v, gv in enumerate(elems):
-        gv_inv = inverse(params, gv)
-        for u, gu in enumerate(elems):
-            if u != v and multiply(params, gu, gv_inv) in members:
-                A[u, v] = 1.0
-    return A
 
 
 @dataclass(frozen=True)
@@ -247,30 +230,6 @@ def transition(
     return TransitionMatrix(tau=tau, H=H)
 
 
-def expm_taylor(M: np.ndarray, order: int = 20) -> np.ndarray:
-    """Scaling-and-squaring matrix exponential with a fixed-order Taylor core.
-
-    Kept independent of the eigenprojector path on purpose: no spectral
-    information is used.
-    """
-    norm = np.linalg.norm(M, 1)
-    squarings = max(0, int(math.ceil(math.log2(max(norm, 1e-300) / 0.5))))
-    A = M / (2 ** squarings)
-    out = np.eye(M.shape[0], dtype=complex)
-    term = np.eye(M.shape[0], dtype=complex)
-    for k in range(1, order + 1):
-        term = term @ A / k
-        out = out + term
-    for _ in range(squarings):
-        out = out @ out
-    return out
-
-
-def transition_expm(connection: ConnectionSet, tau: float) -> np.ndarray:
-    """Second-opinion H(tau) via the Taylor exponential of -i tau A."""
-    return expm_taylor(-1j * tau * adjacency(connection))
-
-
 @dataclass(frozen=True)
 class ProbeResult:
     tau: float
@@ -303,13 +262,6 @@ def pst_probe(
     amps = pair_amplitudes(connection, u, v, times, table)
     best = int(np.argmax(amps))
     return ProbeResult(tau=float(times[best]), amplitude=float(amps[best]))
-
-
-def periodicity_probe(
-    connection: ConnectionSet, u: int, times, table: SpectrumTable | None = None
-) -> ProbeResult:
-    """Diagonal analogue of pst_probe: best |H(tau)_{uu}|."""
-    return pst_probe(connection, u, u, times, table)
 
 
 @lru_cache(maxsize=None)

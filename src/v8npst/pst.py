@@ -232,20 +232,6 @@ def _pair_verdict(graph: GraphVerdict, u: int, v: int) -> PstVerdict:
     )
 
 
-def classify_pair_odd(table: SpectrumTable, u: int, v: int) -> PstVerdict:
-    """Verdict for one pair of an odd-n graph."""
-    if not table.params.is_odd:
-        raise WrongParity("classify_pair_odd requires odd n")
-    return classify_pair(table, u, v)
-
-
-def classify_pair_even(table: SpectrumTable, u: int, v: int) -> PstVerdict:
-    """Verdict for one pair of an even-n graph."""
-    if table.params.is_odd:
-        raise WrongParity("classify_pair_even requires even n")
-    return classify_pair(table, u, v)
-
-
 def classify_pair(table: SpectrumTable, u: int, v: int) -> PstVerdict:
     return _pair_verdict(decide_graph(table), u, v)
 

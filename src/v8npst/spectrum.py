@@ -18,7 +18,9 @@ realness and integrality are decided exactly on those sums: lambda is real
 iff the imaginary row is zero, and an integer iff the reduced row is an
 integer k with d | k.  `CycloInt` arithmetic only builds the table and the
 map.  The float value, evaluated from the unreduced row, serves only for
-display and for the numerical oracle.
+display and for the numerical oracle.  The paper's closed-form eigenbasis
+is kept with the tests (tests/spectrum_reference.py), which check it
+against these eigenvalues and the dense adjacency matrix.
 """
 
 from __future__ import annotations
@@ -70,21 +72,6 @@ class SpectrumTable:
 
     def alpha(self, i: int) -> Eigenvalue:
         return self.by_label(f"alpha_{i}")
-
-    def beta(self, j: int) -> Eigenvalue:
-        return self.by_label(f"beta_{j}")
-
-    def gamma(self, k: int) -> Eigenvalue:
-        return self.by_label(f"gamma_{k}")
-
-    @property
-    def beta_indices(self) -> tuple[int, ...]:
-        """Valid psi indices: 0..n-1 for odd n, 1..n-1 for even n."""
-        return tuple(ev.index for ev in self.eigenvalues if ev.kind == "beta")
-
-    @property
-    def gamma_indices(self) -> tuple[int, ...]:
-        return tuple(ev.index for ev in self.eigenvalues if ev.kind == "gamma")
 
 
 class _ClassMap(NamedTuple):
@@ -195,94 +182,3 @@ def _check_consistency(table: SpectrumTable) -> None:
     second = sum(e.multiplicity * e.value ** 2 for e in table.eigenvalues)
     if not abs(second - order * size) < 1e-6 * max(1.0, order * size):
         raise RuntimeError("second-moment identity violated")
-
-
-# --------------------------------------------------------------------------
-# Closed-form orthonormal eigenbasis
-# --------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class EigenvectorSet:
-    """Columns of `matrix` are the closed-form eigenvectors; labels[i] names
-    the eigenvalue of column i (repeated according to multiplicity)."""
-
-    connection: ConnectionSet
-    labels: tuple[str, ...]
-    matrix: np.ndarray
-
-    def column_eigenvalues(self, table: SpectrumTable) -> np.ndarray:
-        by_label = {ev.label: ev.value for ev in table.eigenvalues}
-        return np.array([by_label[lab] for lab in self.labels])
-
-
-def eigenvectors(connection: ConnectionSet) -> EigenvectorSet:
-    """The printed orthonormal eigenbasis of C^{8n} (independent of S)."""
-    params = connection.params
-    n = params.n
-    two_n = params.two_n
-    r = np.arange(two_n)
-    zeros = np.zeros(two_n, dtype=complex)
-    cols: list[np.ndarray] = []
-    labels: list[str] = []
-    s8 = 1.0 / np.sqrt(8 * n)
-    s4 = 1.0 / np.sqrt(4 * n)
-    omega = np.exp(1j * np.pi / n)
-
-    def add(label: str, v1, v2, v3, v4, scale) -> None:
-        cols.append(scale * np.concatenate([v1, v2, v3, v4]))
-        labels.append(label)
-
-    ones = np.ones(two_n, dtype=complex)
-    alt = (-1.0 + 0j) ** r  # 1, -1, 1, -1, ...
-
-    if params.is_odd:
-        add("alpha_1", ones, ones, ones, ones, s8)
-        add("alpha_2", ones, -ones, ones, -ones, s8)
-        add("alpha_3", alt, alt, alt, alt, s8)
-        add("alpha_4", alt, -alt, alt, -alt, s8)
-        for j in range(n):
-            w = omega ** (2 * r * j)
-            wneg = (-omega ** (-2 * j)) ** r
-            wpos = (-omega ** (2 * j)) ** r
-            add(f"beta_{j}", w, zeros, -w, zeros, s4)
-            add(f"beta_{j}", zeros, w, zeros, -w, s4)
-            add(f"beta_{j}", zeros, -wneg, zeros, wneg, s4)
-            add(f"beta_{j}", wpos, zeros, -wpos, zeros, s4)
-        for k in range(1, n):
-            w = omega ** (r * k)
-            wc = omega ** (-r * k)
-            add(f"gamma_{k}", w, zeros, w, zeros, s4)
-            add(f"gamma_{k}", zeros, w, zeros, w, s4)
-            add(f"gamma_{k}", zeros, wc, zeros, wc, s4)
-            add(f"gamma_{k}", wc, zeros, wc, zeros, s4)
-    else:
-        i_r = 1j ** r
-        mi_r = (-1j) ** r
-        add("alpha_1", ones, ones, ones, ones, s8)
-        add("alpha_2", i_r, i_r * 1j ** 3, -i_r, i_r * 1j, s8)
-        add("alpha_3", alt, -alt, alt, -alt, s8)
-        add("alpha_4", mi_r, mi_r * (-1j) ** 3, mi_r * (-1j) ** 2, mi_r * (-1j), s8)
-        add("alpha_5", ones, -ones, ones, -ones, s8)
-        add("alpha_6", i_r, i_r * 1j, i_r * 1j ** 2, i_r * 1j ** 3, s8)
-        add("alpha_7", alt, alt, alt, alt, s8)
-        add("alpha_8", mi_r, mi_r * (-1j), mi_r * (-1j) ** 2, mi_r * (-1j) ** 3, s8)
-        for j in range(1, n):
-            w = omega ** (r * j)
-            wc = omega ** (-r * j)
-            add(f"beta_{j}", w, zeros, w, zeros, s4)
-            add(f"beta_{j}", zeros, 1j * w, zeros, 1j * w, s4)
-            add(f"beta_{j}", zeros, -1j * wc, zeros, -1j * wc, s4)
-            add(f"beta_{j}", wc, zeros, wc, zeros, s4)
-        for k in range(1, n):
-            z = (1j * omega ** k) ** r
-            zc = (1j * omega ** (-k)) ** r
-            add(f"gamma_{k}", z, zeros, -z, zeros, s4)
-            add(f"gamma_{k}", zeros, z, zeros, -z, s4)
-            add(f"gamma_{k}", zeros, -zc, zeros, zc, s4)
-            add(f"gamma_{k}", zc, zeros, -zc, zeros, s4)
-
-    V = np.column_stack(cols)
-    if V.shape != (params.order, params.order):
-        raise RuntimeError(f"eigenbasis has shape {V.shape}, not {params.order} square")
-    return EigenvectorSet(connection=connection, labels=tuple(labels), matrix=V)

@@ -5,7 +5,9 @@ decided symmetry and generation from per-n class bitmasks: every union of
 classes is checked element by element for inverse-closure, and its
 generated subgroup is computed by BFS.  `is_normal_subset` is the Sg = gS
 normality test that `validate_connection_set` once asserted against its
-class-union test.  Tests compare the mask-based code against both.
+class-union test.  `conjugate` gives the conjugation orbits that the
+listed conjugacy classes are checked against.  Tests compare the
+mask-based code against all three.
 """
 
 from __future__ import annotations
@@ -24,6 +26,11 @@ from v8npst.group import (
     inverse,
     multiply,
 )
+
+
+def conjugate(params: GroupParams, g: GroupElement, x: GroupElement) -> GroupElement:
+    """g x g^{-1}."""
+    return multiply(params, multiply(params, g, x), inverse(params, g))
 
 
 def is_normal_subset(params: GroupParams, members: frozenset[GroupElement]) -> bool:

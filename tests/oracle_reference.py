@@ -1,4 +1,10 @@
-"""Per-call reference for the oracle's cached projector stack and `verify`.
+"""References for the oracle in `v8npst.oracle`.
+
+`adjacency` is the dense adjacency matrix, built element by element from
+the group multiplication.  `expm_taylor` is a scaling-and-squaring Taylor
+exponential, so `transition_expm` gives a second-opinion H(tau) that uses
+no spectral information.  Tests compare the oracle's spectral H(tau),
+its projectors and its eigenvalues against these.
 
 `spectral_data` is `oracle._spectral_data` as it was before the stack was
 kept per n: the label sums come from a `rep_projectors` dict (kept per n
@@ -20,12 +26,51 @@ from functools import lru_cache
 import numpy as np
 
 from v8npst import oracle
-from v8npst.group import ConnectionSet
+from v8npst.group import ConnectionSet, all_elements, inverse, multiply
 from v8npst.spectrum import eigenvalues
 
 POSITIVE_TOL = 1e-6
 NEGATIVE_TOL = 1e-4
 _GRID_CHUNK = 2048
+
+
+def adjacency(connection: ConnectionSet) -> np.ndarray:
+    """A[u][v] = 1 iff g_u g_v^{-1} is in S, in vertex-label order."""
+    params = connection.params
+    elems = all_elements(params)
+    order = params.order
+    members = connection.members
+    A = np.zeros((order, order))
+    for v, gv in enumerate(elems):
+        gv_inv = inverse(params, gv)
+        for u, gu in enumerate(elems):
+            if u != v and multiply(params, gu, gv_inv) in members:
+                A[u, v] = 1.0
+    return A
+
+
+def expm_taylor(M: np.ndarray, order: int = 20) -> np.ndarray:
+    """Scaling-and-squaring matrix exponential with a fixed-order Taylor core.
+
+    Kept independent of the eigenprojector path on purpose: no spectral
+    information is used.
+    """
+    norm = np.linalg.norm(M, 1)
+    squarings = max(0, int(math.ceil(math.log2(max(norm, 1e-300) / 0.5))))
+    A = M / (2 ** squarings)
+    out = np.eye(M.shape[0], dtype=complex)
+    term = np.eye(M.shape[0], dtype=complex)
+    for k in range(1, order + 1):
+        term = term @ A / k
+        out = out + term
+    for _ in range(squarings):
+        out = out @ out
+    return out
+
+
+def transition_expm(connection: ConnectionSet, tau: float) -> np.ndarray:
+    """Second-opinion H(tau) via the Taylor exponential of -i tau A."""
+    return expm_taylor(-1j * tau * adjacency(connection))
 
 
 @lru_cache(maxsize=None)

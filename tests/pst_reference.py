@@ -75,10 +75,10 @@ def reference_graph_type(table: SpectrumTable) -> TypeClassification:
     if not table.all_integral:
         return TypeClassification(False, False, False)
     g = _GapValuations(table)
-    beta_odd = [g.beta[j] for j in table.beta_indices if j % 2 == 1]
-    beta_even = [g.beta[j] for j in table.beta_indices if j % 2 == 0]
-    gamma_odd = [g.gamma[k] for k in table.gamma_indices if k % 2 == 1]
-    gamma_even = [g.gamma[k] for k in table.gamma_indices if k % 2 == 0]
+    beta_odd = [val for j, val in g.beta.items() if j % 2 == 1]
+    beta_even = [val for j, val in g.beta.items() if j % 2 == 0]
+    gamma_odd = [val for k, val in g.gamma.items() if k % 2 == 1]
+    gamma_even = [val for k, val in g.gamma.items() if k % 2 == 0]
 
     def pattern(base, equal_groups, greater_groups) -> bool:
         if base == INF:

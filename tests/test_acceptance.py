@@ -55,12 +55,15 @@ from v8npst.group import (
     region,
 )
 
+from characters_reference import closed_form_character
 from conftest import (
     eigh_column_max,
     eigh_entry_amplitude,
     eigh_full_h,
     valid_sets,
 )
+from oracle_reference import adjacency, transition_expm
+from spectrum_reference import eigenvectors
 
 GRID_POINTS = 10_000
 GRID_STEP = 2 * math.pi / GRID_POINTS
@@ -126,7 +129,7 @@ def test_criterion_character_table_fidelity():
             for d in descs:
                 for ci, cls in enumerate(classes):
                     by_trace = characters._character_on_class(p, d, ci)
-                    by_table = characters.closed_form_character(p, d, cls)
+                    by_table = closed_form_character(p, d, cls)
                     assert (by_trace - by_table).is_zero(), (n, d, cls.tag)
             table = characters.character_table(p)
             numeric = [[v.value() for v in row] for row in table]
@@ -163,13 +166,14 @@ def test_criterion_spectral_identities():
                     abs(sum(m * v * v for m, v in zip(mults, vals)) - 8 * n * size)
                     < 1e-6 * 8 * n * size
                 )
-                A = oracle.adjacency(conn)
+                A = adjacency(conn)
                 dense = np.sort(np.linalg.eigvalsh(A))
                 mine = np.sort(np.concatenate([[v] * m for v, m in zip(vals, mults)]))
                 assert np.max(np.abs(dense - mine)) < 1e-7
-                basis = spectrum.eigenvectors(conn)
+                basis = eigenvectors(conn)
                 V = basis.matrix
-                lam = basis.column_eigenvalues(table)
+                by_label = {ev.label: ev.value for ev in table.eigenvalues}
+                lam = np.array([by_label[lab] for lab in basis.labels])
                 assert np.max(np.abs(V.conj().T @ V - np.eye(8 * n))) < 1e-10
                 assert np.max(np.abs(A @ V - V * lam[None, :])) < 1e-8
         elapsed = time.monotonic() - start
@@ -198,7 +202,7 @@ def test_criterion_projector_algebra():
                 prods[i] = 0
                 assert np.max(np.abs(prods)) < 1e-8  # annihilates the others
             # printed closed forms against eigenvector outer products
-            basis = spectrum.eigenvectors(conn0)
+            basis = eigenvectors(conn0)
             position: Counter = Counter()
             cols_by_label: dict[str, list[int]] = {}
             for i, lab in enumerate(basis.labels):
@@ -212,7 +216,7 @@ def test_criterion_projector_algebra():
                 table = spectrum.eigenvalues(conn)
                 sums = oracle.rep_projectors(conn)
                 A = sum(ev.value * sums[ev.label] for ev in table.eigenvalues)
-                assert np.max(np.abs(A - oracle.adjacency(conn))) < 1e-8
+                assert np.max(np.abs(A - adjacency(conn))) < 1e-8
         elapsed = time.monotonic() - start
         assert elapsed < 60.0, f"projector algebra took {elapsed:.1f}s"
 
@@ -318,7 +322,7 @@ def scan() -> ScanOutcome:
         for conn in valid_sets(n):
             out.graphs += 1
             table = spectrum.eigenvalues(conn)
-            A = oracle.adjacency(conn)
+            A = adjacency(conn)
             lam, V = np.linalg.eigh(A)
             positives = pst.all_pst_pairs(table)
             pos_mask = np.zeros((order, order), dtype=bool)
@@ -465,7 +469,7 @@ def test_criterion_transition_independence():
                 conn = sets[rng.integers(len(sets))]
                 tau = float(rng.uniform(0.0, 2 * math.pi))
                 H_spectral = oracle.transition(conn, tau).H
-                H_taylor = oracle.transition_expm(conn, tau)
+                H_taylor = transition_expm(conn, tau)
                 assert np.max(np.abs(H_spectral - H_taylor)) < 1e-7
         elapsed = time.monotonic() - start
         assert elapsed < 60.0, f"transition independence took {elapsed:.1f}s"

@@ -95,19 +95,42 @@ def test_analyze_alpha1_lists_degree_first(capsys):
     assert doc["spectrum"][0]["value"] == doc["connectionSet"]["size"]
 
 
+def usage_error(capsys, argv) -> dict:
+    """The error document of a usage error; the usage line goes to stderr."""
+    code = cli.main(argv)
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err.startswith("usage: v8npst")
+    doc = json.loads(captured.out)
+    assert list(doc) == ["error"] and doc["error"]["code"] == "UsageError"
+    return doc["error"]
+
+
 def test_search_usage_error_exit_1(capsys):
+    error = usage_error(capsys, ["search", "--n", "0"])
+    assert error["message"] == "argument --n: expected a positive integer, got 0"
+
+
+def test_help_exits_0(capsys):
     with pytest.raises(SystemExit) as exc:
-        cli.main(["search", "--n", "0"])
-    assert exc.value.code == 1
+        cli.main(["search", "--help"])
+    assert exc.value.code == 0
+    captured = capsys.readouterr()
+    assert captured.out.startswith("usage: v8npst search")
+
+
+def test_search_above_bound_is_error_document(capsys):
+    code, out = run_cli(capsys, ["search", "--n", "9"])
+    assert code == 1
+    assert json.loads(out) == {
+        "error": {"code": "BoundExceeded", "message": "n=9 above the search bound 8"}
+    }
 
 
 def test_parser_is_built_once_and_survives_a_usage_error(capsys):
     assert cli.build_parser() is cli.build_parser()
     argv = ["analyze", "--n", "1", "--set", "a+b+a*b", "--verify"]
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["analyze", "--n", "0", "--set", "a", "--verify"])
-    assert exc.value.code == 1
-    capsys.readouterr()
+    usage_error(capsys, ["analyze", "--n", "0", "--set", "a", "--verify"])
     code, after_error = run_cli(capsys, argv)
     cli.build_parser.cache_clear()
     fresh_code, fresh = run_cli(capsys, argv)
@@ -137,9 +160,13 @@ def test_search_n2_verify_no_disagreements(capsys, monkeypatch):
 
 
 def test_search_workers_flag_is_usage_error(capsys):
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["search", "--n", "2", "--workers", "4"])
-    assert exc.value.code == 1
+    error = usage_error(capsys, ["search", "--n", "2", "--workers", "4"])
+    assert error["message"] == "unrecognized arguments: --workers 4"
+
+
+def test_search_max_n_flag_is_usage_error(capsys):
+    error = usage_error(capsys, ["search", "--n", "9", "--max-n", "9"])
+    assert error["message"] == "unrecognized arguments: --max-n 9"
 
 
 def test_search_detects_planted_disagreement(capsys, monkeypatch):
@@ -231,9 +258,9 @@ def test_probe_vertex_out_of_range(capsys):
 
 def test_grid_points_env_validation(monkeypatch):
     monkeypatch.setenv("PST_GRID_POINTS", "banana")
-    with pytest.raises(SystemExit) as exc:
+    with pytest.raises(cli.UsageError) as exc:
         cli._grid_points()
-    assert exc.value.code == 1
+    assert exc.value.code == "InvalidGridPoints"
 
 
 @pytest.mark.parametrize(

@@ -1,4 +1,5 @@
-"""Dense-matrix ground truth: adjacency, projectors, transition matrix, probes."""
+"""Oracle: closed-form projectors, transition matrix, probes and verify,
+against the dense references in oracle_reference."""
 
 import math
 from collections import defaultdict
@@ -17,23 +18,21 @@ from v8npst.group import (
     validate_connection_set,
 )
 from v8npst.oracle import (
-    adjacency,
-    expm_taylor,
     grid_amplitude_maxima,
     pair_amplitudes,
-    periodicity_probe,
     projectors,
     pst_probe,
     ratio_index_table,
     rep_projectors,
     transition,
-    transition_expm,
 )
 from v8npst.pst import all_pst_pairs, gap_gcd
-from v8npst.spectrum import eigenvalues, eigenvectors
+from v8npst.spectrum import eigenvalues
 
 import oracle_reference
 from conftest import valid_sets
+from oracle_reference import adjacency, expm_taylor, transition_expm
+from spectrum_reference import eigenvectors
 
 
 def full_set(n):
@@ -189,9 +188,9 @@ def test_probe_finds_transfer_at_predicted_time():
 
 def test_periodicity_probe_basics():
     conn = full_set(1)
-    assert periodicity_probe(conn, 0, [0.0]).amplitude == pytest.approx(1.0)
+    assert pst_probe(conn, 0, 0, [0.0]).amplitude == pytest.approx(1.0)
     # integral graph: H(2 pi) = identity, so every vertex returns
-    res = periodicity_probe(conn, 3, [2 * math.pi])
+    res = pst_probe(conn, 3, 3, [2 * math.pi])
     assert res.amplitude > 1 - 1e-9
 
 
@@ -200,7 +199,7 @@ def test_periodicity_probe_integral_graph_every_vertex():
     table = eigenvalues(conn)
     assert table.all_integral
     for u in range(16):
-        res = periodicity_probe(conn, u, [2 * math.pi], table)
+        res = pst_probe(conn, u, u, [2 * math.pi], table)
         assert res.amplitude > 1 - 1e-9
 
 

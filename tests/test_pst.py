@@ -26,8 +26,6 @@ from v8npst.pst import (
     all_pst_pairs,
     classify_graph_type,
     classify_pair,
-    classify_pair_even,
-    classify_pair_odd,
     gap_gcd,
     nu2,
 )
@@ -158,32 +156,27 @@ def test_gcd_divides_every_gap():
 def test_same_vertex_rejected():
     table = eigenvalues(full_set(1))
     with pytest.raises(SameVertex):
-        classify_pair_odd(table, 3, 3)
+        classify_pair(table, 3, 3)
 
 
 def test_parity_dispatch_guards():
     odd_table = eigenvalues(full_set(1))
-    even_table = eigenvalues(full_set(2))
-    with pytest.raises(WrongParity):
-        classify_pair_even(odd_table, 0, 1)
-    with pytest.raises(WrongParity):
-        classify_pair_odd(even_table, 0, 1)
     with pytest.raises(WrongParity):
         classify_graph_type(odd_table)
 
 
 def test_odd_blocked_regions_clause():
     table = eigenvalues(full_set(1))
-    verdict = classify_pair_odd(table, 0, 1)  # both vertices in V1
+    verdict = classify_pair(table, 0, 1)  # both vertices in V1
     assert not verdict.has_pst
     assert verdict.clause == "no-pst:region-block:V1V2"
-    assert classify_pair_odd(table, 2, 5).clause == "no-pst:region-block:V2V3"
+    assert classify_pair(table, 2, 5).clause == "no-pst:region-block:V2V3"
 
 
 def test_odd_wrong_displacement_clause():
     # n=3: V1 <-> V3 pair with u - v = 3n is not antipodal
     table = eigenvalues(full_set(3))
-    verdict = classify_pair_odd(table, 14, 5)  # 14 in V3, 5 in V1, diff 9 = 3n
+    verdict = classify_pair(table, 14, 5)  # 14 in V3, 5 in V1, diff 9 = 3n
     assert not verdict.has_pst and verdict.clause == "no-pst:displacement"
 
 
@@ -204,7 +197,7 @@ def test_k8_has_no_transfer():
     table = eigenvalues(full_set(1))
     assert all_pst_pairs(table) == ()
     # valuation is what fails for the antipodal pair: gaps are all 8
-    verdict = classify_pair_odd(table, 0, 4)
+    verdict = classify_pair(table, 0, 4)
     assert verdict.clause == "no-pst:valuation"
 
 
@@ -283,14 +276,14 @@ def test_type1_requires_even_beta_gaps_strictly_greater():
 
 def test_even_blocked_regions_clause():
     table = eigenvalues(full_set(2))
-    verdict = classify_pair_even(table, 0, 4)  # V1 x V2 for n=2
+    verdict = classify_pair(table, 0, 4)  # V1 x V2 for n=2
     assert not verdict.has_pst
     assert verdict.clause == "no-pst:region-block:V1V2"
 
 
 def test_even_same_region_needs_displacement_n():
     table = eigenvalues(cp_set(2))
-    assert classify_pair_even(table, 0, 1).clause == "no-pst:displacement"
+    assert classify_pair(table, 0, 1).clause == "no-pst:displacement"
 
 
 def test_even_type3_cocktail_party():

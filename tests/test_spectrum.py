@@ -7,18 +7,22 @@ from v8npst import spectrum
 from v8npst.cyclotomic import CycloInt
 from v8npst.group import (
     IDENTITY,
+    ConnectionSet,
     GroupParams,
+    NotGenerating,
     all_elements,
+    class_index_map,
     conjugacy_classes,
     element,
     enumerate_connection_sets,
     validate_connection_set,
 )
-from v8npst.oracle import adjacency
-from v8npst.spectrum import eigenvalues, eigenvectors
+from v8npst.spectrum import eigenvalues
 
 import spectrum_reference
 from conftest import valid_sets
+from oracle_reference import adjacency
+from spectrum_reference import eigenvectors
 
 
 def full_set(n):
@@ -47,9 +51,11 @@ def test_disconnected_set_matches_dense_solver():
     # {a, a b^2} for n=1 is a valid normal symmetric set that does not
     # generate; its two-component graph still has a well-defined spectrum.
     p = GroupParams(1)
-    conn = validate_connection_set(
-        p, [element(p, 1, 0), element(p, 1, 2)], require_generating=False
-    )
+    members = frozenset({element(p, 1, 0), element(p, 1, 2)})
+    with pytest.raises(NotGenerating):
+        validate_connection_set(p, members)
+    cmap = class_index_map(p)
+    conn = ConnectionSet(p, members, tuple(sorted({cmap[x] for x in members})))
     table = eigenvalues(conn)
     mine = sorted(
         v for ev in table.eigenvalues for v in [ev.value] * ev.multiplicity
@@ -93,7 +99,8 @@ def test_eigenbasis_diagonalises_every_set(n):
         table = eigenvalues(conn)
         E = eigenvectors(conn)
         V = E.matrix
-        lam = E.column_eigenvalues(table)
+        by_label = {ev.label: ev.value for ev in table.eigenvalues}
+        lam = np.array([by_label[lab] for lab in E.labels])
         A = adjacency(conn)
         assert np.max(np.abs(V.conj().T @ V - np.eye(8 * n))) < 1e-10
         assert np.max(np.abs(A @ V - V * lam[None, :])) < 1e-8
@@ -104,7 +111,7 @@ def test_full_set_even_eigenvector_pairing():
     table = eigenvalues(conn)
     E = eigenvectors(conn)
     A = adjacency(conn)
-    beta1 = table.beta(1).value
+    beta1 = table.by_label("beta_1").value
     cols = [i for i, lab in enumerate(E.labels) if lab == "beta_1"]
     assert len(cols) == 4
     for c in cols:
@@ -196,8 +203,10 @@ def test_non_real_numerator_raises(monkeypatch):
 @pytest.mark.parametrize("n,expected", [(1, (0,)), (3, (0, 1, 2)), (2, (1,)), (4, (1, 2, 3))])
 def test_beta_index_ranges(n, expected):
     table = eigenvalues(valid_sets(n)[0])
-    assert table.beta_indices == expected
-    assert table.gamma_indices == tuple(range(1, n))
+    beta = tuple(ev.index for ev in table.eigenvalues if ev.kind == "beta")
+    gamma = tuple(ev.index for ev in table.eigenvalues if ev.kind == "gamma")
+    assert beta == expected
+    assert gamma == tuple(range(1, n))
 
 
 def test_nonintegral_example_exists_at_n4():
