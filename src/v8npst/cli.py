@@ -210,8 +210,9 @@ def cmd_search(args) -> int:
     rows = []
     pst_reports = []
     disagreements = 0
+    memo = {}  # one enumeration's distinct eigenvalues; freed on return
     for conn in sets:
-        table = spectrum.eigenvalues(conn)
+        table = spectrum.eigenvalues(conn, memo)
         graph, verdicts, oracle_json, found = _decide(
             conn, table, verify=args.verify, grid_points=grid_points
         )

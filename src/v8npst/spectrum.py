@@ -21,6 +21,14 @@ map.  The float value, evaluated from the unreduced row, serves only for
 display and for the numerical oracle.  The paper's closed-form eigenbasis
 is kept with the tests (tests/spectrum_reference.py), which check it
 against these eigenvalues and the dense adjacency matrix.
+
+Few of these sums are distinct: `search --n 7 --max-classes 4` meets 490
+distinct (representation, integer row) pairs among 2,584, and the full
+n = 8 search 26,460 among 1,216,512.  `eigenvalues` therefore takes a memo
+from (representation index, numerator row) to the finished `Eigenvalue`.
+The caller owns it: `search` keeps one for one enumeration and drops it
+when it returns; nothing keeps one for the life of the process.  One memo
+serves one n and one character table.
 """
 
 from __future__ import annotations
@@ -95,6 +103,8 @@ class _ClassMap(NamedTuple):
     table: tuple  # the character table the map was built from
     stacked: np.ndarray  # int64, (reps, classes, m + 2 * phi)
     reps: tuple[tuple[RepDescriptor, str, str], ...]  # descriptor, label, kind
+    phi: int  # degree of Phi_m
+    re_roots: tuple[float, ...]  # Re zeta^e for e = 0 .. m-1
 
 
 _class_maps: dict[GroupParams, _ClassMap] = {}
@@ -125,29 +135,50 @@ def _build_class_map(params: GroupParams, table) -> _ClassMap:
         (desc, f"{_KIND_BY_REP[desc.kind]}_{desc.index}", _KIND_BY_REP[desc.kind])
         for desc in rep_descriptors(params)
     )
-    return _ClassMap(table=table, stacked=stacked, reps=reps)
+    return _ClassMap(
+        table=table,
+        stacked=stacked,
+        reps=reps,
+        phi=len(cyclotomic_polynomial(m)) - 1,
+        re_roots=tuple(z.real for z in unit_roots(m)),
+    )
 
 
-def eigenvalues(connection: ConnectionSet) -> SpectrumTable:
-    """Per-representation eigenvalues of Cay(V_8n, S), exact and numeric."""
-    params = connection.params
-    m = 4 * params.n
-    phi = len(cyclotomic_polynomial(m)) - 1
-    class_map = _class_map(params)
+def eigenvalues(
+    connection: ConnectionSet, memo: Optional[dict[tuple, Eigenvalue]] = None
+) -> SpectrumTable:
+    """Per-representation eigenvalues of Cay(V_8n, S), exact and numeric.
+
+    `memo` maps (representation index, tuple of the summed numerator row)
+    to the finished `Eigenvalue`; pass one dict to every call of one
+    enumeration to build each distinct eigenvalue once (None: a fresh dict).
+    The reduced and imaginary rows are images of the numerator row under the
+    same class map, so that row alone determines the entry.  An entry is
+    stored only after its realness check passes, so a hit never skips a
+    `NonRealEigenvalue`.  The memo holds entries of one n and one character
+    table; it must not outlive either.
+    """
+    if memo is None:
+        memo = {}
+    m = 4 * connection.params.n
+    class_map = _class_map(connection.params)
+    phi, re_roots = class_map.phi, class_map.re_roots
     sums = class_map.stacked[:, list(connection.class_indices)].sum(axis=1).tolist()
-    re_roots = [z.real for z in unit_roots(m)]
     entries = []
-    for row, (desc, label, kind) in zip(sums, class_map.reps):
-        num, reduced, imaginary = row[:m], row[m : m + phi], row[m + phi :]
-        if any(imaginary):
-            raise NonRealEigenvalue(
-                f"eigenvalue for {desc} is not real: numerator coefficients {num}"
-            )
-        den = desc.degree
-        k = reduced[0]
-        is_int = not any(reduced[1:]) and k % den == 0
-        entries.append(
-            Eigenvalue(
+    for rep, (row, (desc, label, kind)) in enumerate(zip(sums, class_map.reps)):
+        num = row[:m]
+        key = (rep, tuple(num))
+        ev = memo.get(key)
+        if ev is None:
+            reduced, imaginary = row[m : m + phi], row[m + phi :]
+            if any(imaginary):
+                raise NonRealEigenvalue(
+                    f"eigenvalue for {desc} is not real: numerator coefficients {num}"
+                )
+            den = desc.degree
+            k = reduced[0]
+            is_int = not any(reduced[1:]) and k % den == 0
+            ev = memo[key] = Eigenvalue(
                 label=label,
                 kind=kind,
                 index=desc.index,
@@ -156,7 +187,7 @@ def eigenvalues(connection: ConnectionSet) -> SpectrumTable:
                 is_integer=is_int,
                 integer_value=k // den if is_int else None,
             )
-        )
+        entries.append(ev)
     table_out = SpectrumTable(
         connection=connection,
         eigenvalues=tuple(entries),

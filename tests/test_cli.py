@@ -1,5 +1,6 @@
 """Command-line interface: reports, determinism, exit codes."""
 
+import hashlib
 import json
 import math
 
@@ -148,6 +149,27 @@ def test_search_n1_deterministic_summary(capsys):
     assert doc["pstCount"] == 4
     assert doc["disagreements"] == 0
     assert len(doc["sets"]) == 8 and len(doc["pstGraphs"]) == 4
+
+
+@pytest.mark.parametrize(
+    "argv,digest",
+    [
+        (
+            ["search", "--n", "5", "--verify"],
+            "1ba1088b51513850c4d15083dbe0e4a88547631f036d91cc6ddab3251d96e24d",
+        ),
+        (
+            ["search", "--n", "7"],
+            "941b255ad1d5018cb20ef931082d0a47e72de549838b10918bc2862d3e4c6236",
+        ),
+    ],
+)
+def test_search_stdout_is_byte_identical_to_recorded_digest(capsys, monkeypatch, argv, digest):
+    # the digests recorded for these runs in BENCH_pr10.json
+    monkeypatch.delenv("PST_GRID_POINTS", raising=False)
+    code, out = run_cli(capsys, argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_search_n2_verify_no_disagreements(capsys, monkeypatch):

@@ -141,12 +141,15 @@ def test_trace_and_second_moment(n):
 )
 def test_class_map_matches_cyclotomic_reference(n, max_classes):
     """Summing the per-n class map gives the per-set CycloInt computation's
-    eigenvalues, floats compared bit for bit through repr."""
+    eigenvalues, floats compared bit for bit through repr, with a fresh memo
+    per set and with one memo shared by the whole enumeration."""
+    memo = {}
     for conn in enumerate_connection_sets(GroupParams(n), max_classes):
-        got = eigenvalues(conn)
         want = spectrum_reference.eigenvalues(conn)
-        assert repr(got.eigenvalues) == repr(want.eigenvalues)
-        assert got.all_integral == want.all_integral
+        for got in (eigenvalues(conn), eigenvalues(conn, memo)):
+            assert repr(got.eigenvalues) == repr(want.eigenvalues)
+            assert got.all_integral == want.all_integral
+    assert memo
 
 
 def _patch_b2_entry(monkeypatch, p, extra, row_index=1):
