@@ -12,15 +12,17 @@ equal: the transfer-time decision rules distinguish them by label.
 S is a union of classes, so the numerator sum_{c in S} |c| * chi(c) is
 linear in the class indicator of S.  The exact character table is turned,
 once per n, into an integer map from classes to coefficient vectors over
-Z[zeta_4n]: unreduced, reduced mod Phi_4n, and the reduced imaginary part.
-A spectrum is then a sum of integer rows over the classes of S, and
-realness and integrality are decided exactly on those sums: lambda is real
-iff the imaginary row is zero, and an integer iff the reduced row is an
-integer k with d | k.  `CycloInt` arithmetic only builds the table and the
-map.  The float value, evaluated from the unreduced row, serves only for
-display and for the numerical oracle.  The paper's closed-form eigenbasis
-is kept with the tests (tests/spectrum_reference.py), which check it
-against these eigenvalues and the dense adjacency matrix.
+Z[zeta_4n]: unreduced, and reduced mod Phi_4n.  The table is checked once,
+exactly, as the map is built; each spectrum's identities (real values,
+alpha_1 = |S|, trace 0, second moment 8n|S|) follow from that check, so no
+spectrum is checked again.  A spectrum is then a sum of integer rows over
+the classes of S, and integrality is decided exactly on the sum: lambda is
+an integer iff the reduced row is an integer k with d | k.  `CycloInt`
+arithmetic only builds the table and the map.  The float value, evaluated
+from the unreduced row, serves only for display and for the numerical
+oracle.  The paper's closed-form eigenbasis is kept with the tests
+(tests/spectrum_reference.py), which check it against these eigenvalues
+and the dense adjacency matrix.
 
 Few of these sums are distinct: `search --n 7 --max-classes 4` meets 490
 distinct (representation, integer row) pairs among 2,584, and the full
@@ -39,16 +41,16 @@ from typing import NamedTuple, Optional
 
 import numpy as np
 
-from .cyclotomic import cyclotomic_polynomial, reduced_powers, unit_roots
-from .group import ConnectionSet, GroupParams, conjugacy_classes
+from .cyclotomic import reduced_powers, unit_roots
+from .group import ConnectionSet, GroupParams, class_masks, conjugacy_classes
 from .characters import RepDescriptor, character_table, rep_descriptors
 
 _KIND_BY_REP = {"theta": "alpha", "psi": "beta", "phi": "gamma"}
 
 
 class NonRealEigenvalue(ArithmeticError):
-    """A character sum over S is not real: S is not inverse-closed, or the
-    character table is wrong."""
+    """The character table breaks chi(c^-1) = conj chi(c), so character sums
+    over an inverse-closed S would not all be real."""
 
 
 @dataclass(frozen=True)
@@ -86,24 +88,21 @@ class _ClassMap(NamedTuple):
     """The spectrum as an integer linear map of the class indicator of S.
 
     Built once per n from one character table.  For representation rho and
-    class c, `stacked[rho, c]` holds three coefficient vectors of
+    class c, `stacked[rho, c]` holds two coefficient vectors of
     |c| * chi_rho(c), side by side:
 
-      [:m]           over zeta^0 .. zeta^{m-1}, as the table writes it;
-      [m:m+phi]      reduced mod Phi_m (row e of the reduction is the
-                     reduced form of zeta^e);
-      [m+phi:]       the reduced form of the value minus its conjugate.
+      [:m]    over zeta^0 .. zeta^{m-1}, as the table writes it;
+      [m:]    reduced mod Phi_m (row e of the reduction is the reduced form
+              of zeta^e).
 
-    All three are linear in the coefficients, so their sums over the classes
-    of S are the eigenvalue numerator, its reduced form and its imaginary
-    part.  Entries are class sizes times coefficients of a few units, so the
-    int64 sums are exact.
+    Both are linear in the coefficients, so their sums over the classes of
+    S are the eigenvalue numerator and its reduced form.  Entries are class
+    sizes times coefficients of a few units, so the int64 sums are exact.
     """
 
     table: tuple  # the character table the map was built from
-    stacked: np.ndarray  # int64, (reps, classes, m + 2 * phi)
+    stacked: np.ndarray  # int64, (reps, classes, m + phi(m))
     reps: tuple[tuple[RepDescriptor, str, str], ...]  # descriptor, label, kind
-    phi: int  # degree of Phi_m
     re_roots: tuple[float, ...]  # Re zeta^e for e = 0 .. m-1
 
 
@@ -120,26 +119,50 @@ def _class_map(params: GroupParams) -> _ClassMap:
 
 
 def _build_class_map(params: GroupParams, table) -> _ClassMap:
+    """The map of `table`, built after checking the table exactly mod Phi_m.
+
+    The checks, in order: chi(c^-1) = conj chi(c); theta_1 = 1; chi(1) = d;
+    column orthogonality.  Over an inverse-closed S they make every lambda
+    real, alpha_1 = |S|, the degrees' squares sum to 8n, the trace 0 and the
+    second moment 8n|S| (Isaacs, Character Theory of Finite Groups, ch. 2).
+    """
     m = 4 * params.n
-    sizes = [len(c) for c in conjugacy_classes(params)]
+    classes = conjugacy_classes(params)
+    sizes = [len(c) for c in classes]
     unreduced = np.array(
         [[[size * x for x in entry.c] for size, entry in zip(sizes, row)] for row in table],
         dtype=np.int64,
     )
     reduce = np.array(reduced_powers(m), dtype=np.int64)
-    conj_reduce = reduce[(-np.arange(m)) % m]
-    stacked = np.concatenate(
-        [unreduced, unreduced @ reduce, unreduced @ (reduce - conj_reduce)], axis=2
-    )
-    reps = tuple(
-        (desc, f"{_KIND_BY_REP[desc.kind]}_{desc.index}", _KIND_BY_REP[desc.kind])
-        for desc in rep_descriptors(params)
-    )
+    descs = rep_descriptors(params)
+
+    def is_integer(coeffs, k) -> bool:
+        """Each coefficient vector reduces to the integer k (broadcast)."""
+        reduced = coeffs @ reduce
+        return bool((reduced[..., 0] == k).all() and not reduced[..., 1:].any())
+
+    conj = unreduced[:, :, (-np.arange(m)) % m]
+    inverse = [bit.bit_length() - 1 for bit in class_masks(params).inverse_bit]
+    if not is_integer(unreduced[:, inverse] - conj, 0):
+        raise NonRealEigenvalue("chi(c^-1) != conj chi(c) for some c: eigenvalues not real")
+    if not is_integer(unreduced[0], sizes):
+        raise RuntimeError("theta_1 is not 1 on every class: alpha_1 must equal |S|")
+    if not is_integer(unreduced[:, 0], [d.degree for d in descs]):  # class 0 is {1}
+        raise RuntimeError("the identity column of the character table is not the degrees")
+    # sum_rho |c| chi_rho(c) conj(|d| chi_rho(d)) = delta_cd 8n |c|, one class c at
+    # a time: coefficient k sums conj[rho, d, i] * unreduced[rho, c, k - i]
+    shift = (np.arange(m)[None, :] - np.arange(m)[:, None]) % m
+    for c, size in enumerate(sizes):
+        gram = np.tensordot(conj, unreduced[:, c][:, shift], ([0, 2], [0, 1]))
+        if not is_integer(gram, params.order * size * (np.arange(len(sizes)) == c)):
+            raise RuntimeError(f"column orthogonality fails at class {classes[c].tag}")
     return _ClassMap(
         table=table,
-        stacked=stacked,
-        reps=reps,
-        phi=len(cyclotomic_polynomial(m)) - 1,
+        stacked=np.concatenate([unreduced, unreduced @ reduce], axis=2),
+        reps=tuple(
+            (desc, f"{_KIND_BY_REP[desc.kind]}_{desc.index}", _KIND_BY_REP[desc.kind])
+            for desc in descs
+        ),
         re_roots=tuple(z.real for z in unit_roots(m)),
     )
 
@@ -149,20 +172,22 @@ def eigenvalues(
 ) -> SpectrumTable:
     """Per-representation eigenvalues of Cay(V_8n, S), exact and numeric.
 
+    Each value is real: the table check gives chi(c^-1) = conj chi(c), and S
+    is inverse-closed (`validate_connection_set` and
+    `enumerate_connection_sets` ensure it), so each numerator is its conjugate.
+
     `memo` maps (representation index, tuple of the summed numerator row)
     to the finished `Eigenvalue`; pass one dict to every call of one
     enumeration to build each distinct eigenvalue once (None: a fresh dict).
-    The reduced and imaginary rows are images of the numerator row under the
-    same class map, so that row alone determines the entry.  An entry is
-    stored only after its realness check passes, so a hit never skips a
-    `NonRealEigenvalue`.  The memo holds entries of one n and one character
-    table; it must not outlive either.
+    The reduced row is the image of the numerator row under the same class
+    map, so that row alone determines the entry.  The memo holds entries of
+    one n and one character table; it must not outlive either.
     """
     if memo is None:
         memo = {}
     m = 4 * connection.params.n
     class_map = _class_map(connection.params)
-    phi, re_roots = class_map.phi, class_map.re_roots
+    re_roots = class_map.re_roots
     sums = class_map.stacked[:, list(connection.class_indices)].sum(axis=1).tolist()
     entries = []
     for rep, (row, (desc, label, kind)) in enumerate(zip(sums, class_map.reps)):
@@ -170,14 +195,9 @@ def eigenvalues(
         key = (rep, tuple(num))
         ev = memo.get(key)
         if ev is None:
-            reduced, imaginary = row[m : m + phi], row[m + phi :]
-            if any(imaginary):
-                raise NonRealEigenvalue(
-                    f"eigenvalue for {desc} is not real: numerator coefficients {num}"
-                )
             den = desc.degree
-            k = reduced[0]
-            is_int = not any(reduced[1:]) and k % den == 0
+            k = row[m]  # the reduced row is row[m:]
+            is_int = not any(row[m + 1 :]) and k % den == 0
             ev = memo[key] = Eigenvalue(
                 label=label,
                 kind=kind,
@@ -188,28 +208,8 @@ def eigenvalues(
                 integer_value=k // den if is_int else None,
             )
         entries.append(ev)
-    table_out = SpectrumTable(
+    return SpectrumTable(
         connection=connection,
         eigenvalues=tuple(entries),
         all_integral=all(e.is_integer for e in entries),
     )
-    _check_consistency(table_out)
-    return table_out
-
-
-def _check_consistency(table: SpectrumTable) -> None:
-    """The spectral identities every Cayley graph spectrum satisfies."""
-    order = table.params.order
-    size = len(table.connection)
-    total_mult = sum(e.multiplicity for e in table.eigenvalues)
-    if total_mult != order:
-        raise RuntimeError("eigenvalue multiplicities do not sum to 8n")
-    alpha1 = table.alpha(1)
-    if not abs(alpha1.value - size) < 1e-9:
-        raise RuntimeError("alpha_1 must equal |S|")
-    trace = sum(e.multiplicity * e.value for e in table.eigenvalues)
-    if not abs(trace) < 1e-7 * max(1.0, size):
-        raise RuntimeError("trace identity violated")
-    second = sum(e.multiplicity * e.value ** 2 for e in table.eigenvalues)
-    if not abs(second - order * size) < 1e-6 * max(1.0, order * size):
-        raise RuntimeError("second-moment identity violated")

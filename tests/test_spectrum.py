@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from v8npst import spectrum
-from v8npst.cyclotomic import CycloInt
+from v8npst.cyclotomic import CycloInt, reduced_powers
 from v8npst.group import (
     IDENTITY,
     ConnectionSet,
@@ -119,9 +119,11 @@ def test_full_set_even_eigenvector_pairing():
         assert np.max(np.abs(A @ v - beta1 * v)) < 1e-9
 
 
-@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("n", range(1, 9))
 def test_trace_and_second_moment(n):
-    for conn in valid_sets(n):
+    # every set up to n = 5, sets of at most 3 classes beyond, as in the class
+    # map test below; no runtime check guards these identities per graph
+    for conn in enumerate_connection_sets(GroupParams(n), 3 if n >= 6 else 99):
         table = eigenvalues(conn)
         mults = [ev.multiplicity for ev in table.eigenvalues]
         vals = [ev.value for ev in table.eigenvalues]
@@ -152,43 +154,68 @@ def test_class_map_matches_cyclotomic_reference(n, max_classes):
     assert memo
 
 
-def _patch_b2_entry(monkeypatch, p, extra, row_index=1):
-    """Add `extra` to one row's entry at the one-element class {b^2};
+def _near_zero_irrational():
+    """(sqrt2 - 1)^21 = -54608393 + 38613965 sqrt2, about 3.7e-9, in Z[zeta_8]."""
+    z = [CycloInt.root(8, e) for e in range(8)]
+    return CycloInt.integer(8, -54608393) + 38613965 * (z[1] + z[7])
+
+
+def _patch_entry(monkeypatch, p, extra, row_index=1, tag="b^2"):
+    """Add `extra` to one row's entry at a one-element class (default {b^2});
     returns that class's index."""
-    b2 = next(i for i, c in enumerate(conjugacy_classes(p)) if c.tag == "b^2")
-    assert len(conjugacy_classes(p)[b2]) == 1
+    idx = next(i for i, c in enumerate(conjugacy_classes(p)) if c.tag == tag)
+    assert len(conjugacy_classes(p)[idx]) == 1
     chars = spectrum.character_table(p)
     old = chars[row_index]
-    row = old[:b2] + (old[b2] + extra,) + old[b2 + 1 :]
+    row = old[:idx] + (old[idx] + extra,) + old[idx + 1 :]
     monkeypatch.setattr(
         spectrum,
         "character_table",
         lambda params: chars[:row_index] + (row,) + chars[row_index + 1 :],
     )
-    return b2
+    return idx
 
 
-def test_broken_spectral_identity_raises(monkeypatch):
-    # the trivial character is 1 everywhere; 2 at {b^2} makes alpha_1 = |S| + 1
-    conn = full_set(2)
-    _patch_b2_entry(monkeypatch, GroupParams(2), CycloInt.integer(8, 1), row_index=0)
-    with pytest.raises(RuntimeError, match="alpha_1 must equal"):
-        eigenvalues(conn)
+@pytest.mark.parametrize(
+    "row_index,tag,extra,match",
+    [
+        # the trivial character is 1 everywhere; 2 at {b^2} makes alpha_1 = |S| + 1
+        (0, "b^2", CycloInt.integer(8, 1), "alpha_1 must equal"),
+        # psi_1 (degree 2) at the identity: real and theta_1 intact, chi(1) = 3
+        (8, "1", CycloInt.integer(8, 1), "identity column"),
+        # real, theta_1 and chi(1) intact; far inside any float band
+        (1, "b^2", _near_zero_irrational(), "column orthogonality"),
+    ],
+    ids=["alpha_1", "degree", "orthogonality"],
+)
+def test_broken_spectral_identity_raises(monkeypatch, row_index, tag, extra, match):
+    """Each table check rejects a table that passes the checks before it."""
+    _patch_entry(monkeypatch, GroupParams(2), extra, row_index, tag)
+    with pytest.raises(RuntimeError, match=match):
+        eigenvalues(full_set(2))
 
 
 def test_near_integer_irrational_is_not_integral(monkeypatch):
-    # (sqrt2 - 1)^21 = -54608393 + 38613965 sqrt2 is about 3.7e-9: added to
-    # one eigenvalue's numerator it stays far inside any float tolerance of
-    # the true integer and within the spectral identities' bounds, yet the
-    # eigenvalue is irrational.  It is exactly real, but its float value has
-    # an imaginary residue that a float realness test would reject.
-    z = [CycloInt.root(8, e) for e in range(8)]
-    eps = CycloInt.integer(8, -54608393) + 38613965 * (z[1] + z[7])
+    # eps = (sqrt2 - 1)^21 added to one eigenvalue's numerator stays far
+    # inside any float tolerance of the true integer, yet the eigenvalue is
+    # irrational.  It is exactly real, but its float value has an imaginary
+    # residue that a float realness test would reject.
+    eps = _near_zero_irrational()
     assert 0 < eps.value().real < 1e-8 and abs(eps.value().imag) > 1e-10
     p = GroupParams(2)
     conn = full_set(2)
     plain = eigenvalues(conn)
-    assert _patch_b2_entry(monkeypatch, p, eps) in conn.class_indices
+    # in the character table, eps breaks column orthogonality exactly
+    b2 = _patch_entry(monkeypatch, p, eps)
+    assert b2 in conn.class_indices
+    with pytest.raises(RuntimeError, match="column orthogonality"):
+        eigenvalues(conn)
+    monkeypatch.undo()
+    # in the built map it reaches the integrality decision
+    cmap = spectrum._class_map(p)
+    stacked = cmap.stacked.copy()
+    stacked[1, b2] += np.concatenate([eps.c, np.array(eps.c) @ np.array(reduced_powers(8))])
+    monkeypatch.setattr(spectrum, "_class_map", lambda params: cmap._replace(stacked=stacked))
     table = eigenvalues(conn)
     ev = table.eigenvalues[1]
     assert abs(ev.value - plain.eigenvalues[1].value) < 1e-8
@@ -198,7 +225,7 @@ def test_near_integer_irrational_is_not_integral(monkeypatch):
 
 def test_non_real_numerator_raises(monkeypatch):
     conn = full_set(2)
-    _patch_b2_entry(monkeypatch, GroupParams(2), CycloInt.root(8, 2))  # + i
+    _patch_entry(monkeypatch, GroupParams(2), CycloInt.root(8, 2))  # + i
     with pytest.raises(spectrum.NonRealEigenvalue, match="not real"):
         eigenvalues(conn)
 
