@@ -2,9 +2,12 @@
 
 Values live in the group ring Z[zeta_m] (zeta_m = exp(2*pi*i/m)) and are
 stored as length-m integer coefficient vectors over zeta^0 .. zeta^{m-1};
-the only reduction applied during arithmetic is zeta^m = 1.  Zero — and
-hence equality and integrality — is decided exactly by reducing the
-coefficient polynomial modulo the m-th cyclotomic polynomial.
+the only reduction applied during arithmetic is zeta^m = 1.  Zero is
+decided exactly by reducing the coefficient polynomial modulo the m-th
+cyclotomic polynomial.  Only the operations the program runs are here:
+`+`, `*`, `is_zero` and `value`; differences, conjugation and the exact
+equality, realness and integrality tests built on them are kept with the
+tests (tests/cyclotomic_reference.py).
 """
 
 from __future__ import annotations
@@ -86,13 +89,6 @@ class CycloInt:
         self._check(other)
         return CycloInt(self.m, (x + y for x, y in zip(self.c, other.c)))
 
-    def __sub__(self, other: "CycloInt") -> "CycloInt":
-        self._check(other)
-        return CycloInt(self.m, (x - y for x, y in zip(self.c, other.c)))
-
-    def __neg__(self) -> "CycloInt":
-        return CycloInt(self.m, (-x for x in self.c))
-
     def __mul__(self, other):
         if isinstance(other, int):
             return CycloInt(self.m, (other * x for x in self.c))
@@ -107,13 +103,6 @@ class CycloInt:
         return CycloInt(self.m, out)
 
     __rmul__ = __mul__
-
-    def conj(self) -> "CycloInt":
-        """Complex conjugation, zeta^e -> zeta^{-e}."""
-        out = [0] * self.m
-        for e, c in enumerate(self.c):
-            out[(-e) % self.m] = c
-        return CycloInt(self.m, out)
 
     # evaluation and exact predicates ------------------------------------
     def value(self) -> complex:
@@ -142,32 +131,8 @@ class CycloInt:
     def is_zero(self) -> bool:
         return all(c == 0 for c in self._reduced())
 
-    def is_real(self) -> bool:
-        """Exactly equal to its complex conjugate.
-
-        Coefficients symmetric under e -> -e give a real value as written;
-        any other vector is decided by reducing self - conj(self).
-        """
-        c = self.c
-        return c[1:] == c[:0:-1] or (self - self.conj()).is_zero()
-
-    def as_integer(self):
-        """The exact integer this value equals, or None."""
-        rem = self._reduced()
-        return rem[0] if all(c == 0 for c in rem[1:]) else None
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, int):
-            other = CycloInt.integer(self.m, other)
-        if not isinstance(other, CycloInt):
-            return NotImplemented
-        return self.m == other.m and (self - other).is_zero()
-
-    __hash__ = None  # exact equality is semantic, not structural
-
-    def __repr__(self) -> str:
-        terms = [f"{c}*z^{e}" for e, c in enumerate(self.c) if c]
-        return f"CycloInt(m={self.m}: {' + '.join(terms) or '0'})"
+    # equality is decided by is_zero of a difference (tests/cyclotomic_reference.py)
+    __hash__ = None
 
 
 @lru_cache(maxsize=None)

@@ -15,16 +15,26 @@ first-row convention of a circulant disagrees with the outer product (it
 happens for one family), the outer-product orientation is used.
 
 The per-representation projector sums depend only on n: they are stacked
-once per n, on first use, and shared read-only by every graph; the rank-1
-projectors themselves are not kept.  `verify` owns the numerical check of a
-graph's verdicts (bounds, grid, W-reduction, thresholds).  Positive pairs
-are checked at their transfer time.  Every other pair is certified for every
-real tau when a bound on its column stays below the negative threshold: the
-projector bound B[w] = sum |P_label[w, 0]|, or the tighter eigenspace bound
-B'[w], which first adds up the labels that share an eigenvalue.  Only the
-non-identity columns B' cannot certify (for n = 1..8 some of the central
-involutions) are scanned on the time grid, over the distinct eigenvalues,
-with phases factorized into two short tables.
+once per n, on first use, and shared read-only by every graph, together with
+the bound B their first column gives; the rank-1 projectors themselves are
+not kept.  `verify` owns the numerical check of a graph's verdicts.
+Positive pairs are checked at their transfer time.  Every other pair is
+read, through the ratio table W, from one column of
+`grid_amplitude_maxima`, which runs four stages, each on the columns the one
+before leaves at or above the negative threshold:
+
+1. B[w] = sum |P_label[w, 0]|, a per-n bound for every real tau;
+2. B'[w], which first adds up the labels that share an eigenvalue, again a
+   bound for every tau (for n = 1..8 only some central involutions get past
+   it);
+3. |H(t)_{w,0}| on every COARSE_STEP-th grid point plus a Lipschitz term,
+   a bound on the whole grid and for every tau in [0, 2 pi];
+4. the exact maximum over the grid, kept only where every bound fails.
+
+Stages 3 and 4 share one scan over the distinct eigenvalues, with phases
+factorized into two short tables.  A column returns the value of the last
+stage it reached, so every column is an upper bound on its grid maximum,
+and a fine-scanned column is that maximum.
 """
 
 from __future__ import annotations
@@ -61,6 +71,7 @@ __all__ = [
 
 POSITIVE_TOL = 1e-6  # a positive pair must exceed 1 - POSITIVE_TOL at pi/M
 NEGATIVE_TOL = 1e-4  # any other pair must stay below 1 - NEGATIVE_TOL
+COARSE_STEP = 10  # the coarse grid pass evaluates every COARSE_STEP-th grid point
 
 
 @dataclass(frozen=True)
@@ -201,13 +212,23 @@ class TransitionMatrix:
     H: np.ndarray
 
 
-_STACKS: dict[tuple[GroupParams, tuple[str, ...]], np.ndarray] = {}
+@dataclass(frozen=True)
+class _Stack:
+    """Per-n projector sums and the constants B reads from their first column."""
+
+    mats: np.ndarray  # (labels, order, order) per-representation projector sums
+    bound: np.ndarray  # B[w] = sum over labels of |mats[label, w, 0]|
+    cand: np.ndarray  # the non-identity columns B leaves at or above the threshold
+    cand_col: np.ndarray  # mats[:, cand, 0]
+
+
+_STACKS: dict[tuple[GroupParams, tuple[str, ...]], _Stack] = {}
 
 
 def _spectral_data(
     connection: ConnectionSet, table: SpectrumTable | None
-) -> tuple[np.ndarray, np.ndarray]:
-    """(eigenvalues, stacked per-representation projectors) aligned by label."""
+) -> tuple[np.ndarray, _Stack]:
+    """(eigenvalues, per-n stack of projector sums) aligned by label."""
     if table is None:
         table = eigenvalues(connection)
     labels = tuple(ev.label for ev in table.eigenvalues)
@@ -215,8 +236,13 @@ def _spectral_data(
     stack = _STACKS.get(key)
     if stack is None:
         sums = rep_projectors(connection)
-        stack = _STACKS[key] = np.stack([sums[label] for label in labels])
-        stack.flags.writeable = False
+        mats = np.stack([sums[label] for label in labels])
+        col = mats[:, :, 0]
+        bound = np.abs(col).sum(axis=0)
+        cand = 1 + np.flatnonzero(bound[1:] >= 1.0 - NEGATIVE_TOL)
+        stack = _STACKS[key] = _Stack(mats, bound, cand, col[:, cand])
+        for array in (mats, bound, cand, stack.cand_col):
+            array.flags.writeable = False
     return np.array([ev.value for ev in table.eigenvalues]), stack
 
 
@@ -224,9 +250,9 @@ def transition(
     connection: ConnectionSet, tau: float, table: SpectrumTable | None = None
 ) -> TransitionMatrix:
     """H(tau) = sum over eigenvalues of exp(-i lambda tau) E_lambda."""
-    lams, mats = _spectral_data(connection, table)
+    lams, stack = _spectral_data(connection, table)
     phases = np.exp(-1j * lams * tau)
-    H = np.tensordot(phases, mats, axes=(0, 0))
+    H = np.tensordot(phases, stack.mats, axes=(0, 0))
     return TransitionMatrix(tau=tau, H=H)
 
 
@@ -244,8 +270,8 @@ def pair_amplitudes(
     table: SpectrumTable | None = None,
 ) -> np.ndarray:
     """|H(tau)_{uv}| for every tau in `times` (vectorised over times)."""
-    lams, mats = _spectral_data(connection, table)
-    coeffs = mats[:, u, v]
+    lams, stack = _spectral_data(connection, table)
+    coeffs = stack.mats[:, u, v]
     times = np.asarray(times, dtype=float)
     return np.abs(np.exp(-1j * np.outer(times, lams)) @ coeffs)
 
@@ -282,46 +308,97 @@ def ratio_index_table(params: GroupParams) -> np.ndarray:
     return W
 
 
+@lru_cache(maxsize=None)
+def _pairs_per_ratio(params: GroupParams) -> np.ndarray:
+    """How many pairs u < v have W[u, v] = w, for every vertex w (0 for the identity)."""
+    upper = ratio_index_table(params)[np.triu_indices(params.order, 1)]
+    counts = np.bincount(upper, minlength=params.order)
+    counts.flags.writeable = False
+    return counts
+
+
+def _eigenspaces(lams: np.ndarray, col: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(distinct eigenvalues ascending, coefficients summed per eigenvalue).
+
+    A stable sort keeps the labels of one eigenvalue in label order, so each
+    sum adds them in that order.
+    """
+    order = np.argsort(lams, kind="stable")
+    ordered = lams[order]
+    starts = np.flatnonzero(np.concatenate(([True], ordered[1:] != ordered[:-1])))
+    return ordered[starts], np.add.reduceat(col[order], starts)
+
+
+def _scan(coeffs: np.ndarray, spaces: np.ndarray, step: float, points: int) -> np.ndarray:
+    """|sum_s coeffs[s, c] e^{-i spaces[s] k step}| for each column c and k = 0 .. points.
+
+    Writing k = q R + r with R = isqrt(points) + 1 factorizes the phase as
+    e^{-i lambda q R step} e^{-i lambda r step}: two short exp tables over the
+    distinct eigenvalues and one matrix product.  Returns (columns, Q R) with
+    Q R > points, so the last few k lie past `points`.
+    """
+    R = math.isqrt(points) + 1
+    Q = points // R + 1
+    by_q = np.exp(-1j * np.outer(np.arange(Q) * R * step, spaces))  # (Q, spaces)
+    by_r = np.exp(-1j * np.outer(spaces, np.arange(R) * step))  # (spaces, R)
+    weighted = coeffs.T[:, None, :] * by_q  # (C, Q, spaces)
+    return np.abs(weighted.reshape(-1, len(spaces)) @ by_r).reshape(coeffs.shape[1], Q * R)
+
+
 def grid_amplitude_maxima(
     connection: ConnectionSet, grid_points: int, table: SpectrumTable | None = None
 ) -> np.ndarray:
     """Upper bound on max over tau of |H(tau)_{w, 0}|, for every vertex w.
 
-    H(tau) = sum over labels of e^{-i lambda tau} P_label, so
-    B[w] = sum over labels of |P_label[w, 0]| bounds |H(tau)_{w, 0}| for every
-    real tau and every spectrum: a column with B[w] < 1 - NEGATIVE_TOL is
-    certified by B alone.  Labels whose float eigenvalues are bit-identical
-    share one phase, so summing their coefficients per eigenspace leaves H
-    unchanged and gives the tighter bound
-    B'[w] = sum over eigenspaces of |sum of P_label[w, 0]| <= B[w], which
-    certifies more of the columns B cannot (for n = 1..8 those are the
-    identity and the central involutions).  What is left gets its maximum
-    over the grid t_k = k h, h = 2 pi / grid_points, k = 1..grid_points.
-    Writing k = q R + r with R = isqrt(grid_points) + 1 factorizes the phase
-    as e^{-i lambda q R h} e^{-i lambda r h}, so the scan is two short exp
-    tables over the distinct eigenvalues and one matrix product.  Column 0
-    (the identity, the ratio of no pair u < v) keeps B[0], which bounds
-    |H(tau)_{00}| as well.  Through ratio_index_table the result bounds every
-    pair's |H(tau)_{uv}|.
+    Four stages, each run only on the columns the one before leaves at or
+    above 1 - NEGATIVE_TOL; what a column returns is its value from the
+    last stage it reached.
+
+    1. B[w] = sum over labels of |P_label[w, 0]| bounds |H(tau)_{w, 0}| for
+       every real tau, since H(tau) = sum over labels of
+       e^{-i lambda tau} P_label.  It depends only on n, so it is kept with
+       the stack.  For n = 1..8 it certifies every column except the
+       identity and the central involutions.
+    2. Labels whose float eigenvalues are bit-identical share one phase, so
+       summing their coefficients per eigenspace leaves H unchanged and gives
+       B'[w] = sum over eigenspaces s of |c_s[w]| <= B[w], again a bound for
+       every tau.
+    3. With h = 2 pi / grid_points, |H(t)_{w, 0}| on every COARSE_STEP-th grid
+       point t = j K h (K = COARSE_STEP, j = 0 .. ceil(grid_points / K)),
+       plus L[w] K h / 2, where L[w] = sum_s |c_s[w]| |lambda_s - mu| and mu
+       is the midpoint of the smallest and largest eigenvalue.  A global
+       phase does not change the modulus, so
+       |H(t + d)_{w, 0}| <= |H(t)_{w, 0}| + L[w] |d|; every grid point, and
+       every tau in [0, 2 pi], lies within K h / 2 of a coarse point, so this
+       bounds the column on the whole grid.
+    4. The maximum of |H(t)_{w, 0}| over the grid t_k = k h, k = 1 ..
+       grid_points, exactly as scanned.
+
+    So a column that stops at stage 1 or 2 bounds |H(tau)_{w, 0}| for every
+    real tau, one that stops at stage 3 for every tau in [0, 2 pi], and a
+    column that reaches stage 4 is its grid maximum.  Column 0 (the
+    identity, the ratio of no pair u < v) keeps B[0], which bounds
+    |H(tau)_{00}| as well.  Through ratio_index_table the result bounds
+    every pair's |H(tau)_{uv}| on the grid.
     """
-    lams, mats = _spectral_data(connection, table)
-    col = mats[:, :, 0]  # (labels, order) column of each projector sum
-    best = np.abs(col).sum(axis=0)
-    cand = 1 + np.flatnonzero(best[1:] >= 1.0 - NEGATIVE_TOL)
-    spaces, space_of = np.unique(lams, return_inverse=True)
-    coeffs = np.zeros((len(spaces), len(cand)), dtype=complex)
-    np.add.at(coeffs, space_of, col[:, cand])
-    best[cand] = np.abs(coeffs).sum(axis=0)
-    left = best[cand] >= 1.0 - NEGATIVE_TOL
-    scan = cand[left]
+    lams, stack = _spectral_data(connection, table)
+    best = stack.bound.copy()
+    spaces, coeffs = _eigenspaces(lams, stack.cand_col)
+    weights = np.abs(coeffs)
+    best[stack.cand] = weights.sum(axis=0)
+    left = best[stack.cand] >= 1.0 - NEGATIVE_TOL
+    if not left.any():
+        return best
+    cols, coeffs, weights = stack.cand[left], coeffs[:, left], weights[:, left]
     h = 2 * math.pi / grid_points
-    R = math.isqrt(grid_points) + 1
-    Q = grid_points // R + 1
-    coarse = np.exp(-1j * np.outer(np.arange(Q) * R * h, spaces))  # (Q, spaces)
-    fine = np.exp(-1j * np.outer(spaces, np.arange(R) * h))  # (spaces, R)
-    weighted = coeffs[:, left].T[:, None, :] * coarse  # (C, Q, spaces)
-    amps = np.abs(weighted.reshape(-1, len(spaces)) @ fine).reshape(len(scan), Q * R)
-    best[scan] = amps[:, 1 : grid_points + 1].max(axis=1)
+    coarse_points = -(-grid_points // COARSE_STEP)
+    lipschitz = np.abs(spaces - (spaces[0] + spaces[-1]) / 2) @ weights
+    coarse = _scan(coeffs, spaces, COARSE_STEP * h, coarse_points)[:, : coarse_points + 1]
+    best[cols] = coarse.max(axis=1) + lipschitz * (COARSE_STEP * h / 2)
+    left = best[cols] >= 1.0 - NEGATIVE_TOL
+    if left.any():
+        fine = _scan(coeffs[:, left], spaces, h, grid_points)
+        best[cols[left]] = fine[:, 1 : grid_points + 1].max(axis=1)
     return best
 
 
@@ -332,10 +409,10 @@ def verify(
 
     A positive pair disagrees at or below 1 - POSITIVE_TOL, any other pair
     u < v when grid_amplitude_maxima reaches 1 - NEGATIVE_TOL at its ratio:
-    the projector bound B or the eigenspace bound B', which cover every tau,
-    and where neither certifies the ratio, its maximum over the grid of
-    2 pi / grid_points steps.  The ratio of a pair u < v is never the
-    identity, so the identity column is never counted.
+    a bound from B, B' or the coarse grid pass, and where none of them
+    certifies the ratio, its maximum over the grid of 2 pi / grid_points
+    steps.  The ratio of a pair u < v is never the identity, so
+    the identity column is never counted.
     """
     disagreements = 0
     max_dev = 0.0
@@ -344,11 +421,9 @@ def verify(
         max_dev = max(max_dev, 1.0 - amp)
         if amp <= 1.0 - POSITIVE_TOL:
             disagreements += 1
-    best = grid_amplitude_maxima(connection, grid_points, table)
+    hit = grid_amplitude_maxima(connection, grid_points, table) >= 1.0 - NEGATIVE_TOL
     W = ratio_index_table(connection.params)
-    # negative pairs u < w whose bound or grid maximum reaches the threshold
-    hit = np.triu(best[W] >= 1.0 - NEGATIVE_TOL, 1)
-    for v in verdicts:  # every verdict has u < v
-        hit[v.u, v.v] = False
-    disagreements += int(np.count_nonzero(hit))
+    # every pair u < v whose ratio is hit, less the positive pairs among them
+    disagreements += int(_pairs_per_ratio(connection.params)[hit].sum())
+    disagreements -= sum(1 for v in verdicts if hit[W[v.u, v.v]])
     return max_dev, disagreements

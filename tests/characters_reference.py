@@ -29,6 +29,8 @@ from v8npst.characters import (
 from v8npst.cyclotomic import CycloInt
 from v8npst.group import ConjugacyClass, GroupElement, GroupParams
 
+from cyclotomic_reference import neg
+
 
 def character(params: GroupParams, desc: RepDescriptor, x: GroupElement) -> CycloInt:
     """Exact chi_desc(x): the trace of the representation matrix at x."""
@@ -115,7 +117,7 @@ def closed_form_character(
                 if e % 2:  # mixed-class column: omega^{2je} - omega^{-2je}
                     return _omega_sum(m, 2 * j * e, -1)
                 return _omega_sum(m, 2 * j * e)
-            return -_omega_sum(m, 2 * j * e)  # a^{2s} b^2 column
+            return neg(_omega_sum(m, 2 * j * e))  # a^{2s} b^2 column
         k = desc.index
         if kind in ("one", "b2"):
             return CycloInt.integer(m, 2)
@@ -162,4 +164,4 @@ def closed_form_character(
     i_pow_e = CycloInt.root(m, n * (e % 4))
     if kind == "a":
         return i_pow_e * _omega_sum(m, k * e)  # i^e alpha^{ke}, k-indexed
-    return -(i_pow_e * _omega_sum(m, k * e))
+    return neg(i_pow_e * _omega_sum(m, k * e))

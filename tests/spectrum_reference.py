@@ -28,6 +28,8 @@ from v8npst.cyclotomic import CycloInt
 from v8npst.group import ConnectionSet
 from v8npst.spectrum import Eigenvalue, NonRealEigenvalue, SpectrumTable
 
+from cyclotomic_reference import as_integer, is_real
+
 _KIND_BY_REP = {"theta": "alpha", "psi": "beta", "phi": "gamma"}
 
 
@@ -43,9 +45,9 @@ def eigenvalues(connection: ConnectionSet) -> SpectrumTable:
         for ci in connection.class_indices:
             num = num + len(classes[ci]) * row[ci]
         den = desc.degree
-        if not num.is_real():
-            raise NonRealEigenvalue(f"eigenvalue for {desc} is not real: {num}")
-        k = num.as_integer()
+        if not is_real(num):
+            raise NonRealEigenvalue(f"eigenvalue for {desc} is not real: {num.c}")
+        k = as_integer(num)
         is_int = k is not None and k % den == 0
         entries.append(
             Eigenvalue(

@@ -162,10 +162,14 @@ def test_search_n1_deterministic_summary(capsys):
             ["search", "--n", "7"],
             "941b255ad1d5018cb20ef931082d0a47e72de549838b10918bc2862d3e4c6236",
         ),
+        (
+            ["search", "--n", "6", "--verify"],
+            "8934e016221c22e9d863db61a44eff347a78f2fced5654a2970c2206c24fab1c",
+        ),
     ],
 )
 def test_search_stdout_is_byte_identical_to_recorded_digest(capsys, monkeypatch, argv, digest):
-    # the digests recorded for these runs in BENCH_pr10.json
+    # the digests recorded for these runs in BENCH_pr10.json and BENCH_pr13.json
     monkeypatch.delenv("PST_GRID_POINTS", raising=False)
     code, out = run_cli(capsys, argv)
     assert code == 0

@@ -232,36 +232,63 @@ def test_vertex_zero_is_the_identity(n):
     assert np.count_nonzero(W == 0) == params.order
 
 
+def projector_bound(conn, table):
+    """B[w]: the column's projector coefficients, |.| summed over labels."""
+    lams, mats = oracle_reference.spectral_data(conn, table)
+    return np.abs(mats[:, :, 0]).sum(axis=0)
+
+
+def _eigenspace_weights(conn, table):
+    """(distinct eigenvalues, |coefficients summed per eigenvalue| per column)."""
+    lams, mats = oracle_reference.spectral_data(conn, table)
+    col = mats[:, :, 0]
+    spaces = sorted(set(lams.tolist()))
+    return np.array(spaces), np.array([np.abs(col[lams == lam].sum(axis=0)) for lam in spaces])
+
+
 def eigenspace_bound(conn, table):
     """B'[w]: column w's projector coefficients summed per eigenvalue, then |.| summed."""
-    lams, mats = oracle._spectral_data(conn, table)
-    col = mats[:, :, 0]
-    return sum(np.abs(col[lams == lam].sum(axis=0)) for lam in set(lams.tolist()))
+    return _eigenspace_weights(conn, table)[1].sum(axis=0)
+
+
+def coarse_bound(conn, table, grid_points):
+    """The reference scan on every COARSE_STEP-th grid point, plus L[w] K h / 2."""
+    spaces, weights = _eigenspace_weights(conn, table)
+    lipschitz = np.abs(spaces - (spaces[0] + spaces[-1]) / 2) @ weights
+    step = oracle.COARSE_STEP * 2 * math.pi / grid_points
+    times = np.arange(-(-grid_points // oracle.COARSE_STEP) + 1) * step
+    return oracle_reference.grid_amplitude_maxima(conn, times, table) + lipschitz * step / 2
 
 
 def check_grid_maxima(conn, table, grid_points):
     """grid_amplitude_maxima against the all-column reference scan on the same grid.
 
-    The non-identity columns that B' cannot certify are scanned and match the
-    reference; every other column is a bound for every tau, so it is at least
-    the reference's grid maximum, up to rounding of both sums, and below the
-    negative threshold unless it is the identity.  Returns (maxima, scanned).
+    Every column is at least the reference's grid maximum, up to rounding
+    of both sums, and every non-identity column is on the same side of the
+    negative threshold.  The non-identity columns that B, B' and the coarse
+    pass leave at or above the threshold (recomputed here from the
+    reference) are fine-scanned and match the reference; every other one is
+    a bound below the threshold.  Returns (maxima, fine-scanned columns).
     """
+    thr = 1 - oracle.NEGATIVE_TOL
     times = np.arange(1, grid_points + 1) * (2 * math.pi / grid_points)
     want = oracle_reference.grid_amplitude_maxima(conn, times, table)
     best = grid_amplitude_maxima(conn, grid_points, table)
-    scanned = np.flatnonzero(eigenspace_bound(conn, table) >= 1 - oracle.NEGATIVE_TOL)
-    scanned = scanned[scanned > 0]
-    rest = np.setdiff1d(np.arange(1, len(best)), scanned)
-    assert best[0] >= want[0] - 1e-12
+    certified = (
+        (projector_bound(conn, table) < thr)
+        | (eigenspace_bound(conn, table) < thr)
+        | (coarse_bound(conn, table, grid_points) < thr)
+    )
+    scanned = 1 + np.flatnonzero(~certified[1:])
+    assert np.all(best >= want - 1e-12)
+    assert np.array_equal(best[1:] >= thr, want[1:] >= thr)
     assert np.all(np.abs(best[scanned] - want[scanned]) < 1e-12)
-    assert np.all(best[rest] >= want[rest] - 1e-12)
-    assert np.all(best[rest] < 1 - oracle.NEGATIVE_TOL)
+    assert np.all(best[certified] < thr)
     return best, scanned
 
 
 def test_grid_maxima_agree_with_direct_scan():
-    conn = valid_sets(1)[3]  # b^2 + b + a*b: B' cannot certify b^2, so it is scanned
+    conn = valid_sets(1)[3]  # b^2 + b + a*b: no bound certifies b^2, so it is fine-scanned
     table = eigenvalues(conn)
     times = np.arange(1, 801) * (2 * math.pi / 800)
     best, scanned = check_grid_maxima(conn, table, 800)
@@ -272,7 +299,7 @@ def test_grid_maxima_agree_with_direct_scan():
             direct = pair_amplitudes(conn, u, v, times, table).max()
             if W[u, v] in scanned:
                 assert abs(direct - best[W[u, v]]) < 1e-10
-            else:  # a bound for every tau, up to rounding of both sums
+            else:  # a bound on the grid, up to rounding of both sums
                 assert best[W[u, v]] >= direct - 1e-12
 
 
@@ -285,8 +312,7 @@ def test_projector_bound_certifies_all_but_central(n):
     assert len(central) == (2 if n % 2 else 4)
     for conn in sets[:: max(1, len(sets) // 4)]:
         table = eigenvalues(conn)
-        col = oracle._spectral_data(conn, table)[1][:, :, 0]
-        bound = np.abs(col).sum(axis=0)
+        bound = projector_bound(conn, table)
         assert list(np.flatnonzero(bound >= 1 - oracle.NEGATIVE_TOL)) == central
         others = np.setdiff1d(np.arange(params.order), central)
         for grid_points in (1, 2, 7, 300, 10000):
@@ -302,7 +328,7 @@ def test_eigenspace_bound_certifies_a_central_column(n):
     central = central_vertices(params)[1:]
     for conn in enumerate_connection_sets(params, 3):
         table = eigenvalues(conn)
-        bound = np.abs(oracle._spectral_data(conn, table)[1][:, :, 0]).sum(axis=0)
+        bound = projector_bound(conn, table)
         tight = eigenspace_bound(conn, table)
         certified = [w for w in central if tight[w] < 1 - oracle.NEGATIVE_TOL <= bound[w]]
         if certified:
@@ -311,6 +337,35 @@ def test_eigenspace_bound_certifies_a_central_column(n):
             assert np.all(np.abs(best[certified] - tight[certified]) < 1e-12)
             return
     pytest.fail(f"no central column certified by B' at n = {n}")
+
+
+@pytest.mark.parametrize("n", [5, 6, 7, 8])
+def test_transfer_columns_reach_the_fine_pass(n):
+    """The ratio of a positive pair gets the fine scan and reaches the threshold there.
+
+    On the second grid the transfer time pi/M is the grid point halfway
+    between two coarse points, where only the L K h / 2 term keeps the
+    coarse pass from certifying the column.
+    """
+    params = GroupParams(n)
+    W = ratio_index_table(params)
+    K = oracle.COARSE_STEP
+    checked = 0
+    for conn in enumerate_connection_sets(params, 5):
+        table = eigenvalues(conn)
+        verdicts = all_pst_pairs(table)
+        if not verdicts:
+            continue
+        ratios = sorted({int(W[v.u, v.v]) for v in verdicts})
+        assert all(ratio in central_vertices(params) for ratio in ratios)
+        for grid_points in (10000, 2 * verdicts[0].M * (250 * K + K // 2)):
+            best, scanned = check_grid_maxima(conn, table, grid_points)
+            assert set(ratios) <= set(scanned)
+            assert np.all(best[ratios] >= 1 - oracle.NEGATIVE_TOL)
+        checked += 1
+        if checked == 2:
+            return
+    pytest.fail(f"fewer than 2 sets with transfer among unions of at most 5 classes at n = {n}")
 
 
 def test_candidate_times_stay_below_threshold_for_negative_pairs():
@@ -345,11 +400,25 @@ def test_cached_stack_matches_per_call_reference(n):
         want = oracle_reference.oracle_check(conn, table, verdicts, 512)
         assert oracle.verify(conn, table, verdicts, 512) == want
         stack = oracle._spectral_data(conn, table)[1]
-        assert not stack.flags.writeable
+        assert np.array_equal(stack.bound, projector_bound(conn, table))
+        for array in (stack.mats, stack.bound, stack.cand, stack.cand_col):
+            assert not array.flags.writeable
         with pytest.raises(ValueError):
-            stack[0, 0, 0] = 0
+            stack.mats[0, 0, 0] = 0
     # one stack per n, shared by every graph
     assert oracle._spectral_data(sets[0], None)[1] is stack
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7, 8])
+def test_pairs_per_ratio_counts_the_upper_triangle(n):
+    params = GroupParams(n)
+    W = ratio_index_table(params)
+    want = np.zeros(params.order, dtype=int)
+    for u in range(params.order):
+        for v in range(u + 1, params.order):
+            want[W[u, v]] += 1
+    assert np.array_equal(oracle._pairs_per_ratio(params), want)
+    assert want[0] == 0
 
 
 def test_verification_thresholds():
