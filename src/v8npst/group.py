@@ -113,6 +113,12 @@ def inverse(params: GroupParams, x: GroupElement) -> GroupElement:
     )
 
 
+@lru_cache(maxsize=None)
+def _inverse_table(params: GroupParams) -> dict[GroupElement, GroupElement]:
+    """Element -> its inverse, for every element, computed once per n."""
+    return {x: inverse(params, x) for x in all_elements(params)}
+
+
 def all_elements(params: GroupParams) -> tuple[GroupElement, ...]:
     """All 8n elements in vertex-label order."""
     return tuple(
@@ -388,12 +394,13 @@ def validate_connection_set(
             raise ValueError(f"element {x} not in normal form for n={params.n}")
     if IDENTITY in mset:
         raise IdentityInSet("the identity element is not allowed in a connection set")
-    missing = [x for x in mset if inverse(params, x) not in mset]
+    inv = _inverse_table(params)
+    missing = [x for x in mset if inv[x] not in mset]
     if missing:
         x = min(missing, key=lambda e: vertex_index(params, e))
         raise NotSymmetric(
             f"set is not inverse-closed: {element_str(x)} in S but "
-            f"{element_str(inverse(params, x))} is not"
+            f"{element_str(inv[x])} is not"
         )
 
     cmap = class_index_map(params)

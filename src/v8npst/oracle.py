@@ -42,6 +42,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Iterator
 
 import numpy as np
 
@@ -101,32 +102,33 @@ def projectors(connection: ConnectionSet) -> tuple[Eigenprojector, ...]:
     Built afresh on every call and not kept: `_spectral_data` keeps only
     their per-representation sums, once per n.
     """
+    return tuple(_iter_projectors(connection))
+
+
+def _iter_projectors(connection: ConnectionSet) -> Iterator[Eigenprojector]:
+    """The projectors of `projectors`, in its order, built one at a time."""
     params = connection.params
     n = params.n
     order = params.order
     two_n = 2 * n
     omega = np.exp(1j * np.pi / n)
-    out: list[Eigenprojector] = []
     J = np.ones((two_n, two_n), dtype=complex)
     idx = np.arange(order)
     sign_all = (-1.0) ** (idx[:, None] + idx[None, :])
     block_sign = np.where(idx // two_n % 2 == 0, 1.0, -1.0)  # + on V1,V3; - on V2,V4
     e_pattern = sign_all * block_sign[:, None] * block_sign[None, :]
 
-    def add(label: str, ev_label: str, M: np.ndarray) -> None:
-        out.append(Eigenprojector(label, ev_label, M))
-
     if params.is_odd:
-        add("E1", "alpha_1", np.ones((order, order), dtype=complex) / order)
+        yield Eigenprojector("E1", "alpha_1", np.ones((order, order), dtype=complex) / order)
         s = np.array([1, -1, 1, -1])
-        add(
+        yield Eigenprojector(
             "E2",
             "alpha_2",
             _block_matrix(order, {(i, j): s[i] * s[j] * J for i in range(4) for j in range(4)})
             / order,
         )
-        add("E3", "alpha_3", sign_all.astype(complex) / order)
-        add("E4", "alpha_4", e_pattern.astype(complex) / order)
+        yield Eigenprojector("E3", "alpha_3", sign_all.astype(complex) / order)
+        yield Eigenprojector("E4", "alpha_4", e_pattern.astype(complex) / order)
         for j in range(n):
             X1 = _circulant(two_n, omega ** (2 * j))
             # printed first row of X2 matches the third eigenvector's outer
@@ -134,29 +136,29 @@ def projectors(connection: ConnectionSet) -> tuple[Eigenprojector, ...]:
             X2 = _circulant(two_n, -omega ** (-2 * j))
             X2_outer = _circulant(two_n, -omega ** (2 * j))
             lab = f"beta_{j}"
-            add(f"E{j}.1", lab, _block_matrix(order, {(0, 0): X1, (0, 2): -X1, (2, 0): -X1, (2, 2): X1}) / (4 * n))
-            add(f"E{j}.2", lab, _block_matrix(order, {(1, 1): X1, (1, 3): -X1, (3, 1): -X1, (3, 3): X1}) / (4 * n))
-            add(f"E{j}.3", lab, _block_matrix(order, {(1, 1): X2, (1, 3): -X2, (3, 1): -X2, (3, 3): X2}) / (4 * n))
-            add(f"E{j}.4", lab, _block_matrix(order, {(0, 0): X2_outer, (0, 2): -X2_outer, (2, 0): -X2_outer, (2, 2): X2_outer}) / (4 * n))
+            yield Eigenprojector(f"E{j}.1", lab, _block_matrix(order, {(0, 0): X1, (0, 2): -X1, (2, 0): -X1, (2, 2): X1}) / (4 * n))
+            yield Eigenprojector(f"E{j}.2", lab, _block_matrix(order, {(1, 1): X1, (1, 3): -X1, (3, 1): -X1, (3, 3): X1}) / (4 * n))
+            yield Eigenprojector(f"E{j}.3", lab, _block_matrix(order, {(1, 1): X2, (1, 3): -X2, (3, 1): -X2, (3, 3): X2}) / (4 * n))
+            yield Eigenprojector(f"E{j}.4", lab, _block_matrix(order, {(0, 0): X2_outer, (0, 2): -X2_outer, (2, 0): -X2_outer, (2, 2): X2_outer}) / (4 * n))
         for k in range(1, n):
             Y1 = _circulant(two_n, omega ** k)
             Y2 = _circulant(two_n, omega ** (-k))
             lab = f"gamma_{k}"
-            add(f"F{k}.1", lab, _block_matrix(order, {(0, 0): Y1, (0, 2): Y1, (2, 0): Y1, (2, 2): Y1}) / (4 * n))
-            add(f"F{k}.2", lab, _block_matrix(order, {(1, 1): Y1, (1, 3): Y1, (3, 1): Y1, (3, 3): Y1}) / (4 * n))
-            add(f"F{k}.3", lab, _block_matrix(order, {(1, 1): Y2, (1, 3): Y2, (3, 1): Y2, (3, 3): Y2}) / (4 * n))
-            add(f"F{k}.4", lab, _block_matrix(order, {(0, 0): Y2, (0, 2): Y2, (2, 0): Y2, (2, 2): Y2}) / (4 * n))
+            yield Eigenprojector(f"F{k}.1", lab, _block_matrix(order, {(0, 0): Y1, (0, 2): Y1, (2, 0): Y1, (2, 2): Y1}) / (4 * n))
+            yield Eigenprojector(f"F{k}.2", lab, _block_matrix(order, {(1, 1): Y1, (1, 3): Y1, (3, 1): Y1, (3, 3): Y1}) / (4 * n))
+            yield Eigenprojector(f"F{k}.3", lab, _block_matrix(order, {(1, 1): Y2, (1, 3): Y2, (3, 1): Y2, (3, 3): Y2}) / (4 * n))
+            yield Eigenprojector(f"F{k}.4", lab, _block_matrix(order, {(0, 0): Y2, (0, 2): Y2, (2, 0): Y2, (2, 2): Y2}) / (4 * n))
     else:
-        add("E1", "alpha_1", np.ones((order, order), dtype=complex) / order)
-        add("E3", "alpha_3", e_pattern.astype(complex) / order)
+        yield Eigenprojector("E1", "alpha_1", np.ones((order, order), dtype=complex) / order)
+        yield Eigenprojector("E3", "alpha_3", e_pattern.astype(complex) / order)
         s = np.array([1, -1, 1, -1])
-        add(
+        yield Eigenprojector(
             "E5",
             "alpha_5",
             _block_matrix(order, {(i, j): s[i] * s[j] * J for i in range(4) for j in range(4)})
             / order,
         )
-        add("E7", "alpha_7", sign_all.astype(complex) / order)
+        yield Eigenprojector("E7", "alpha_7", sign_all.astype(complex) / order)
         X = _circulant(two_n, 1j)
         Y = _circulant(two_n, -1j)
         i_unit = 1j
@@ -167,7 +169,7 @@ def projectors(connection: ConnectionSet) -> tuple[Eigenprojector, ...]:
             8: (Y, [[1, i_unit, -1, -i_unit], [-i_unit, 1, i_unit, -1], [-1, -i_unit, 1, i_unit], [i_unit, -1, -i_unit, 1]]),
         }
         for i, (base, signs) in patterns.items():
-            add(
+            yield Eigenprojector(
                 f"E{i}",
                 f"alpha_{i}",
                 _block_matrix(
@@ -180,29 +182,32 @@ def projectors(connection: ConnectionSet) -> tuple[Eigenprojector, ...]:
             X1 = _circulant(two_n, omega ** j)
             X2 = _circulant(two_n, omega ** (-j))
             lab = f"beta_{j}"
-            add(f"E{j}.1", lab, _block_matrix(order, {(0, 0): X1, (0, 2): X1, (2, 0): X1, (2, 2): X1}) / (4 * n))
-            add(f"E{j}.2", lab, _block_matrix(order, {(1, 1): X1, (1, 3): X1, (3, 1): X1, (3, 3): X1}) / (4 * n))
-            add(f"E{j}.3", lab, _block_matrix(order, {(1, 1): X2, (1, 3): X2, (3, 1): X2, (3, 3): X2}) / (4 * n))
-            add(f"E{j}.4", lab, _block_matrix(order, {(0, 0): X2, (0, 2): X2, (2, 0): X2, (2, 2): X2}) / (4 * n))
+            yield Eigenprojector(f"E{j}.1", lab, _block_matrix(order, {(0, 0): X1, (0, 2): X1, (2, 0): X1, (2, 2): X1}) / (4 * n))
+            yield Eigenprojector(f"E{j}.2", lab, _block_matrix(order, {(1, 1): X1, (1, 3): X1, (3, 1): X1, (3, 3): X1}) / (4 * n))
+            yield Eigenprojector(f"E{j}.3", lab, _block_matrix(order, {(1, 1): X2, (1, 3): X2, (3, 1): X2, (3, 3): X2}) / (4 * n))
+            yield Eigenprojector(f"E{j}.4", lab, _block_matrix(order, {(0, 0): X2, (0, 2): X2, (2, 0): X2, (2, 2): X2}) / (4 * n))
         for k in range(1, n):
             Y1 = _circulant(two_n, 1j * omega ** k)
             Y2 = _circulant(two_n, 1j * omega ** (-k))
             lab = f"gamma_{k}"
-            add(f"F{k}.1", lab, _block_matrix(order, {(0, 0): Y1, (0, 2): -Y1, (2, 0): -Y1, (2, 2): Y1}) / (4 * n))
-            add(f"F{k}.2", lab, _block_matrix(order, {(1, 1): Y1, (1, 3): -Y1, (3, 1): -Y1, (3, 3): Y1}) / (4 * n))
-            add(f"F{k}.3", lab, _block_matrix(order, {(1, 1): Y2, (1, 3): -Y2, (3, 1): -Y2, (3, 3): Y2}) / (4 * n))
-            add(f"F{k}.4", lab, _block_matrix(order, {(0, 0): Y2, (0, 2): -Y2, (2, 0): -Y2, (2, 2): Y2}) / (4 * n))
-    return tuple(out)
+            yield Eigenprojector(f"F{k}.1", lab, _block_matrix(order, {(0, 0): Y1, (0, 2): -Y1, (2, 0): -Y1, (2, 2): Y1}) / (4 * n))
+            yield Eigenprojector(f"F{k}.2", lab, _block_matrix(order, {(1, 1): Y1, (1, 3): -Y1, (3, 1): -Y1, (3, 3): Y1}) / (4 * n))
+            yield Eigenprojector(f"F{k}.3", lab, _block_matrix(order, {(1, 1): Y2, (1, 3): -Y2, (3, 1): -Y2, (3, 3): Y2}) / (4 * n))
+            yield Eigenprojector(f"F{k}.4", lab, _block_matrix(order, {(0, 0): Y2, (0, 2): -Y2, (2, 0): -Y2, (2, 2): Y2}) / (4 * n))
 
 
 def rep_projectors(connection: ConnectionSet) -> dict[str, np.ndarray]:
-    """Eigenvalue label -> sum of that representation's four (or one) projectors."""
+    """Eigenvalue label -> sum of that representation's four (or one) projectors.
+
+    Each projector is added in as it is built, so no more than one is held
+    besides the sums.
+    """
     sums: dict[str, np.ndarray] = {}
-    for proj in projectors(connection):
+    for proj in _iter_projectors(connection):
         if proj.eigenvalue_label in sums:
-            sums[proj.eigenvalue_label] = sums[proj.eigenvalue_label] + proj.matrix
+            sums[proj.eigenvalue_label] += proj.matrix
         else:
-            sums[proj.eigenvalue_label] = proj.matrix.copy()
+            sums[proj.eigenvalue_label] = proj.matrix
     return sums
 
 

@@ -24,20 +24,28 @@ oracle.  The paper's closed-form eigenbasis is kept with the tests
 (tests/spectrum_reference.py), which check it against these eigenvalues
 and the dense adjacency matrix.
 
-Few of these sums are distinct: `search --n 7 --max-classes 4` meets 490
+A search rejects most sets on integrality alone, so `eigenvalues` sums
+the rows once and decides `all_integral` from the sums at once, exactly;
+the per-representation `Eigenvalue` tuple is built only when a table's
+`eigenvalues` is first read.  On `search --n 7 --max-classes 4` only 8 of
+152 tables are integral, and without `--verify` nothing reads the other
+144 past `all_integral`.
+
+Few of the sums are distinct: `search --n 7 --max-classes 4` meets 490
 distinct (representation, integer row) pairs among 2,584, and the full
-n = 8 search 26,460 among 1,216,512.  `eigenvalues` therefore takes a memo
-from (representation index, numerator row) to the finished `Eigenvalue`.
-The caller owns it: `search` keeps one for one enumeration and drops it
-when it returns; nothing keeps one for the life of the process.  One memo
-serves one n and one character table.
+n = 8 search 26,460 among 1,216,512.  Building the tuple therefore reads a
+memo from (representation index, numerator row) to the finished
+`Eigenvalue`.  The caller owns it: `search` keeps one for one enumeration
+and drops it when it returns; nothing keeps one for the life of the
+process.  One memo serves one n and one character table.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Optional
+from functools import cached_property, partial
+from typing import Callable, NamedTuple, Optional, Union
 
 import numpy as np
 
@@ -64,11 +72,28 @@ class Eigenvalue:
     integer_value: Optional[int]
 
 
-@dataclass(frozen=True)
 class SpectrumTable:
-    connection: ConnectionSet
-    eigenvalues: tuple[Eigenvalue, ...]
-    all_integral: bool
+    """The eigenvalues of Cay(V_8n, S), one per representation.
+
+    `all_integral` is fixed when the table is made.  `eigenvalues` is given
+    either as the tuple or as a function of no arguments that returns it;
+    the function runs on the first read of `eigenvalues`, and only then.
+    """
+
+    def __init__(
+        self,
+        connection: ConnectionSet,
+        eigenvalues: Union[tuple[Eigenvalue, ...], Callable[[], tuple[Eigenvalue, ...]]],
+        all_integral: bool,
+    ) -> None:
+        self.connection = connection
+        self.all_integral = all_integral
+        self._eigenvalues = eigenvalues
+
+    @cached_property
+    def eigenvalues(self) -> tuple[Eigenvalue, ...]:
+        entries = self._eigenvalues
+        return entries() if callable(entries) else entries
 
     @property
     def params(self) -> GroupParams:
@@ -103,6 +128,7 @@ class _ClassMap(NamedTuple):
     table: tuple  # the character table the map was built from
     stacked: np.ndarray  # int64, (reps, classes, m + phi(m))
     reps: tuple[tuple[RepDescriptor, str, str], ...]  # descriptor, label, kind
+    degrees: np.ndarray  # int64, (reps,): the degree d of each representation
     re_roots: tuple[float, ...]  # Re zeta^e for e = 0 .. m-1
 
 
@@ -163,6 +189,7 @@ def _build_class_map(params: GroupParams, table) -> _ClassMap:
             (desc, f"{_KIND_BY_REP[desc.kind]}_{desc.index}", _KIND_BY_REP[desc.kind])
             for desc in descs
         ),
+        degrees=np.array([d.degree for d in descs], dtype=np.int64),
         re_roots=tuple(z.real for z in unit_roots(m)),
     )
 
@@ -176,21 +203,42 @@ def eigenvalues(
     is inverse-closed (`validate_connection_set` and
     `enumerate_connection_sets` ensure it), so each numerator is its conjugate.
 
+    The rows of the classes of S are summed here, once, and `all_integral`
+    is decided on the sums: every reduced row is an integer k with d | k.
+    The `Eigenvalue` tuple is built from the same sums and the same class
+    map on the first read of the table's `eigenvalues`, so a caller that
+    reads only `all_integral` never pays for it.
+
     `memo` maps (representation index, tuple of the summed numerator row)
     to the finished `Eigenvalue`; pass one dict to every call of one
     enumeration to build each distinct eigenvalue once (None: a fresh dict).
     The reduced row is the image of the numerator row under the same class
     map, so that row alone determines the entry.  The memo holds entries of
-    one n and one character table; it must not outlive either.
+    one n and one character table; it must not outlive either.  It is read
+    and filled only when a table's tuple is built.
     """
-    if memo is None:
-        memo = {}
     m = 4 * connection.params.n
     class_map = _class_map(connection.params)
+    sums = class_map.stacked.take(connection.class_indices, axis=1).sum(axis=1)
+    reduced = sums[:, m:]
+    return SpectrumTable(
+        connection=connection,
+        eigenvalues=partial(_entries, class_map, sums, memo),
+        all_integral=not np.count_nonzero(reduced[:, 1:])
+        and not np.count_nonzero(reduced[:, 0] % class_map.degrees),
+    )
+
+
+def _entries(
+    class_map: _ClassMap, sums: np.ndarray, memo: Optional[dict[tuple, Eigenvalue]]
+) -> tuple[Eigenvalue, ...]:
+    """The `Eigenvalue` per representation from the summed rows of one set."""
+    if memo is None:
+        memo = {}
     re_roots = class_map.re_roots
-    sums = class_map.stacked[:, list(connection.class_indices)].sum(axis=1).tolist()
+    m = len(re_roots)
     entries = []
-    for rep, (row, (desc, label, kind)) in enumerate(zip(sums, class_map.reps)):
+    for rep, (row, (desc, label, kind)) in enumerate(zip(sums.tolist(), class_map.reps)):
         num = row[:m]
         key = (rep, tuple(num))
         ev = memo.get(key)
@@ -208,8 +256,4 @@ def eigenvalues(
                 integer_value=k // den if is_int else None,
             )
         entries.append(ev)
-    return SpectrumTable(
-        connection=connection,
-        eigenvalues=tuple(entries),
-        all_integral=all(e.is_integer for e in entries),
-    )
+    return tuple(entries)

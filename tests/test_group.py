@@ -4,6 +4,7 @@ import itertools
 
 import pytest
 
+from v8npst import group
 from v8npst.group import (
     IDENTITY,
     ConnectionSetError,
@@ -125,6 +126,14 @@ def test_inverse_exhaustive_v24_by_table_search():
     for x in elems:
         solutions = [y for y in elems if multiply(p, x, y) == IDENTITY]
         assert solutions == [inverse(p, x)]
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_inverse_table_matches_inverse(n):
+    """The per-n table that `validate_connection_set` reads is `inverse`."""
+    p = GroupParams(n)
+    table = group._inverse_table(p)
+    assert table == {x: inverse(p, x) for x in all_elements(p)}
 
 
 def test_conjugacy_classes_n1_exact():

@@ -2,6 +2,7 @@
 against the dense references in oracle_reference."""
 
 import math
+import tracemalloc
 from collections import defaultdict
 
 import numpy as np
@@ -113,6 +114,26 @@ def test_closed_forms_equal_outer_products(n):
         position[pr.eigenvalue_label] += 1
         v = E.matrix[:, col]
         assert np.max(np.abs(pr.matrix - np.outer(v, v.conj()))) < 1e-10, pr.label
+
+
+@pytest.mark.parametrize("n", [1, 2, 7, 8])
+def test_rep_projectors_sum_as_they_are_built(n):
+    """The per-label sums equal the sums of `projectors()`, bit for bit, and
+    building them holds little more than the sums themselves."""
+    conn = valid_sets(n)[0] if n < 7 else next(enumerate_connection_sets(GroupParams(n), 3))
+    want = {}
+    for pr in projectors(conn):
+        want[pr.eigenvalue_label] = want.get(pr.eigenvalue_label, 0) + pr.matrix
+    tracemalloc.start()
+    try:
+        got = rep_projectors(conn)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert list(got) == list(want)
+    assert all(np.array_equal(got[k], want[k]) for k in want)
+    one = (8 * n) ** 2 * 16  # bytes of one dense complex projector
+    assert peak <= held + 8 * one  # the eager version held all 8n projectors
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])

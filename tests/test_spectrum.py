@@ -244,3 +244,50 @@ def test_nonintegral_example_exists_at_n4():
     assert any(not t.all_integral for t in tables)
     bad = next(t for t in tables if not t.all_integral)
     assert any(ev.integer_value is None for ev in bad.eigenvalues)
+
+
+def _non_integral_set(n):
+    return next(c for c in valid_sets(n) if not eigenvalues(c).all_integral)
+
+
+def test_non_integral_table_leaves_the_memo_empty():
+    """Integrality is decided on the summed rows; no `Eigenvalue` is built
+    until the tuple is read."""
+    conn = _non_integral_set(4)
+    memo = {}
+    table = eigenvalues(conn, memo)
+    assert not table.all_integral
+    assert memo == {}
+
+
+def test_reading_the_tuple_fills_the_memo():
+    conn = _non_integral_set(4)
+    memo = {}
+    table = eigenvalues(conn, memo)
+    entries = table.eigenvalues
+    assert len(memo) == len(entries)
+    assert set(memo.values()) == set(entries)
+    assert table.eigenvalues is entries  # built once
+    assert repr(eigenvalues(conn, memo).eigenvalues) == repr(entries)
+    assert len(memo) == len(entries)
+
+
+@pytest.mark.parametrize(
+    "n,max_classes", [(n, 99) for n in range(1, 7)] + [(7, 3), (8, 3)]
+)
+def test_eager_integrality_matches_the_tuple(n, max_classes):
+    for conn in enumerate_connection_sets(GroupParams(n), max_classes):
+        table = eigenvalues(conn)
+        assert table.all_integral == all(ev.is_integer for ev in table.eigenvalues)
+
+
+def test_table_built_from_a_tuple():
+    """Tables made from a finished tuple, as the decision tests and the
+    reference build them, read back what they were given."""
+    conn = full_set(2)
+    entries = eigenvalues(conn).eigenvalues
+    table = spectrum.SpectrumTable(connection=conn, eigenvalues=entries, all_integral=True)
+    assert table.eigenvalues is entries
+    assert table.all_integral is True
+    assert table.params == conn.params
+    assert table.alpha(1) is entries[0]
