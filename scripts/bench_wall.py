@@ -10,12 +10,13 @@ default this repository's), and times it from start to exit.  The runs are
 `search --n N --verify` for N = 1..6, `search --n N` and
 `search --n N --verify` for N = 7, 8, so every set up to n = 8 is verified
 under a recorded digest.
-Each result holds the wall seconds, the exit code and the SHA-256 of stdout,
-so two checkouts recorded into one file can be compared for identical
-reports as well as for time.  Each invocation appends one round of results
-under `--label` and keeps everything else in the file, so run it for each
-checkout on the same machine, alternating which goes first, and commit the
-file.
+Each result holds the wall seconds, the exit code, the SHA-256 of stdout
+and the peak resident memory of the CLI process, read by `os.wait4` from
+that child's own resource usage, so two checkouts recorded into one file
+can be compared for identical reports as well as for time and memory.
+Each invocation appends one round of results under `--label` and keeps
+everything else in the file, so run it for each checkout on the same
+machine, alternating which goes first, and commit the file.
 """
 
 from __future__ import annotations
@@ -46,24 +47,35 @@ RUNS = (
 )
 
 NOTE = (
-    "Wall time of one CLI process per run, measured with no other benchmark "
-    "running. The per-layer split of these runs is not recorded: it needs "
-    "an opt-in --stats report from the CLI, which does not exist yet."
+    "Wall time and peak RSS of one CLI process per run, measured with no "
+    "other benchmark running; the peak is the child's own ru_maxrss, read "
+    "with os.wait4. The per-layer split of these runs is not recorded: it "
+    "needs an opt-in --stats report from the CLI, which does not exist yet."
 )
 
 
 def time_run(src: Path, argv: tuple[str, ...]) -> dict:
+    """Wall time, exit code, stdout digest and peak RSS of one CLI process."""
     env = dict(os.environ, PYTHONPATH=str(src))
     start = time.perf_counter()
-    proc = subprocess.run(
-        [sys.executable, "-m", "v8npst.cli", *argv], env=env, capture_output=True
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "v8npst.cli", *argv],
+        env=env,
+        stdout=subprocess.PIPE,
+        stderr=subprocess.DEVNULL,
     )
+    digest = hashlib.sha256(proc.stdout.read()).hexdigest()
+    proc.stdout.close()
+    # reap the child here, not in Popen.wait, to read its own rusage
+    _, status, usage = os.wait4(proc.pid, 0)
     wall = time.perf_counter() - start
+    proc.returncode = os.waitstatus_to_exitcode(status)
     return {
         "argv": " ".join(argv),
         "wall_s": round(wall, 3),
         "exit": proc.returncode,
-        "stdout_sha256": hashlib.sha256(proc.stdout).hexdigest(),
+        "stdout_sha256": digest,
+        "rss_peak_mb": round(usage.ru_maxrss / 1024, 1),  # ru_maxrss is in KiB on Linux
     }
 
 

@@ -11,6 +11,12 @@ SPEC is either a '+'-joined list of conjugacy-class tags (as printed by the
 analyzer, e.g. "b+a*b") or a comma-separated list of explicit elements
 "a^r*b^s".  Explicit lists are validated as-is and never auto-symmetrised.
 
+Every report and every error document is written by one fixed-layout
+writer, `_render`, whose output is byte-identical to
+`json.dumps(doc, indent=2)` (which falls back to the pure-Python encoder
+with `indent`).  `search` decides each connection set as the enumeration
+yields it and keeps only the report rows, not the sets.
+
 Every failure prints one JSON error document on stdout.  Exit codes: 0 ok,
 1 usage error (a UsageError document, with the usage line on stderr; an
 invalid PST_GRID_POINTS is an InvalidGridPoints document and n above 8 for
@@ -23,10 +29,10 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import math
 import os
 import sys
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -36,7 +42,7 @@ from .group import (
     ConnectionSetError,
     GroupParams,
     conjugacy_classes,
-    element_str,
+    element_names,
     enumerate_connection_sets,
     parse_element,
     validate_connection_set,
@@ -149,12 +155,14 @@ def _decide(conn, table, *, verify: bool, grid_points: int):
 
 
 def _analysis_report(conn, table, graph, verdicts, oracle_json) -> dict:
+    names = element_names(conn.params)
+    two_n = conn.params.two_n
     return {
         "n": conn.params.n,
         "parity": conn.params.parity,
         "connectionSet": {
             "classes": list(conn.class_tags),
-            "elements": [element_str(x) for x in conn.sorted_members()],
+            "elements": [names[i] for i in sorted([two_n * s + r for r, s in conn.members])],
             "size": len(conn),
         },
         "spectrum": _spectrum_json(table),
@@ -165,15 +173,65 @@ def _analysis_report(conn, table, graph, verdicts, oracle_json) -> dict:
     }
 
 
+def _float_json(x: float) -> str:
+    if math.isfinite(x):
+        return float.__repr__(x)
+    return "NaN" if x != x else "Infinity" if x > 0 else "-Infinity"
+
+
+_SCALARS = {
+    str: encode_basestring_ascii,
+    int: int.__repr__,
+    float: _float_json,
+    bool: lambda x: "true" if x else "false",
+    type(None): lambda x: "null",
+}
+
+
+@functools.lru_cache(maxsize=256)
+def _dict_template(keys: tuple[str, ...], pad: str) -> str:
+    """`%`-template of one dict's members; a non-str key raises TypeError."""
+    inner = "\n  " + pad
+    members = ",".join(
+        inner + encode_basestring_ascii(k).replace("%", "%%") + ": %s" for k in keys
+    )
+    return "{" + members + "\n" + pad + "}"
+
+
+def _render(x, pad: str = "") -> str:
+    """`x` as `json.dumps(x, indent=2)` renders it, byte for byte.
+
+    Only the exact types dict, list, tuple, str, int, float, bool and None
+    are written, and dict keys must be str; anything else raises TypeError.
+    """
+    kind = type(x)
+    scalar = _SCALARS.get(kind)
+    if scalar is not None:
+        return scalar(x)
+    if kind is dict:
+        if not x:
+            return "{}"
+        deeper = pad + "  "
+        values = tuple([_render(v, deeper) for v in x.values()])
+        return _dict_template(tuple(x), pad) % values
+    if kind is list or kind is tuple:
+        if not x:
+            return "[]"
+        deeper = pad + "  "
+        items = ",\n" + deeper
+        return "[\n" + deeper + items.join([_render(v, deeper) for v in x]) + "\n" + pad + "]"
+    raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
+
+
 def _emit(doc, human_lines=None) -> None:
-    print(json.dumps(doc, indent=2, sort_keys=False))
+    print(_render(doc))
     if human_lines and sys.stderr.isatty():  # pragma: no cover - terminal only
         for line in human_lines:
             print(line, file=sys.stderr)
 
 
 def _structured_error(code: str, message: str, exit_code: int) -> int:
-    print(json.dumps({"error": {"code": code, "message": message}}, indent=2))
+    print(_render({"error": {"code": code, "message": message}}))
     return exit_code
 
 
@@ -206,12 +264,11 @@ def cmd_search(args) -> int:
     grid_points = _grid_points()
     params = GroupParams(args.n)
     max_classes = args.max_classes or len(conjugacy_classes(params))
-    sets = list(enumerate_connection_sets(params, max_classes))
     rows = []
     pst_reports = []
     disagreements = 0
     memo = {}  # one enumeration's distinct eigenvalues; freed on return
-    for conn in sets:
+    for conn in enumerate_connection_sets(params, max_classes):
         table = spectrum.eigenvalues(conn, memo)
         graph, verdicts, oracle_json, found = _decide(
             conn, table, verify=args.verify, grid_points=grid_points
@@ -231,7 +288,7 @@ def cmd_search(args) -> int:
         "n": args.n,
         "parity": params.parity,
         "maxClasses": max_classes,
-        "totalSets": len(sets),
+        "totalSets": len(rows),
         "integralCount": sum(1 for r in rows if r["integral"]),
         "pstCount": len(pst_reports),
         "verified": bool(args.verify),
@@ -239,7 +296,7 @@ def cmd_search(args) -> int:
         "sets": rows,
         "pstGraphs": pst_reports,
     }
-    _emit(summary, [f"{len(sets)} sets, {len(pst_reports)} with transfer"])
+    _emit(summary, [f"{len(rows)} sets, {len(pst_reports)} with transfer"])
     return EXIT_DISAGREEMENT if disagreements else EXIT_OK
 
 

@@ -13,7 +13,6 @@ V1 = [0, 2n), V2 = [2n, 4n), V3 = [4n, 6n), V4 = [6n, 8n).
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Iterator, NamedTuple
@@ -148,6 +147,12 @@ def element_str(x: GroupElement) -> str:
     if s > 0:
         parts.append("b" if s == 1 else f"b^{s}")
     return "*".join(parts)
+
+
+@lru_cache(maxsize=None)
+def element_names(params: GroupParams) -> tuple[str, ...]:
+    """`element_str` of every element, indexed by vertex label, once per n."""
+    return tuple(element_str(x) for x in all_elements(params))
 
 
 def parse_element(params: GroupParams, text: str) -> GroupElement:
@@ -314,10 +319,9 @@ class ClassMasks(NamedTuple):
     inverse_bit: tuple[int, ...]  # class i -> bit of the class of its inverses
     outside: tuple[int, ...]  # per index-2 subgroup, the classes outside it
 
-    def generates(self, class_indices: Iterable[int]) -> bool:
-        """The union of these distinct classes generates V_8n."""
-        mask = sum(1 << i for i in class_indices)
-        return all(mask & out for out in self.outside)
+    def generates(self, bits: int) -> bool:
+        """The union of the classes whose bits are set generates V_8n."""
+        return all(map(bits.__and__, self.outside))
 
 
 @lru_cache(maxsize=None)
@@ -351,11 +355,6 @@ class ConnectionSet:
     def class_tags(self) -> tuple[str, ...]:
         classes = conjugacy_classes(self.params)
         return tuple(classes[i].tag for i in self.class_indices)
-
-    def sorted_members(self) -> tuple[GroupElement, ...]:
-        return tuple(
-            sorted(self.members, key=lambda x: vertex_index(self.params, x))
-        )
 
 
 def generated_subgroup(
@@ -409,7 +408,7 @@ def validate_connection_set(
     # mset lies inside the union of its classes, so equal sizes mean equality
     if sum(len(classes[i]) for i in idxs) != len(mset):
         raise NotNormal("set is not a union of conjugacy classes (Sg != gS)")
-    if not class_masks(params).generates(idxs):
+    if not class_masks(params).generates(sum(1 << i for i in idxs)):
         raise NotGenerating("set does not generate the whole group")
     return ConnectionSet(params=params, members=mset, class_indices=tuple(idxs))
 
@@ -427,17 +426,24 @@ def enumerate_connection_sets(
     """
     classes = conjugacy_classes(params)
     masks = class_masks(params)
-    orbits = []
-    for i, c in enumerate(classes):
-        j = masks.inverse_bit[i].bit_length() - 1
-        if IDENTITY not in c.members and i <= j:
-            orbits.append((i,) if i == j else (i, j))
-    unions = [
-        tuple(sorted(itertools.chain.from_iterable(combo)))
-        for k in range(1, min(max_classes, len(orbits)) + 1)
-        for combo in itertools.combinations(orbits, k)
-        if sum(map(len, combo)) <= max_classes
+    orbits = [  # class bits of each inverse orbit, in class order
+        1 << i | inv
+        for i, (c, inv) in enumerate(zip(classes, masks.inverse_bit))
+        if IDENTITY not in c.members and 1 << i <= inv
     ]
-    for combo in sorted(filter(masks.generates, unions), key=lambda u: (len(u), u)):
+    # unions of orbits within the class budget, level by level; each union
+    # is extended with later orbits only, so each is listed once
+    level = [(0, 0)]  # (class bits, index of the next orbit)
+    unions = []
+    while level:
+        level = [
+            (bits | orbit, j)
+            for bits, start in level
+            for j, orbit in enumerate(orbits[start:], start + 1)
+            if (bits | orbit).bit_count() <= max_classes
+        ]
+        unions += [bits for bits, _ in level if masks.generates(bits)]
+    combos = [tuple([i for i in range(len(classes)) if bits >> i & 1]) for bits in unions]
+    for combo in sorted(combos, key=lambda u: (len(u), u)):
         members = frozenset().union(*(classes[i].members for i in combo))
         yield ConnectionSet(params=params, members=members, class_indices=combo)

@@ -6,6 +6,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from v8npst import cli, oracle
 from v8npst.group import GroupParams, conjugacy_classes
@@ -326,3 +327,117 @@ def test_analyze_without_verify_ignores_grid_points(capsys, monkeypatch):
     code, out = run_cli(capsys, argv)
     assert code == 0 and out == plain
     assert json.loads(out)["oracle"] == {"checked": False, "maxDeviation": None}
+
+
+def test_search_decides_each_set_before_the_next_is_yielded(capsys, monkeypatch):
+    events = []
+    real_enumerate = cli.enumerate_connection_sets
+    real_eigenvalues = cli.spectrum.eigenvalues
+
+    def recording_enumerate(params, max_classes):
+        for conn in real_enumerate(params, max_classes):
+            events.append(("yield", conn.class_indices))
+            yield conn
+
+    def recording_eigenvalues(conn, memo=None):
+        events.append(("eigenvalues", conn.class_indices))
+        return real_eigenvalues(conn, memo)
+
+    monkeypatch.setattr(cli, "enumerate_connection_sets", recording_enumerate)
+    monkeypatch.setattr(cli.spectrum, "eigenvalues", recording_eigenvalues)
+    code, out = run_cli(capsys, ["search", "--n", "2"])
+    assert code == 0
+    sets = [idx for kind, idx in events if kind == "yield"]
+    assert len(sets) == json.loads(out)["totalSets"] > 1
+    assert events == [(kind, idx) for idx in sets for kind in ("yield", "eigenvalues")]
+
+
+# keys and strings with non-ASCII, quotes, backslashes, control characters and %
+_TEXT = st.one_of(
+    st.text(max_size=8),
+    st.sampled_from(["", "%", "%s", "%%d", '"\\', "\x00\x1f\x7f", "é☃\u2028"]),
+)
+_SCALAR = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.sampled_from([0, 1, -1, 10**30, -(10**30)]),
+    st.integers(),
+    st.floats(),
+    st.sampled_from([0.0, -0.0, 1e-16, 1e16, math.nan, math.inf, -math.inf]),
+    _TEXT,
+)
+_JSON = st.recursive(
+    _SCALAR,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4), st.dictionaries(_TEXT, inner, max_size=4)
+    ),
+    max_leaves=24,
+)
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(_JSON)
+def test_render_matches_json_dumps(value):
+    assert cli._render(value) == json.dumps(value, indent=2)
+
+
+@pytest.mark.parametrize(
+    "value",
+    [
+        [],
+        {},
+        [[], {}, [[]], {"": {}}],
+        {"a%sb": "%d%%", "%": [], "\u00e9\"\\\n": {"x": {}}},
+        [True, 1, False, 0, None, 1.0, 0.0],
+        {"t": True, "one": 1, "f": False, "zero": 0, "none": None},
+        [-0.0, 1e-16, 1e16, 2**64, -(2**200), math.nan, math.inf, -math.inf],
+        ("tuples", ("render", "as lists")),
+    ],
+)
+def test_render_matches_json_dumps_on_edge_cases(value):
+    assert cli._render(value) == json.dumps(value, indent=2)
+
+
+@pytest.mark.parametrize(
+    "value",
+    [{1, 2}, b"bytes", object(), 1j, [np.float64(0.5)], {"x": np.int64(1)}, {1: "int key"}],
+)
+def test_render_rejects_unsupported_types(value):
+    """Types json.dumps rejects, and subclasses and non-str keys it would
+    convert, raise TypeError rather than print something else."""
+    with pytest.raises(TypeError):
+        cli._render(value)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["analyze", "--n", "3", "--set", full_set_spec(3)],
+        ["analyze", "--n", "1", "--set", "a+b+a*b", "--verify"],
+        ["analyze", "--n", "4", "--set", "a*b+a+a^7", "--verify"],
+        ["search", "--n", "2", "--verify"],
+        ["search", "--n", "3", "--max-classes", "2"],
+        ["probe", "--n", "1", "--set", "a+b+a*b", "--u", "0", "--v", "4", "--grid", "400"],
+        ["probe", "--n", "4", "--set", "a*b+a+a^7", "--u", "0", "--v", "1", "--grid", "400"],
+        ["analyze", "--n", "2", "--set", "b,a^2*b^3"],
+        ["analyze", "--n", "1", "--set", "b^2"],
+        ["analyze", "--n", "1", "--set", "a^x"],
+        ["analyze", "--n", "1", "--set", ""],
+        ["probe", "--n", "1", "--set", "a+b+a*b", "--u", "0", "--v", "99"],
+        ["search", "--n", "9"],
+        ["search", "--n", "0"],
+        ["search", "--n", "2", "--workers", "4"],
+    ],
+)
+def test_every_document_is_printed_as_json_dumps_indent_2(capsys, monkeypatch, argv):
+    monkeypatch.setenv("PST_GRID_POINTS", "500")
+    cli.main(argv)
+    out = capsys.readouterr().out
+    assert out == json.dumps(json.loads(out), indent=2) + "\n"
+
+
+def test_invalid_grid_points_document_is_printed_as_json_dumps_indent_2(capsys, monkeypatch):
+    monkeypatch.setenv("PST_GRID_POINTS", "%s \"ü\"")
+    code, out = run_cli(capsys, ["search", "--n", "1"])
+    assert code == 1
+    assert out == json.dumps(json.loads(out), indent=2) + "\n"

@@ -18,6 +18,7 @@ from v8npst.group import (
     class_masks,
     conjugacy_classes,
     element,
+    element_names,
     element_str,
     enumerate_connection_sets,
     generated_subgroup,
@@ -318,7 +319,7 @@ def test_enumerate_deterministic_validated_and_complete(n):
 
 @pytest.mark.parametrize(
     "n,max_classes",
-    [(n, 99) for n in range(1, 6)] + [(6, 3), (7, 3), (8, 3), (6, 99), (8, 4)],
+    [(n, 99) for n in range(1, 6)] + [(6, 3), (7, 3), (8, 3), (6, 99), (8, 4), (7, 4), (6, 5)],
 )
 def test_enumerate_matches_reference(n, max_classes):
     """The orbit-union enumeration yields the BFS reference's sets, in order."""
@@ -344,9 +345,10 @@ def test_class_masks_match_element_checks(n):
         for combo in itertools.combinations(non_identity, k):
             members = frozenset().union(*(classes[i].members for i in combo))
             symmetric = all(inverse(p, x) in members for x in members)
+            bits = sum(1 << i for i in combo)
             inverse_mask = sum(masks.inverse_bit[i] for i in combo)
-            assert (inverse_mask == sum(1 << i for i in combo)) == symmetric
-            assert masks.generates(combo) == (generated_subgroup(p, members) == full)
+            assert (inverse_mask == bits) == symmetric
+            assert masks.generates(bits) == (generated_subgroup(p, members) == full)
 
 
 @pytest.mark.parametrize("n", [3, 4])
@@ -379,6 +381,15 @@ def test_element_str_round_trip():
         assert parse_element(p, element_str(x)) == x
     assert element_str(GroupElement(0, 0)) == "1"
     assert element_str(GroupElement(2, 1)) == "a^2*b"
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_element_names_are_element_str_by_vertex_label(n):
+    p = GroupParams(n)
+    names = element_names(p)
+    assert len(names) == p.order
+    for x in all_elements(p):
+        assert names[vertex_index(p, x)] == element_str(x)
 
 
 def test_bad_params_rejected():
