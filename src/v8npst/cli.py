@@ -17,12 +17,14 @@ writer, `_render`, whose output is byte-identical to
 with `indent`).  `search` decides each connection set as the enumeration
 yields it and keeps only the report rows, not the sets.
 
+`--verify` scans the fixed grid `oracle.GRID_POINTS` (10^4 points over
+2 pi); `probe --grid` defaults to the same constant.
+
 Every failure prints one JSON error document on stdout.  Exit codes: 0 ok,
-1 usage error (a UsageError document, with the usage line on stderr; an
-invalid PST_GRID_POINTS is an InvalidGridPoints document and n above 8 for
-search a BoundExceeded one), 2 invalid connection set, 4 decision/oracle
-disagreement (with --verify).  Integrality is decided exactly, so no input
-is numerically ambiguous; the former code 3 is retired.
+1 usage error (a UsageError document, with the usage line on stderr; n
+above 8 for search is a BoundExceeded one), 2 invalid connection set,
+4 decision/oracle disagreement (with --verify).  Integrality is decided
+exactly, so no input is numerically ambiguous; the former code 3 is retired.
 """
 
 from __future__ import annotations
@@ -30,7 +32,6 @@ from __future__ import annotations
 import argparse
 import functools
 import math
-import os
 import sys
 from json.encoder import encode_basestring_ascii
 
@@ -53,7 +54,6 @@ EXIT_USAGE = 1
 EXIT_INVALID_SET = 2
 EXIT_DISAGREEMENT = 4
 
-DEFAULT_GRID_POINTS = 10_000
 MAX_N = 8  # search enumerates every class union, so its cost grows fast with n
 
 
@@ -69,21 +69,6 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message: str):  # a JSON document and exit 1, not argparse's 2
         self.print_usage(sys.stderr)
         raise UsageError("UsageError", message)
-
-
-def _grid_points() -> int:
-    raw = os.environ.get("PST_GRID_POINTS")
-    if raw is None:
-        return DEFAULT_GRID_POINTS
-    try:
-        val = int(raw)
-    except ValueError:
-        val = 0  # reported below, like any value under 1
-    if val < 1:
-        raise UsageError(
-            "InvalidGridPoints", f"PST_GRID_POINTS must be a positive integer, got {raw!r}"
-        )
-    return val
 
 
 def _f(x: float):
@@ -144,13 +129,13 @@ def _pst_pairs_json(verdicts) -> list[dict]:
     ]
 
 
-def _decide(conn, table, *, verify: bool, grid_points: int):
+def _decide(conn, table, verify: bool):
     """(graph verdict, transfer pairs, "oracle" JSON block, disagreements)."""
     graph = pst.decide_graph(table)
     verdicts = pst.all_pst_pairs(table, graph)
     if not verify:
         return graph, verdicts, {"checked": False, "maxDeviation": None}, 0
-    max_dev, disagreements = oracle.verify(conn, table, verdicts, grid_points)
+    max_dev, disagreements = oracle.verify(conn, table, verdicts)
     return graph, verdicts, {"checked": True, "maxDeviation": _f(max_dev)}, disagreements
 
 
@@ -241,12 +226,8 @@ def cmd_analyze(args) -> int:
         conn = parse_set_spec(params, args.set)
     except (ConnectionSetError, ValueError) as exc:
         return _structured_error(type(exc).__name__, str(exc), EXIT_INVALID_SET)
-    # the grid is only read, and PST_GRID_POINTS only checked, with --verify
-    grid_points = _grid_points() if args.verify else DEFAULT_GRID_POINTS
     table = spectrum.eigenvalues(conn)
-    graph, verdicts, oracle_json, disagreements = _decide(
-        conn, table, verify=args.verify, grid_points=grid_points
-    )
+    graph, verdicts, oracle_json, disagreements = _decide(conn, table, args.verify)
     report = _analysis_report(conn, table, graph, verdicts, oracle_json)
     human = [
         f"Cay(V_{8 * args.n}, S) |S|={len(conn)} integral={report['integral']} "
@@ -261,7 +242,6 @@ def cmd_search(args) -> int:
         return _structured_error(
             "BoundExceeded", f"n={args.n} above the search bound {MAX_N}", EXIT_USAGE
         )
-    grid_points = _grid_points()
     params = GroupParams(args.n)
     max_classes = args.max_classes or len(conjugacy_classes(params))
     rows = []
@@ -270,9 +250,7 @@ def cmd_search(args) -> int:
     memo = {}  # one enumeration's distinct eigenvalues; freed on return
     for conn in enumerate_connection_sets(params, max_classes):
         table = spectrum.eigenvalues(conn, memo)
-        graph, verdicts, oracle_json, found = _decide(
-            conn, table, verify=args.verify, grid_points=grid_points
-        )
+        graph, verdicts, oracle_json, found = _decide(conn, table, args.verify)
         disagreements += found
         rows.append(
             {
@@ -312,8 +290,7 @@ def cmd_probe(args) -> int:
             "VertexOutOfRange", f"vertices must lie in [0, {order})", EXIT_USAGE
         )
     table = spectrum.eigenvalues(conn)
-    grid_points = args.grid or _grid_points()
-    times = np.arange(0, grid_points + 1) * (2 * math.pi / grid_points)
+    times = np.arange(0, args.grid + 1) * (2 * math.pi / args.grid)
     best = oracle.pst_probe(conn, args.u, args.v, times, table)
     candidates = []
     note = None
@@ -332,7 +309,7 @@ def cmd_probe(args) -> int:
         "connectionSet": {"classes": list(conn.class_tags), "size": len(conn)},
         "u": args.u,
         "v": args.v,
-        "gridPoints": grid_points,
+        "gridPoints": args.grid,
         "best": {"tau": _f(best.tau), "amplitude": _f(best.amplitude)},
         "candidates": candidates,
         "note": note,
@@ -370,7 +347,7 @@ def build_parser() -> _Parser:
     pp.add_argument("--set", required=True)
     pp.add_argument("--u", type=int, required=True)
     pp.add_argument("--v", type=int, required=True)
-    pp.add_argument("--grid", type=positive_int, default=None)
+    pp.add_argument("--grid", type=positive_int, default=oracle.GRID_POINTS)
     pp.set_defaults(func=cmd_probe)
     return parser
 

@@ -4,10 +4,13 @@ Values live in the group ring Z[zeta_m] (zeta_m = exp(2*pi*i/m)) and are
 stored as length-m integer coefficient vectors over zeta^0 .. zeta^{m-1};
 the only reduction applied during arithmetic is zeta^m = 1.  Zero is
 decided exactly by reducing the coefficient polynomial modulo the m-th
-cyclotomic polynomial.  Only the operations the program runs are here:
-`+`, `*`, `is_zero` and `value`; differences, conjugation and the exact
-equality, realness and integrality tests built on them are kept with the
-tests (tests/cyclotomic_reference.py).
+cyclotomic polynomial.  The command line runs `+`, the product of two
+`CycloInt`s (both while building character tables) and the reduction
+behind `reduced_powers`.  `is_zero`, `value` and the integer scalings
+`x * k` and `k * x` stay for the tests, and because the benchmark in
+perfbench/ wraps `__add__`, `__mul__`, `__rmul__`, `is_zero` and `value`.
+Differences, conjugation and the exact equality, realness and integrality
+tests built on them are kept with the tests (tests/cyclotomic_reference.py).
 """
 
 from __future__ import annotations

@@ -17,7 +17,8 @@ happens for one family), the outer-product orientation is used.
 The per-representation projector sums depend only on n: they are stacked
 once per n, on first use, and shared read-only by every graph, together with
 the bound B their first column gives; the rank-1 projectors themselves are
-not kept.  `verify` owns the numerical check of a graph's verdicts.
+not kept.  `verify` owns the numerical check of a graph's verdicts, on the
+fixed grid of GRID_POINTS steps over 2 pi.
 Positive pairs are checked at their transfer time.  Every other pair is
 read, through the ratio table W, from one column of
 `grid_amplitude_maxima`, which runs four stages, each on the columns the one
@@ -73,6 +74,7 @@ __all__ = [
 POSITIVE_TOL = 1e-6  # a positive pair must exceed 1 - POSITIVE_TOL at pi/M
 NEGATIVE_TOL = 1e-4  # any other pair must stay below 1 - NEGATIVE_TOL
 COARSE_STEP = 10  # the coarse grid pass evaluates every COARSE_STEP-th grid point
+GRID_POINTS = 10_000  # `verify` scans t_k = 2 pi k / GRID_POINTS, k = 1 .. GRID_POINTS
 
 
 @dataclass(frozen=True)
@@ -94,6 +96,10 @@ def _circulant(two_n: int, z: complex) -> np.ndarray:
     """Matrix with entries z^{p-q}; |z| = 1 and z^{2n} = 1."""
     p = np.arange(two_n)
     return z ** (p[:, None] - p[None, :])
+
+
+# the blocks (V1, V3) or (V2, V4) of projector i = 1..4 of a 2-dimensional family
+_FAMILY_BLOCKS = ((0, 2), (1, 3), (1, 3), (0, 2))
 
 
 def projectors(connection: ConnectionSet) -> tuple[Eigenprojector, ...]:
@@ -129,25 +135,15 @@ def _iter_projectors(connection: ConnectionSet) -> Iterator[Eigenprojector]:
         )
         yield Eigenprojector("E3", "alpha_3", sign_all.astype(complex) / order)
         yield Eigenprojector("E4", "alpha_4", e_pattern.astype(complex) / order)
-        for j in range(n):
-            X1 = _circulant(two_n, omega ** (2 * j))
-            # printed first row of X2 matches the third eigenvector's outer
-            # product; the fourth needs the transposed orientation
-            X2 = _circulant(two_n, -omega ** (-2 * j))
-            X2_outer = _circulant(two_n, -omega ** (2 * j))
-            lab = f"beta_{j}"
-            yield Eigenprojector(f"E{j}.1", lab, _block_matrix(order, {(0, 0): X1, (0, 2): -X1, (2, 0): -X1, (2, 2): X1}) / (4 * n))
-            yield Eigenprojector(f"E{j}.2", lab, _block_matrix(order, {(1, 1): X1, (1, 3): -X1, (3, 1): -X1, (3, 3): X1}) / (4 * n))
-            yield Eigenprojector(f"E{j}.3", lab, _block_matrix(order, {(1, 1): X2, (1, 3): -X2, (3, 1): -X2, (3, 3): X2}) / (4 * n))
-            yield Eigenprojector(f"E{j}.4", lab, _block_matrix(order, {(0, 0): X2_outer, (0, 2): -X2_outer, (2, 0): -X2_outer, (2, 2): X2_outer}) / (4 * n))
-        for k in range(1, n):
-            Y1 = _circulant(two_n, omega ** k)
-            Y2 = _circulant(two_n, omega ** (-k))
-            lab = f"gamma_{k}"
-            yield Eigenprojector(f"F{k}.1", lab, _block_matrix(order, {(0, 0): Y1, (0, 2): Y1, (2, 0): Y1, (2, 2): Y1}) / (4 * n))
-            yield Eigenprojector(f"F{k}.2", lab, _block_matrix(order, {(1, 1): Y1, (1, 3): Y1, (3, 1): Y1, (3, 3): Y1}) / (4 * n))
-            yield Eigenprojector(f"F{k}.3", lab, _block_matrix(order, {(1, 1): Y2, (1, 3): Y2, (3, 1): Y2, (3, 3): Y2}) / (4 * n))
-            yield Eigenprojector(f"F{k}.4", lab, _block_matrix(order, {(0, 0): Y2, (0, 2): Y2, (2, 0): Y2, (2, 2): Y2}) / (4 * n))
+        families = [
+            # printed first row of the third beta projector matches its
+            # eigenvector's outer product; the fourth needs the transposed
+            # orientation, -omega^{2j} in place of the printed -omega^{-2j}
+            ("E", "beta", range(n), -1,
+             lambda j: (omega ** (2 * j), omega ** (2 * j), -omega ** (-2 * j), -omega ** (2 * j))),
+            ("F", "gamma", range(1, n), 1,
+             lambda k: (omega ** k, omega ** k, omega ** (-k), omega ** (-k))),
+        ]
     else:
         yield Eigenprojector("E1", "alpha_1", np.ones((order, order), dtype=complex) / order)
         yield Eigenprojector("E3", "alpha_3", e_pattern.astype(complex) / order)
@@ -178,22 +174,22 @@ def _iter_projectors(connection: ConnectionSet) -> Iterator[Eigenprojector]:
                 )
                 / order,
             )
-        for j in range(1, n):
-            X1 = _circulant(two_n, omega ** j)
-            X2 = _circulant(two_n, omega ** (-j))
-            lab = f"beta_{j}"
-            yield Eigenprojector(f"E{j}.1", lab, _block_matrix(order, {(0, 0): X1, (0, 2): X1, (2, 0): X1, (2, 2): X1}) / (4 * n))
-            yield Eigenprojector(f"E{j}.2", lab, _block_matrix(order, {(1, 1): X1, (1, 3): X1, (3, 1): X1, (3, 3): X1}) / (4 * n))
-            yield Eigenprojector(f"E{j}.3", lab, _block_matrix(order, {(1, 1): X2, (1, 3): X2, (3, 1): X2, (3, 3): X2}) / (4 * n))
-            yield Eigenprojector(f"E{j}.4", lab, _block_matrix(order, {(0, 0): X2, (0, 2): X2, (2, 0): X2, (2, 2): X2}) / (4 * n))
-        for k in range(1, n):
-            Y1 = _circulant(two_n, 1j * omega ** k)
-            Y2 = _circulant(two_n, 1j * omega ** (-k))
-            lab = f"gamma_{k}"
-            yield Eigenprojector(f"F{k}.1", lab, _block_matrix(order, {(0, 0): Y1, (0, 2): -Y1, (2, 0): -Y1, (2, 2): Y1}) / (4 * n))
-            yield Eigenprojector(f"F{k}.2", lab, _block_matrix(order, {(1, 1): Y1, (1, 3): -Y1, (3, 1): -Y1, (3, 3): Y1}) / (4 * n))
-            yield Eigenprojector(f"F{k}.3", lab, _block_matrix(order, {(1, 1): Y2, (1, 3): -Y2, (3, 1): -Y2, (3, 3): Y2}) / (4 * n))
-            yield Eigenprojector(f"F{k}.4", lab, _block_matrix(order, {(0, 0): Y2, (0, 2): -Y2, (2, 0): -Y2, (2, 2): Y2}) / (4 * n))
+        families = [
+            ("E", "beta", range(1, n), 1,
+             lambda j: (omega ** j, omega ** j, omega ** (-j), omega ** (-j))),
+            ("F", "gamma", range(1, n), -1,
+             lambda k: (1j * omega ** k, 1j * omega ** k, 1j * omega ** (-k), 1j * omega ** (-k))),
+        ]
+    # z^{p-q} on the two diagonal blocks of each projector, sign * z^{p-q} off them
+    for name, kind, indices, sign, zs in families:
+        for j in indices:
+            for i, (z, (p, q)) in enumerate(zip(zs(j), _FAMILY_BLOCKS), 1):
+                X = _circulant(two_n, z)
+                off = X if sign > 0 else -X
+                blocks = {(p, p): X, (p, q): off, (q, p): off, (q, q): X}
+                yield Eigenprojector(
+                    f"{name}{j}.{i}", f"{kind}_{j}", _block_matrix(order, blocks) / (4 * n)
+                )
 
 
 def rep_projectors(connection: ConnectionSet) -> dict[str, np.ndarray]:
@@ -407,15 +403,13 @@ def grid_amplitude_maxima(
     return best
 
 
-def verify(
-    connection: ConnectionSet, table: SpectrumTable, verdicts, grid_points: int
-) -> tuple[float, int]:
+def verify(connection: ConnectionSet, table: SpectrumTable, verdicts) -> tuple[float, int]:
     """(max 1 - |H(pi/M)_{uv}| over positive pairs, disagreements) of one graph.
 
     A positive pair disagrees at or below 1 - POSITIVE_TOL, any other pair
     u < v when grid_amplitude_maxima reaches 1 - NEGATIVE_TOL at its ratio:
     a bound from B, B' or the coarse grid pass, and where none of them
-    certifies the ratio, its maximum over the grid of 2 pi / grid_points
+    certifies the ratio, its maximum over the grid of 2 pi / GRID_POINTS
     steps.  The ratio of a pair u < v is never the identity, so
     the identity column is never counted.
     """
@@ -426,7 +420,7 @@ def verify(
         max_dev = max(max_dev, 1.0 - amp)
         if amp <= 1.0 - POSITIVE_TOL:
             disagreements += 1
-    hit = grid_amplitude_maxima(connection, grid_points, table) >= 1.0 - NEGATIVE_TOL
+    hit = grid_amplitude_maxima(connection, GRID_POINTS, table) >= 1.0 - NEGATIVE_TOL
     W = ratio_index_table(connection.params)
     # every pair u < v whose ratio is hit, less the positive pairs among them
     disagreements += int(_pairs_per_ratio(connection.params)[hit].sum())

@@ -45,7 +45,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property, partial
-from typing import Callable, NamedTuple, Optional, Union
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -76,14 +76,14 @@ class SpectrumTable:
     """The eigenvalues of Cay(V_8n, S), one per representation.
 
     `all_integral` is fixed when the table is made.  `eigenvalues` is given
-    either as the tuple or as a function of no arguments that returns it;
-    the function runs on the first read of `eigenvalues`, and only then.
+    as a function of no arguments that returns the tuple; it runs on the
+    first read of `eigenvalues`, and only then.
     """
 
     def __init__(
         self,
         connection: ConnectionSet,
-        eigenvalues: Union[tuple[Eigenvalue, ...], Callable[[], tuple[Eigenvalue, ...]]],
+        eigenvalues: Callable[[], tuple[Eigenvalue, ...]],
         all_integral: bool,
     ) -> None:
         self.connection = connection
@@ -92,8 +92,7 @@ class SpectrumTable:
 
     @cached_property
     def eigenvalues(self) -> tuple[Eigenvalue, ...]:
-        entries = self._eigenvalues
-        return entries() if callable(entries) else entries
+        return self._eigenvalues()
 
     @property
     def params(self) -> GroupParams:

@@ -62,7 +62,7 @@ def eigenvalues(connection: ConnectionSet) -> SpectrumTable:
         )
     return SpectrumTable(
         connection=connection,
-        eigenvalues=tuple(entries),
+        eigenvalues=lambda: tuple(entries),
         all_integral=all(e.is_integer for e in entries),
     )
 

@@ -10,6 +10,10 @@ dense eigendecomposition of the adjacency matrix:
   * negative pair: |H(tau)_{uv}| < 1 - 1e-4 on a 10^4-point grid over
     (0, 2pi] and at the odd multiples pi/M * (1 + 2 l), l < 8.
 
+The same checks run on n = 5..8 over `hypothesis`-drawn sets (fixed
+example counts, derandomized): 25 class unions and 10 sets with transfer
+per n, the latter covering every transfer clause that n admits.
+
 The minimum-time scan check tests that no transfer happens before pi/M.
 Grid points just before pi/M cannot be required to stay below 1 - 1e-4:
 at tau* = pi/M the weights p_lambda = e^{-i lambda tau*} (E_lambda)_{uv} /
@@ -42,6 +46,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from v8npst import characters, oracle, pst, spectrum
 from v8npst.group import (
@@ -50,9 +55,12 @@ from v8npst.group import (
     all_elements,
     conjugacy_classes,
     element,
+    enumerate_connection_sets,
+    generated_subgroup,
     inverse,
     multiply,
     region,
+    validate_connection_set,
 )
 
 from characters_reference import closed_form_character
@@ -243,6 +251,7 @@ class ScanOutcome:
     outside_well_peak: float = 0.0
     first_crossing_failures: list = field(default_factory=list)
     type_overlap_violations: list = field(default_factory=list)
+    clauses: Counter = field(default_factory=Counter)
     elapsed: float = 0.0
 
 
@@ -311,89 +320,96 @@ def _check_minimum_time(out: ScanOutcome, key: tuple, lam, V, w: int, tau_star: 
         )
 
 
+def _scan_graph(out: ScanOutcome, conn, rng) -> None:
+    """The decision/oracle checks on every vertex pair of one graph."""
+    params = conn.params
+    n = params.n
+    order = params.order
+    W = oracle.ratio_index_table(params)
+    out.graphs += 1
+    table = spectrum.eigenvalues(conn)
+    A = adjacency(conn)
+    lam, V = np.linalg.eigh(A)
+    positives = pst.all_pst_pairs(table)
+    pos_mask = np.zeros((order, order), dtype=bool)
+    for verdict in positives:
+        pos_mask[verdict.u, verdict.v] = pos_mask[verdict.v, verdict.u] = True
+    upper = np.triu(np.ones((order, order), dtype=bool), 1)
+
+    # translation-invariance spot check backing the per-w reduction
+    for tau in rng.uniform(0.0, 2 * math.pi, size=2):
+        Habs = np.abs(eigh_full_h(lam, V, float(tau)))
+        assert np.max(np.abs(Habs - Habs[W, 0])) < 1e-10
+
+    colmax = eigh_column_max(lam, V, GRID_TIMES)
+    pairmax = colmax[W]
+
+    if not table.all_integral:
+        assert not positives
+        bad = (pairmax >= 1 - NEGATIVE_TOL) & upper
+        if bad.any():
+            out.disagreements.append(("neg-grid", n, conn.class_tags, int(bad.sum())))
+        out.negative_pairs += int(upper.sum())
+        return
+
+    if n % 2 == 0:
+        types = pst.classify_graph_type(table)
+        if sum(types) > 1:
+            out.type_overlap_violations.append((n, conn.class_tags, types))
+
+    M = pst.gap_gcd(table)
+    tau_star = math.pi / M
+    candidates = [tau_star * (1 + 2 * ell) for ell in range(8)]
+    neg_mask = upper & ~pos_mask
+    out.negative_pairs += int(neg_mask.sum())
+
+    bad = (pairmax >= 1 - NEGATIVE_TOL) & neg_mask
+    if bad.any():
+        out.disagreements.append(("neg-grid", n, conn.class_tags, int(bad.sum())))
+    for tau in candidates:
+        Habs = np.abs(eigh_full_h(lam, V, tau))
+        bad = (Habs >= 1 - NEGATIVE_TOL) & neg_mask
+        if bad.any():
+            out.disagreements.append(
+                ("neg-candidate", n, conn.class_tags, tau, int(bad.sum()))
+            )
+
+    if positives:
+        out.pst_graphs += 1
+    # the minimum-time checks run once per positive ratio class: all
+    # pairs of a class share |H(tau)| (invariance verified above)
+    checked_classes: set[int] = set()
+    for verdict in positives:
+        out.positive_pairs += 1
+        out.clauses[verdict.clause] += 1
+        amp = eigh_entry_amplitude(lam, V, verdict.u, verdict.v, tau_star)
+        if amp <= 1 - POSITIVE_TOL:
+            out.disagreements.append(
+                ("pos-at-min-time", n, conn.class_tags, (verdict.u, verdict.v), amp)
+            )
+        d = abs(verdict.u - verdict.v)
+        ok = ALLOWED_DISPLACEMENT[verdict.clause](n, d) and _clause_regions_ok(
+            params, verdict.clause, verdict.u, verdict.v
+        )
+        if not ok:
+            out.displacement_violations.append(
+                (n, conn.class_tags, verdict.clause, verdict.u, verdict.v)
+            )
+        w = W[verdict.u, verdict.v]
+        if w not in checked_classes:
+            checked_classes.add(w)
+            key = (n, conn.class_tags, (verdict.u, verdict.v))
+            _check_minimum_time(out, key, lam, V, w, tau_star)
+
+
 @pytest.fixture(scope="module")
 def scan() -> ScanOutcome:
     out = ScanOutcome()
     start = time.monotonic()
     for n in (1, 2, 3, 4):
-        params = GroupParams(n)
-        order = params.order
-        W = oracle.ratio_index_table(params)
         rng = np.random.default_rng(n)
         for conn in valid_sets(n):
-            out.graphs += 1
-            table = spectrum.eigenvalues(conn)
-            A = adjacency(conn)
-            lam, V = np.linalg.eigh(A)
-            positives = pst.all_pst_pairs(table)
-            pos_mask = np.zeros((order, order), dtype=bool)
-            for verdict in positives:
-                pos_mask[verdict.u, verdict.v] = pos_mask[verdict.v, verdict.u] = True
-            upper = np.triu(np.ones((order, order), dtype=bool), 1)
-
-            # translation-invariance spot check backing the per-w reduction
-            for tau in rng.uniform(0.0, 2 * math.pi, size=2):
-                Habs = np.abs(eigh_full_h(lam, V, float(tau)))
-                assert np.max(np.abs(Habs - Habs[W, 0])) < 1e-10
-
-            colmax = eigh_column_max(lam, V, GRID_TIMES)
-            pairmax = colmax[W]
-
-            if not table.all_integral:
-                assert not positives
-                bad = (pairmax >= 1 - NEGATIVE_TOL) & upper
-                if bad.any():
-                    out.disagreements.append(("neg-grid", n, conn.class_tags, int(bad.sum())))
-                out.negative_pairs += int(upper.sum())
-                continue
-
-            if n % 2 == 0:
-                types = pst.classify_graph_type(table)
-                if sum(types) > 1:
-                    out.type_overlap_violations.append((n, conn.class_tags, types))
-
-            M = pst.gap_gcd(table)
-            tau_star = math.pi / M
-            candidates = [tau_star * (1 + 2 * ell) for ell in range(8)]
-            neg_mask = upper & ~pos_mask
-            out.negative_pairs += int(neg_mask.sum())
-
-            bad = (pairmax >= 1 - NEGATIVE_TOL) & neg_mask
-            if bad.any():
-                out.disagreements.append(("neg-grid", n, conn.class_tags, int(bad.sum())))
-            for tau in candidates:
-                Habs = np.abs(eigh_full_h(lam, V, tau))
-                bad = (Habs >= 1 - NEGATIVE_TOL) & neg_mask
-                if bad.any():
-                    out.disagreements.append(
-                        ("neg-candidate", n, conn.class_tags, tau, int(bad.sum()))
-                    )
-
-            if positives:
-                out.pst_graphs += 1
-            # the minimum-time checks run once per positive ratio class: all
-            # pairs of a class share |H(tau)| (invariance verified above)
-            checked_classes: set[int] = set()
-            for verdict in positives:
-                out.positive_pairs += 1
-                amp = eigh_entry_amplitude(lam, V, verdict.u, verdict.v, tau_star)
-                if amp <= 1 - POSITIVE_TOL:
-                    out.disagreements.append(
-                        ("pos-at-min-time", n, conn.class_tags, (verdict.u, verdict.v), amp)
-                    )
-                d = abs(verdict.u - verdict.v)
-                ok = ALLOWED_DISPLACEMENT[verdict.clause](n, d) and _clause_regions_ok(
-                    params, verdict.clause, verdict.u, verdict.v
-                )
-                if not ok:
-                    out.displacement_violations.append(
-                        (n, conn.class_tags, verdict.clause, verdict.u, verdict.v)
-                    )
-                w = W[verdict.u, verdict.v]
-                if w not in checked_classes:
-                    checked_classes.add(w)
-                    key = (n, conn.class_tags, (verdict.u, verdict.v))
-                    _check_minimum_time(out, key, lam, V, w, tau_star)
+            _scan_graph(out, conn, rng)
     out.elapsed = time.monotonic() - start
     return out
 
@@ -453,6 +469,81 @@ def test_minimum_time_first_crossing_companion(scan):
 def test_criterion_displacement_law(scan):
     with criterion("displacement-law"):
         assert scan.displacement_violations == [], scan.displacement_violations[:5]
+
+
+# --------------------------------------------------------------------------
+# the same checks past n = 4, on drawn sets
+# --------------------------------------------------------------------------
+
+# the transfer clauses each n admits (one displacement family for odd n,
+# three for even n, keyed by n mod 4)
+DRAWN_CLAUSES = {
+    5: {"pst:odd-antipodal"},
+    6: {"pst:type3-antipodal", "pst:type2-same-region", "pst:type1-cross"},
+    7: {"pst:odd-antipodal"},
+    8: {"pst:type3-antipodal", "pst:type1-same-region", "pst:type2-cross"},
+}
+
+
+def class_unions(params: GroupParams):
+    """Drawn inverse-closed unions of non-identity classes that generate V_8n."""
+    classes = [c for c in conjugacy_classes(params) if IDENTITY not in c.members]
+
+    def union(picked) -> frozenset:
+        members = frozenset().union(*(classes[i].members for i in picked))
+        return members | {inverse(params, x) for x in members}
+
+    return (
+        st.sets(st.integers(0, len(classes) - 1), min_size=1)
+        .map(union)
+        .filter(lambda members: len(generated_subgroup(params, members)) == params.order)
+        .map(lambda members: validate_connection_set(params, members))
+    )
+
+
+def transfer_sets(n: int) -> tuple:
+    """The valid class-union sets of V_8n with transfer; the others are not kept."""
+    params = GroupParams(n)
+    memo = {}
+    return tuple(
+        conn
+        for conn in enumerate_connection_sets(params, len(conjugacy_classes(params)))
+        if pst.all_pst_pairs(spectrum.eigenvalues(conn, memo))
+    )
+
+
+@pytest.mark.parametrize("n", sorted(DRAWN_CLAUSES))
+def test_eigh_agreement_on_drawn_sets_past_n4(n):
+    """The scan's checks on 25 drawn class unions and 10 drawn sets with
+    transfer per n: most unions are not integral, so the second draw is
+    what reaches the positive pairs, and it must meet every clause n admits."""
+    out = ScanOutcome()
+
+    def check(conn) -> None:
+        graph = ScanOutcome()
+        _scan_graph(graph, conn, np.random.default_rng(conn.class_indices))
+        assert graph.disagreements == [], graph.disagreements[:5]
+        assert graph.type_overlap_violations == []
+        assert graph.displacement_violations == []
+        assert graph.detached_excursions == [] and graph.wide_wells == []
+        assert graph.first_crossing_failures == []
+        out.graphs += 1
+        out.clauses += graph.clauses
+
+    @settings(derandomize=True, max_examples=25, deadline=None, database=None)
+    @given(class_unions(GroupParams(n)))
+    def drawn_unions(conn):
+        check(conn)
+
+    @settings(derandomize=True, max_examples=10, deadline=None, database=None)
+    @given(st.sampled_from(transfer_sets(n)))
+    def drawn_transfer_sets(conn):
+        check(conn)
+
+    drawn_unions()
+    drawn_transfer_sets()
+    assert out.graphs >= 35
+    assert set(out.clauses) == DRAWN_CLAUSES[n], out.clauses
 
 
 # --------------------------------------------------------------------------

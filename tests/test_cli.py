@@ -3,6 +3,8 @@
 import hashlib
 import json
 import math
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -57,8 +59,7 @@ def test_analyze_round_trip(capsys):
     assert json.loads(json.dumps(doc)) == doc
 
 
-def test_analyze_transfer_graph_with_verify(capsys, monkeypatch):
-    monkeypatch.setenv("PST_GRID_POINTS", "2000")
+def test_analyze_transfer_graph_with_verify(capsys):
     # n=1, everything but b^2
     code, out = run_cli(capsys, ["analyze", "--n", "1", "--set", "a+b+a*b", "--verify"])
     assert code == 0
@@ -169,21 +170,66 @@ def test_search_n1_deterministic_summary(capsys):
         ),
     ],
 )
-def test_search_stdout_is_byte_identical_to_recorded_digest(capsys, monkeypatch, argv, digest):
+def test_search_stdout_is_byte_identical_to_recorded_digest(capsys, argv, digest):
     # the digests recorded for these runs in BENCH_pr10.json and BENCH_pr13.json
-    monkeypatch.delenv("PST_GRID_POINTS", raising=False)
     code, out = run_cli(capsys, argv)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
-def test_search_n2_verify_no_disagreements(capsys, monkeypatch):
-    monkeypatch.setenv("PST_GRID_POINTS", "1500")
+def test_search_n2_verify_no_disagreements(capsys):
     code, out = run_cli(capsys, ["search", "--n", "2", "--verify"])
     assert code == 0
     doc = json.loads(out)
     assert doc["verified"] is True and doc["disagreements"] == 0
     assert doc["pstCount"] == 60
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["analyze", "--n", "1", "--set", "a+b+a*b", "--verify"], ["search", "--n", "2", "--verify"]],
+)
+def test_grid_is_not_read_from_the_environment(capsys, monkeypatch, argv):
+    """The grid is the constant oracle.GRID_POINTS: PST_GRID_POINTS, once an
+    option, changes neither the exit code nor a byte of stdout."""
+    monkeypatch.delenv("PST_GRID_POINTS", raising=False)
+    plain = run_cli(capsys, argv)
+    assert plain[0] == 0
+    for raw in ("banana", "1"):
+        monkeypatch.setenv("PST_GRID_POINTS", raw)
+        assert run_cli(capsys, argv) == plain
+
+
+def readme_commands() -> list[list[str]]:
+    """The commands of README's "Command line" block, without the program name."""
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = text.split("## Command line", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    return [shlex.split(line, comments=True)[1:] for line in block.splitlines()]
+
+
+def test_readme_command_line_examples_run(capsys):
+    results = {argv[0]: run_cli(capsys, argv) for argv in readme_commands()}
+    assert list(results) == ["analyze", "search", "probe"]
+    assert all(code == 0 for code, _ in results.values())
+    assert json.loads(results["probe"][1])["gridPoints"] == oracle.GRID_POINTS
+    # the fields of README's sample analyze report
+    doc = json.loads(results["analyze"][1])
+    assert (doc["n"], doc["parity"], doc["connectionSet"]["size"]) == (2, "even2mod4", 14)
+    assert doc["spectrum"][0] == {
+        "label": "alpha_1",
+        "value": 14,
+        "multiplicity": 1,
+        "integer": True,
+    }
+    assert doc["integral"] is True
+    assert doc["types"] == {"type1": False, "type2": False, "type3": True}
+    assert doc["pstPairs"][0] == {
+        "u": 0,
+        "v": 8,
+        "clause": "pst:type3-antipodal",
+        "minTimeOverPi": 0.5,
+    }
+    assert doc["oracle"] == {"checked": True, "maxDeviation": 0.0}
 
 
 def test_search_workers_flag_is_usage_error(capsys):
@@ -197,8 +243,6 @@ def test_search_max_n_flag_is_usage_error(capsys):
 
 
 def test_search_detects_planted_disagreement(capsys, monkeypatch):
-    monkeypatch.setenv("PST_GRID_POINTS", "300")
-
     real = oracle.pair_amplitudes
 
     def sabotaged(conn, u, v, times, table=None):
@@ -212,8 +256,6 @@ def test_search_detects_planted_disagreement(capsys, monkeypatch):
 
 
 def test_search_detects_planted_negative_disagreement(capsys, monkeypatch):
-    monkeypatch.setenv("PST_GRID_POINTS", "300")
-
     def sabotaged(conn, grid_points, table=None):
         return np.ones(conn.params.order)
 
@@ -281,52 +323,6 @@ def test_probe_vertex_out_of_range(capsys):
     )
     assert code == 1
     assert json.loads(out)["error"]["code"] == "VertexOutOfRange"
-
-
-def test_grid_points_env_validation(monkeypatch):
-    monkeypatch.setenv("PST_GRID_POINTS", "banana")
-    with pytest.raises(cli.UsageError) as exc:
-        cli._grid_points()
-    assert exc.value.code == "InvalidGridPoints"
-
-
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["analyze", "--n", "1", "--set", "a+b+a*b", "--verify"],
-        ["search", "--n", "1"],
-    ],
-)
-@pytest.mark.parametrize("raw", ["banana", "0"])
-def test_invalid_grid_points_prints_error_document(capsys, monkeypatch, argv, raw):
-    monkeypatch.setenv("PST_GRID_POINTS", raw)
-    code, out = run_cli(capsys, argv)
-    assert code == 1
-    assert json.loads(out) == {
-        "error": {
-            "code": "InvalidGridPoints",
-            "message": f"PST_GRID_POINTS must be a positive integer, got {raw!r}",
-        }
-    }
-
-
-def test_search_reads_grid_points_before_enumerating(capsys, monkeypatch):
-    def enumerate_fails(*args, **kwargs):
-        raise AssertionError("enumerated before PST_GRID_POINTS was read")
-
-    monkeypatch.setattr(cli, "enumerate_connection_sets", enumerate_fails)
-    monkeypatch.setenv("PST_GRID_POINTS", "-3")
-    code, out = run_cli(capsys, ["search", "--n", "3"])
-    assert code == 1 and json.loads(out)["error"]["code"] == "InvalidGridPoints"
-
-
-def test_analyze_without_verify_ignores_grid_points(capsys, monkeypatch):
-    argv = ["analyze", "--n", "1", "--set", "a+b+a*b"]
-    _, plain = run_cli(capsys, argv)
-    monkeypatch.setenv("PST_GRID_POINTS", "banana")
-    code, out = run_cli(capsys, argv)
-    assert code == 0 and out == plain
-    assert json.loads(out)["oracle"] == {"checked": False, "maxDeviation": None}
 
 
 def test_search_decides_each_set_before_the_next_is_yielded(capsys, monkeypatch):
@@ -429,15 +425,8 @@ def test_render_rejects_unsupported_types(value):
         ["search", "--n", "2", "--workers", "4"],
     ],
 )
-def test_every_document_is_printed_as_json_dumps_indent_2(capsys, monkeypatch, argv):
-    monkeypatch.setenv("PST_GRID_POINTS", "500")
+def test_every_document_is_printed_as_json_dumps_indent_2(capsys, argv):
     cli.main(argv)
     out = capsys.readouterr().out
     assert out == json.dumps(json.loads(out), indent=2) + "\n"
 
-
-def test_invalid_grid_points_document_is_printed_as_json_dumps_indent_2(capsys, monkeypatch):
-    monkeypatch.setenv("PST_GRID_POINTS", "%s \"ü\"")
-    code, out = run_cli(capsys, ["search", "--n", "1"])
-    assert code == 1
-    assert out == json.dumps(json.loads(out), indent=2) + "\n"

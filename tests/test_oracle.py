@@ -402,8 +402,9 @@ def test_candidate_times_stay_below_threshold_for_negative_pairs():
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7, 8])
-def test_cached_stack_matches_per_call_reference(n):
+def test_cached_stack_matches_per_call_reference(n, monkeypatch):
     """The per-n stack equals the per-call stack bit for bit; the grid scan keeps its contract."""
+    monkeypatch.setattr(oracle, "GRID_POINTS", 512)  # the reference's dense scan stays small
     params = GroupParams(n)
     sets = valid_sets(n) if n <= 4 else tuple(enumerate_connection_sets(params, 3))
     assert sets
@@ -419,7 +420,7 @@ def test_cached_stack_matches_per_call_reference(n):
             assert np.array_equal(pair_amplitudes(conn, v.u, v.v, tau, table), want)
         check_grid_maxima(conn, table, 512)
         want = oracle_reference.oracle_check(conn, table, verdicts, 512)
-        assert oracle.verify(conn, table, verdicts, 512) == want
+        assert oracle.verify(conn, table, verdicts) == want
         stack = oracle._spectral_data(conn, table)[1]
         assert np.array_equal(stack.bound, projector_bound(conn, table))
         for array in (stack.mats, stack.bound, stack.cand, stack.cand_col):
@@ -444,3 +445,4 @@ def test_pairs_per_ratio_counts_the_upper_triangle(n):
 
 def test_verification_thresholds():
     assert (oracle.POSITIVE_TOL, oracle.NEGATIVE_TOL) == (1e-6, 1e-4)
+    assert oracle.GRID_POINTS == 10_000

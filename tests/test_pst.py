@@ -97,7 +97,7 @@ def _table_with_values(base, values):
         )
     return SpectrumTable(
         connection=base.connection,
-        eigenvalues=tuple(evs),
+        eigenvalues=lambda: tuple(evs),
         all_integral=all(v is not None for v in values),
     )
 

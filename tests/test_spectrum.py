@@ -280,14 +280,3 @@ def test_eager_integrality_matches_the_tuple(n, max_classes):
         table = eigenvalues(conn)
         assert table.all_integral == all(ev.is_integer for ev in table.eigenvalues)
 
-
-def test_table_built_from_a_tuple():
-    """Tables made from a finished tuple, as the decision tests and the
-    reference build them, read back what they were given."""
-    conn = full_set(2)
-    entries = eigenvalues(conn).eigenvalues
-    table = spectrum.SpectrumTable(connection=conn, eigenvalues=entries, all_integral=True)
-    assert table.eigenvalues is entries
-    assert table.all_integral is True
-    assert table.params == conn.params
-    assert table.alpha(1) is entries[0]
