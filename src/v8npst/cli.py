@@ -15,7 +15,9 @@ Every report and every error document is written by one fixed-layout
 writer, `_render`, whose output is byte-identical to
 `json.dumps(doc, indent=2)` (which falls back to the pure-Python encoder
 with `indent`).  `search` decides each connection set as the enumeration
-yields it and keeps only the report rows, not the sets.
+yields it and keeps only the report rows, not the sets.  Reports are
+written to stdout in slices of 1 MiB, so no encoded copy of a whole
+report is held.
 
 `--verify` scans the fixed grid `oracle.GRID_POINTS` (10^4 points over
 2 pi); `probe --grid` defaults to the same constant.
@@ -209,7 +211,11 @@ def _render(x, pad: str = "") -> str:
 
 
 def _emit(doc, human_lines=None) -> None:
-    print(_render(doc))
+    text = _render(doc)
+    # in slices: `print` would encode the whole report at once, a second copy of it
+    for start in range(0, len(text), 1 << 20):
+        sys.stdout.write(text[start : start + (1 << 20)])
+    sys.stdout.write("\n")
     if human_lines and sys.stderr.isatty():  # pragma: no cover - terminal only
         for line in human_lines:
             print(line, file=sys.stderr)
@@ -247,9 +253,8 @@ def cmd_search(args) -> int:
     rows = []
     pst_reports = []
     disagreements = 0
-    memo = {}  # one enumeration's distinct eigenvalues; freed on return
     for conn in enumerate_connection_sets(params, max_classes):
-        table = spectrum.eigenvalues(conn, memo)
+        table = spectrum.eigenvalues(conn)
         graph, verdicts, oracle_json, found = _decide(conn, table, args.verify)
         disagreements += found
         rows.append(

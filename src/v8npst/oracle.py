@@ -55,7 +55,7 @@ from .group import (
     multiply,
     vertex_index,
 )
-from .spectrum import SpectrumTable, eigenvalues
+from .spectrum import SpectrumTable, eigenvalues, rep_labels
 
 __all__ = [
     "Eigenprojector",
@@ -223,28 +223,33 @@ class _Stack:
     cand_col: np.ndarray  # mats[:, cand, 0]
 
 
-_STACKS: dict[tuple[GroupParams, tuple[str, ...]], _Stack] = {}
+_STACKS: dict[GroupParams, _Stack] = {}
 
 
 def _spectral_data(
     connection: ConnectionSet, table: SpectrumTable | None
 ) -> tuple[np.ndarray, _Stack]:
-    """(eigenvalues, per-n stack of projector sums) aligned by label."""
+    """(float eigenvalues, per-n stack of projector sums) aligned by label.
+
+    `table` is one that `spectrum.eigenvalues` made (None: it is made
+    here).  Every such table of one n lists its labels in the order of
+    `rep_labels`, so the stack is kept per n and only the table's `values`
+    are read.
+    """
     if table is None:
         table = eigenvalues(connection)
-    labels = tuple(ev.label for ev in table.eigenvalues)
-    key = (connection.params, labels)
-    stack = _STACKS.get(key)
+    params = connection.params
+    stack = _STACKS.get(params)
     if stack is None:
         sums = rep_projectors(connection)
-        mats = np.stack([sums[label] for label in labels])
+        mats = np.stack([sums[label] for label in rep_labels(params)])
         col = mats[:, :, 0]
         bound = np.abs(col).sum(axis=0)
         cand = 1 + np.flatnonzero(bound[1:] >= 1.0 - NEGATIVE_TOL)
-        stack = _STACKS[key] = _Stack(mats, bound, cand, col[:, cand])
+        stack = _STACKS[params] = _Stack(mats, bound, cand, col[:, cand])
         for array in (mats, bound, cand, stack.cand_col):
             array.flags.writeable = False
-    return np.array([ev.value for ev in table.eigenvalues]), stack
+    return table.values, stack
 
 
 def transition(

@@ -26,32 +26,29 @@ and the dense adjacency matrix.
 
 A search rejects most sets on integrality alone, so `eigenvalues` sums
 the rows once and decides `all_integral` from the sums at once, exactly;
-the per-representation `Eigenvalue` tuple is built only when a table's
-`eigenvalues` is first read.  On `search --n 7 --max-classes 4` only 8 of
-152 tables are integral, and without `--verify` nothing reads the other
-144 past `all_integral`.
-
-Few of the sums are distinct: `search --n 7 --max-classes 4` meets 490
-distinct (representation, integer row) pairs among 2,584, and the full
-n = 8 search 26,460 among 1,216,512.  Building the tuple therefore reads a
-memo from (representation index, numerator row) to the finished
-`Eigenvalue`.  The caller owns it: `search` keeps one for one enumeration
-and drops it when it returns; nothing keeps one for the life of the
-process.  One memo serves one n and one character table.
+everything else is built on first read.  On `search --n 7 --max-classes 4`
+only 8 of 152 tables are integral, and without `--verify` nothing reads the
+other 144 past `all_integral`.  A table's `values`, the float eigenvalue
+per representation, is one array pass over the summed numerator rows: each
+product of a coefficient with Re zeta^e is the same IEEE product as a
+scalar one, and `math.fsum` of a row is the correctly rounded sum of its
+products, zero terms or not.  The oracle reads only `values`, so a graph
+that nothing else reads never builds its `Eigenvalue` tuple; the tuple is
+built from `values` when a table's `eigenvalues` is first read.  No
+eigenvalue is kept past its table.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import cached_property
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
 from .cyclotomic import reduced_powers, unit_roots
 from .group import ConnectionSet, GroupParams, class_masks, conjugacy_classes
-from .characters import RepDescriptor, character_table, rep_descriptors
+from .characters import character_table, rep_descriptors
 
 _KIND_BY_REP = {"theta": "alpha", "psi": "beta", "phi": "gamma"}
 
@@ -61,8 +58,7 @@ class NonRealEigenvalue(ArithmeticError):
     over an inverse-closed S would not all be real."""
 
 
-@dataclass(frozen=True)
-class Eigenvalue:
+class Eigenvalue(NamedTuple):
     label: str
     kind: str  # alpha | beta | gamma
     index: int
@@ -70,6 +66,11 @@ class Eigenvalue:
     value: float
     is_integer: bool
     integer_value: Optional[int]
+
+
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
 
 
 class SpectrumTable:
@@ -111,8 +112,8 @@ class SpectrumTable:
 class _ClassMap(NamedTuple):
     """The spectrum as an integer linear map of the class indicator of S.
 
-    Built once per n from one character table.  For representation rho and
-    class c, `stacked[rho, c]` holds two coefficient vectors of
+    Built once per n from one character table.  For class c and
+    representation rho, `stacked[c, rho]` holds two coefficient vectors of
     |c| * chi_rho(c), side by side:
 
       [:m]    over zeta^0 .. zeta^{m-1}, as the table writes it;
@@ -122,13 +123,15 @@ class _ClassMap(NamedTuple):
     Both are linear in the coefficients, so their sums over the classes of
     S are the eigenvalue numerator and its reduced form.  Entries are class
     sizes times coefficients of a few units, so the int64 sums are exact.
+    Each class's block is contiguous, so a set's sum is one `take` and one
+    sum over the first axis.
     """
 
     table: tuple  # the character table the map was built from
-    stacked: np.ndarray  # int64, (reps, classes, m + phi(m))
-    reps: tuple[tuple[RepDescriptor, str, str], ...]  # descriptor, label, kind
+    stacked: np.ndarray  # int64, (classes, reps, m + phi(m))
+    reps: tuple[tuple[str, str, int, int], ...]  # label, kind, index, multiplicity
     degrees: np.ndarray  # int64, (reps,): the degree d of each representation
-    re_roots: tuple[float, ...]  # Re zeta^e for e = 0 .. m-1
+    re_roots: np.ndarray  # float, (m,): Re zeta^e for e = 0 .. m-1
 
 
 _class_maps: dict[GroupParams, _ClassMap] = {}
@@ -181,21 +184,65 @@ def _build_class_map(params: GroupParams, table) -> _ClassMap:
         gram = np.tensordot(conj, unreduced[:, c][:, shift], ([0, 2], [0, 1]))
         if not is_integer(gram, params.order * size * (np.arange(len(sizes)) == c)):
             raise RuntimeError(f"column orthogonality fails at class {classes[c].tag}")
+    stacked = np.concatenate([unreduced, unreduced @ reduce], axis=2)
     return _ClassMap(
         table=table,
-        stacked=np.concatenate([unreduced, unreduced @ reduce], axis=2),
+        stacked=_read_only(np.ascontiguousarray(stacked.transpose(1, 0, 2))),
         reps=tuple(
-            (desc, f"{_KIND_BY_REP[desc.kind]}_{desc.index}", _KIND_BY_REP[desc.kind])
-            for desc in descs
+            (f"{_KIND_BY_REP[d.kind]}_{d.index}", _KIND_BY_REP[d.kind], d.index, d.degree**2)
+            for d in descs
         ),
-        degrees=np.array([d.degree for d in descs], dtype=np.int64),
-        re_roots=tuple(z.real for z in unit_roots(m)),
+        degrees=_read_only(np.array([d.degree for d in descs], dtype=np.int64)),
+        re_roots=_read_only(np.array([z.real for z in unit_roots(m)])),
     )
 
 
-def eigenvalues(
-    connection: ConnectionSet, memo: Optional[dict[tuple, Eigenvalue]] = None
-) -> SpectrumTable:
+def rep_labels(params: GroupParams) -> tuple[str, ...]:
+    """The eigenvalue label of each representation, in the order of every table."""
+    return tuple(label for label, *_ in _class_map(params).reps)
+
+
+class _SummedTable(SpectrumTable):
+    """The table of one set, from its summed class-map rows (reps, m + phi(m)).
+
+    `values` is the read-only float vector of the eigenvalues, in the order
+    of `rep_labels`: one array pass over the numerator rows.  The tuple is
+    built from `values` and the reduced rows.  Each is built on its first
+    read; the tuple comes from the property below, not from a function.
+    """
+
+    def __init__(self, connection: ConnectionSet, class_map: _ClassMap, sums: np.ndarray) -> None:
+        reduced = sums[:, len(class_map.re_roots) :]
+        self.connection = connection
+        self.all_integral = not np.count_nonzero(reduced[:, 1:]) and not np.count_nonzero(
+            reduced[:, 0] % class_map.degrees
+        )
+        self._class_map = class_map
+        self._sums = sums
+
+    @cached_property
+    def values(self) -> np.ndarray:
+        re_roots = self._class_map.re_roots
+        products = (self._sums[:, : len(re_roots)] * re_roots).tolist()
+        numerators = np.array(list(map(math.fsum, products)))
+        return _read_only(numerators / self._class_map.degrees)
+
+    @cached_property
+    def eigenvalues(self) -> tuple[Eigenvalue, ...]:
+        reduced = self._sums[:, len(self._class_map.re_roots) :]
+        k, rest = np.divmod(reduced[:, 0], self._class_map.degrees)
+        is_int = (rest == 0) & ~reduced[:, 1:].any(axis=1)
+        return tuple(
+            [
+                Eigenvalue(*rep, value, i, k if i else None)
+                for rep, value, i, k in zip(
+                    self._class_map.reps, self.values.tolist(), is_int.tolist(), k.tolist()
+                )
+            ]
+        )
+
+
+def eigenvalues(connection: ConnectionSet) -> _SummedTable:
     """Per-representation eigenvalues of Cay(V_8n, S), exact and numeric.
 
     Each value is real: the table check gives chi(c^-1) = conj chi(c), and S
@@ -204,55 +251,10 @@ def eigenvalues(
 
     The rows of the classes of S are summed here, once, and `all_integral`
     is decided on the sums: every reduced row is an integer k with d | k.
-    The `Eigenvalue` tuple is built from the same sums and the same class
-    map on the first read of the table's `eigenvalues`, so a caller that
-    reads only `all_integral` never pays for it.
-
-    `memo` maps (representation index, tuple of the summed numerator row)
-    to the finished `Eigenvalue`; pass one dict to every call of one
-    enumeration to build each distinct eigenvalue once (None: a fresh dict).
-    The reduced row is the image of the numerator row under the same class
-    map, so that row alone determines the entry.  The memo holds entries of
-    one n and one character table; it must not outlive either.  It is read
-    and filled only when a table's tuple is built.
+    The float `values` and the `Eigenvalue` tuple are built from the same
+    sums and the same class map on their first read, so a caller that reads
+    only `all_integral` pays for neither.
     """
-    m = 4 * connection.params.n
     class_map = _class_map(connection.params)
-    sums = class_map.stacked.take(connection.class_indices, axis=1).sum(axis=1)
-    reduced = sums[:, m:]
-    return SpectrumTable(
-        connection=connection,
-        eigenvalues=partial(_entries, class_map, sums, memo),
-        all_integral=not np.count_nonzero(reduced[:, 1:])
-        and not np.count_nonzero(reduced[:, 0] % class_map.degrees),
-    )
-
-
-def _entries(
-    class_map: _ClassMap, sums: np.ndarray, memo: Optional[dict[tuple, Eigenvalue]]
-) -> tuple[Eigenvalue, ...]:
-    """The `Eigenvalue` per representation from the summed rows of one set."""
-    if memo is None:
-        memo = {}
-    re_roots = class_map.re_roots
-    m = len(re_roots)
-    entries = []
-    for rep, (row, (desc, label, kind)) in enumerate(zip(sums.tolist(), class_map.reps)):
-        num = row[:m]
-        key = (rep, tuple(num))
-        ev = memo.get(key)
-        if ev is None:
-            den = desc.degree
-            k = row[m]  # the reduced row is row[m:]
-            is_int = not any(row[m + 1 :]) and k % den == 0
-            ev = memo[key] = Eigenvalue(
-                label=label,
-                kind=kind,
-                index=desc.index,
-                multiplicity=den**2,
-                value=math.fsum([c * r for c, r in zip(num, re_roots) if c]) / den,
-                is_integer=is_int,
-                integer_value=k // den if is_int else None,
-            )
-        entries.append(ev)
-    return tuple(entries)
+    sums = class_map.stacked.take(connection.class_indices, axis=0).sum(axis=0)
+    return _SummedTable(connection, class_map, sums)

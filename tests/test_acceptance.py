@@ -504,11 +504,10 @@ def class_unions(params: GroupParams):
 def transfer_sets(n: int) -> tuple:
     """The valid class-union sets of V_8n with transfer; the others are not kept."""
     params = GroupParams(n)
-    memo = {}
     return tuple(
         conn
         for conn in enumerate_connection_sets(params, len(conjugacy_classes(params)))
-        if pst.all_pst_pairs(spectrum.eigenvalues(conn, memo))
+        if pst.all_pst_pairs(spectrum.eigenvalues(conn))
     )
 
 

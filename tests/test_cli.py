@@ -168,10 +168,14 @@ def test_search_n1_deterministic_summary(capsys):
             ["search", "--n", "6", "--verify"],
             "8934e016221c22e9d863db61a44eff347a78f2fced5654a2970c2206c24fab1c",
         ),
+        (  # n = 0 mod 4: the even branch whose maxDeviation no other run prints
+            ["search", "--n", "4", "--verify"],
+            "ecec5da4135a0c26e651bc28415fe1b21e48562d711cf151cb5a7ab4d10c499b",
+        ),
     ],
 )
 def test_search_stdout_is_byte_identical_to_recorded_digest(capsys, argv, digest):
-    # the digests recorded for these runs in BENCH_pr10.json and BENCH_pr13.json
+    # the digests recorded for these runs in BENCH_pr10.json, BENCH_pr13.json and BENCH_pr17.json
     code, out = run_cli(capsys, argv)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
@@ -335,9 +339,9 @@ def test_search_decides_each_set_before_the_next_is_yielded(capsys, monkeypatch)
             events.append(("yield", conn.class_indices))
             yield conn
 
-    def recording_eigenvalues(conn, memo=None):
+    def recording_eigenvalues(conn):
         events.append(("eigenvalues", conn.class_indices))
-        return real_eigenvalues(conn, memo)
+        return real_eigenvalues(conn)
 
     monkeypatch.setattr(cli, "enumerate_connection_sets", recording_enumerate)
     monkeypatch.setattr(cli.spectrum, "eigenvalues", recording_eigenvalues)

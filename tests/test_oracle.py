@@ -446,3 +446,15 @@ def test_pairs_per_ratio_counts_the_upper_triangle(n):
 def test_verification_thresholds():
     assert (oracle.POSITIVE_TOL, oracle.NEGATIVE_TOL) == (1e-6, 1e-4)
     assert oracle.GRID_POINTS == 10_000
+
+
+@pytest.mark.parametrize("n", [4, 7, 8])
+def test_verify_reads_only_the_float_values(n):
+    """The oracle reads a table's `values`: checking a graph without transfer
+    builds no `Eigenvalue` tuple."""
+    conn = next(
+        c for c in enumerate_connection_sets(GroupParams(n), 3) if not eigenvalues(c).all_integral
+    )
+    table = eigenvalues(conn)
+    assert oracle.verify(conn, table, ()) == (0.0, 0)
+    assert "values" in vars(table) and "eigenvalues" not in vars(table)

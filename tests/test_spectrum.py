@@ -143,15 +143,16 @@ def test_trace_and_second_moment(n):
 )
 def test_class_map_matches_cyclotomic_reference(n, max_classes):
     """Summing the per-n class map gives the per-set CycloInt computation's
-    eigenvalues, floats compared bit for bit through repr, with a fresh memo
-    per set and with one memo shared by the whole enumeration."""
-    memo = {}
+    eigenvalues, floats compared bit for bit through repr, and the float
+    vector `values` the oracle reads is the reference's values bit for bit."""
     for conn in enumerate_connection_sets(GroupParams(n), max_classes):
         want = spectrum_reference.eigenvalues(conn)
-        for got in (eigenvalues(conn), eigenvalues(conn, memo)):
-            assert repr(got.eigenvalues) == repr(want.eigenvalues)
-            assert got.all_integral == want.all_integral
-    assert memo
+        got = eigenvalues(conn)
+        assert [x.hex() for x in got.values.tolist()] == [
+            ev.value.hex() for ev in want.eigenvalues
+        ]
+        assert repr(got.eigenvalues) == repr(want.eigenvalues)
+        assert got.all_integral == want.all_integral
 
 
 def _near_zero_irrational():
@@ -214,7 +215,7 @@ def test_near_integer_irrational_is_not_integral(monkeypatch):
     # in the built map it reaches the integrality decision
     cmap = spectrum._class_map(p)
     stacked = cmap.stacked.copy()
-    stacked[1, b2] += np.concatenate([eps.c, np.array(eps.c) @ np.array(reduced_powers(8))])
+    stacked[b2, 1] += np.concatenate([eps.c, np.array(eps.c) @ np.array(reduced_powers(8))])
     monkeypatch.setattr(spectrum, "_class_map", lambda params: cmap._replace(stacked=stacked))
     table = eigenvalues(conn)
     ev = table.eigenvalues[1]
@@ -250,26 +251,18 @@ def _non_integral_set(n):
     return next(c for c in valid_sets(n) if not eigenvalues(c).all_integral)
 
 
-def test_non_integral_table_leaves_the_memo_empty():
-    """Integrality is decided on the summed rows; no `Eigenvalue` is built
-    until the tuple is read."""
+def test_reading_all_integral_builds_neither_values_nor_the_tuple():
+    """Integrality is decided on the summed rows; `values` and the tuple are
+    built on their first read, once."""
     conn = _non_integral_set(4)
-    memo = {}
-    table = eigenvalues(conn, memo)
+    table = eigenvalues(conn)
     assert not table.all_integral
-    assert memo == {}
-
-
-def test_reading_the_tuple_fills_the_memo():
-    conn = _non_integral_set(4)
-    memo = {}
-    table = eigenvalues(conn, memo)
+    assert "values" not in vars(table) and "eigenvalues" not in vars(table)
+    values = table.values
+    assert not values.flags.writeable
+    assert "eigenvalues" not in vars(table)  # the oracle's read builds no tuple
     entries = table.eigenvalues
-    assert len(memo) == len(entries)
-    assert set(memo.values()) == set(entries)
-    assert table.eigenvalues is entries  # built once
-    assert repr(eigenvalues(conn, memo).eigenvalues) == repr(entries)
-    assert len(memo) == len(entries)
+    assert table.values is values and table.eigenvalues is entries
 
 
 @pytest.mark.parametrize(
