@@ -15,7 +15,9 @@ Every report and every error document is written by one fixed-layout
 writer, `_render`, whose output is byte-identical to
 `json.dumps(doc, indent=2)` (which falls back to the pure-Python encoder
 with `indent`).  `search` decides each connection set as the enumeration
-yields it and keeps only the report rows, not the sets.  Reports are
+yields it and keeps only the report rows, not the sets.  A row reads only
+a set's classes and size, so a set's members are built only for the
+report of a graph with transfer, which lists its elements.  Reports are
 written to stdout in slices of 1 MiB, so no encoded copy of a whole
 report is held.
 
@@ -199,14 +201,23 @@ def _render(x, pad: str = "") -> str:
         if not x:
             return "{}"
         deeper = pad + "  "
-        values = tuple([_render(v, deeper) for v in x.values()])
+        values = tuple(
+            [
+                _render(v, deeper) if (scalar := _SCALARS.get(type(v))) is None else scalar(v)
+                for v in x.values()
+            ]
+        )
         return _dict_template(tuple(x), pad) % values
     if kind is list or kind is tuple:
         if not x:
             return "[]"
         deeper = pad + "  "
         items = ",\n" + deeper
-        return "[\n" + deeper + items.join([_render(v, deeper) for v in x]) + "\n" + pad + "]"
+        rendered = [
+            _render(v, deeper) if (scalar := _SCALARS.get(type(v))) is None else scalar(v)
+            for v in x
+        ]
+        return "[\n" + deeper + items.join(rendered) + "\n" + pad + "]"
     raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
 
 

@@ -9,13 +9,19 @@ are labelled 0..8n-1 in the order
 
 so that label = 2n*s + r, and the label range splits into the four blocks
 V1 = [0, 2n), V2 = [2n, 4n), V3 = [4n, 6n), V4 = [6n, 8n).
+
+Everything that depends only on n is computed once per n and cached under
+the group's `GroupParams`, of which there is one instance per n, so each
+lookup hashes and compares in C.  A connection set is a union of classes:
+its size and tags come from the per-n class sizes and tags, and an
+enumerated set builds its member frozenset only when something reads it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Iterable, Iterator, NamedTuple
+from functools import cached_property, lru_cache
+from typing import Iterable, Iterator, NamedTuple, Optional
 
 
 class GroupElement(NamedTuple):
@@ -25,16 +31,31 @@ class GroupElement(NamedTuple):
 
 IDENTITY = GroupElement(0, 0)
 
+_PARAMS: dict[int, GroupParams] = {}
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, eq=False, init=False)
 class GroupParams:
-    """Order parameter; the group V_8n has 8n elements."""
+    """Order parameter; the group V_8n has 8n elements.
+
+    `GroupParams(n)` returns one instance per n, so equal parameters are the
+    same object: `==` and `hash` are object identity, and the per-n caches
+    below find a group without calling Python-level `__hash__` or `__eq__`.
+    """
 
     n: int
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.n, int) or self.n < 1:
-            raise ValueError(f"n must be a positive integer, got {self.n!r}")
+    def __new__(cls, n: int) -> GroupParams:
+        if not isinstance(n, int) or n < 1:
+            raise ValueError(f"n must be a positive integer, got {n!r}")
+        params = _PARAMS.get(n)
+        if params is None:
+            params = _PARAMS[int(n)] = object.__new__(cls)
+            object.__setattr__(params, "n", int(n))
+        return params
+
+    def __getnewargs__(self) -> tuple[int]:  # copies and pickles are the one instance
+        return (self.n,)
 
     @property
     def order(self) -> int:
@@ -340,21 +361,50 @@ def class_masks(params: GroupParams) -> ClassMasks:
     )
 
 
-@dataclass(frozen=True)
-class ConnectionSet:
-    """Validated connection set: identity-free, symmetric, normal, generating."""
+@lru_cache(maxsize=None)
+def class_sizes(params: GroupParams) -> tuple[int, ...]:
+    """The size of each conjugacy class, in class order."""
+    return tuple([len(c) for c in conjugacy_classes(params)])
 
-    params: GroupParams
-    members: frozenset[GroupElement]
-    class_indices: tuple[int, ...]
+
+@lru_cache(maxsize=None)
+def class_tags(params: GroupParams) -> tuple[str, ...]:
+    """The tag of each conjugacy class, in class order."""
+    return tuple([c.tag for c in conjugacy_classes(params)])
+
+
+class ConnectionSet:
+    """Validated connection set: identity-free, symmetric, normal, generating.
+
+    S is the union of the conjugacy classes `class_indices`.  `members` is
+    the frozenset given to the constructor; when none is given, it is built
+    from the classes on first read.  `len` and `class_tags` read only the
+    per-n class sizes and tags, so deciding and listing an enumerated set
+    never builds its members.
+    """
+
+    def __init__(
+        self,
+        params: GroupParams,
+        members: Optional[frozenset[GroupElement]],
+        class_indices: tuple[int, ...],
+    ) -> None:
+        self.params = params
+        self.class_indices = class_indices
+        if members is not None:
+            self.members = members
+
+    @cached_property
+    def members(self) -> frozenset[GroupElement]:
+        classes = conjugacy_classes(self.params)
+        return frozenset().union(*[classes[i].members for i in self.class_indices])
 
     def __len__(self) -> int:
-        return len(self.members)
+        return sum(map(class_sizes(self.params).__getitem__, self.class_indices))
 
     @property
     def class_tags(self) -> tuple[str, ...]:
-        classes = conjugacy_classes(self.params)
-        return tuple(classes[i].tag for i in self.class_indices)
+        return tuple(map(class_tags(self.params).__getitem__, self.class_indices))
 
 
 def generated_subgroup(
@@ -403,10 +453,10 @@ def validate_connection_set(
         )
 
     cmap = class_index_map(params)
-    classes = conjugacy_classes(params)
+    sizes = class_sizes(params)
     idxs = sorted({cmap[x] for x in mset})
     # mset lies inside the union of its classes, so equal sizes mean equality
-    if sum(len(classes[i]) for i in idxs) != len(mset):
+    if sum(sizes[i] for i in idxs) != len(mset):
         raise NotNormal("set is not a union of conjugacy classes (Sg != gS)")
     if not class_masks(params).generates(sum(1 << i for i in idxs)):
         raise NotGenerating("set does not generate the whole group")
@@ -422,7 +472,8 @@ def enumerate_connection_sets(
     of class indices.  Only inverse-closed unions are visited: each is a
     union of inverse orbits (a self-inverse class, or a class with its
     inverse class).  Unions that do not generate are skipped, decided on the
-    per-n class masks.
+    per-n class masks.  Sets are yielded without members, which are built
+    from the classes only if read.
     """
     classes = conjugacy_classes(params)
     masks = class_masks(params)
@@ -434,16 +485,25 @@ def enumerate_connection_sets(
     # unions of orbits within the class budget, level by level; each union
     # is extended with later orbits only, so each is listed once
     level = [(0, 0)]  # (class bits, index of the next orbit)
-    unions = []
+    combos = []
     while level:
         level = [
-            (bits | orbit, j)
+            (union, j)
             for bits, start in level
             for j, orbit in enumerate(orbits[start:], start + 1)
-            if (bits | orbit).bit_count() <= max_classes
+            if (union := bits | orbit).bit_count() <= max_classes
         ]
-        unions += [bits for bits, _ in level if masks.generates(bits)]
-    combos = [tuple([i for i in range(len(classes)) if bits >> i & 1]) for bits in unions]
-    for combo in sorted(combos, key=lambda u: (len(u), u)):
-        members = frozenset().union(*(classes[i].members for i in combo))
-        yield ConnectionSet(params=params, members=members, class_indices=combo)
+        combos += [_set_bits(bits) for bits, _ in level if masks.generates(bits)]
+    # by class count, then by the index tuple: a stable sort on each key
+    for combo in sorted(sorted(combos), key=len):
+        yield ConnectionSet(params, None, combo)
+
+
+def _set_bits(bits: int) -> tuple[int, ...]:
+    """The indices of the set bits, in increasing order."""
+    out = []
+    while bits:
+        low = bits & -bits
+        out.append(low.bit_length() - 1)
+        bits ^= low
+    return tuple(out)

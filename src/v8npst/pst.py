@@ -19,7 +19,9 @@ and on n mod 4 (+-n within a block, +-3n/+-5n between opposite blocks, or
 None of this depends on the pair beyond its blocks and displacement, so
 each graph is decided once (`decide_graph`): integrality, the odd-n
 valuation pattern or the even-n Type flags, and the clause of each of
-three displacement families of 4n pairs u < v each:
+three displacement families of 4n pairs u < v each.  A non-integral graph
+is settled by integrality alone, so all of them share one verdict per n.
+The families are:
 
   antipodal    (u, u + 4n) for u < 4n; odd-antipodal (odd n, pattern) or
                type3-antipodal (even n, Type 3);
@@ -44,6 +46,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import NamedTuple, Optional
 
 from .group import GroupParams, region
@@ -171,14 +174,26 @@ def _is_positive(clause: str) -> bool:
     return clause.startswith("pst:")
 
 
+@lru_cache(maxsize=None)
+def _non_integral_verdict(params: GroupParams) -> GraphVerdict:
+    """The verdict of every non-integral graph over V_8n: no family has transfer."""
+    if params.is_odd:
+        return GraphVerdict(params, None, NON_INTEGRAL, DISPLACEMENT, DISPLACEMENT, None)
+    types = TypeClassification(False, False, False)
+    return GraphVerdict(params, types, NON_INTEGRAL, NON_INTEGRAL, NON_INTEGRAL, None)
+
+
 def decide_graph(table: SpectrumTable) -> GraphVerdict:
-    """Decide integrality, the valuation pattern or Type 1/2/3 flags, and M once."""
+    """Decide integrality, the valuation pattern or Type 1/2/3 flags, and M once.
+
+    A non-integral table gets the one shared verdict of its n.
+    """
     params = table.params
+    if not table.all_integral:
+        return _non_integral_verdict(params)
     n = params.n
 
     def family(clause: str, holds: bool) -> str:
-        if not table.all_integral:
-            return NON_INTEGRAL
         return clause if holds else VALUATION
 
     if params.is_odd:

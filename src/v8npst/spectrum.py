@@ -29,10 +29,11 @@ the rows once and decides `all_integral` from the sums at once, exactly;
 everything else is built on first read.  On `search --n 7 --max-classes 4`
 only 8 of 152 tables are integral, and without `--verify` nothing reads the
 other 144 past `all_integral`.  A table's `values`, the float eigenvalue
-per representation, is one array pass over the summed numerator rows: each
-product of a coefficient with Re zeta^e is the same IEEE product as a
-scalar one, and `math.fsum` of a row is the correctly rounded sum of its
-products, zero terms or not.  The oracle reads only `values`, so a graph
+per representation, is one array pass over the nonzero coefficients of the
+summed numerator rows: each product of a coefficient with Re zeta^e is the
+same IEEE product as a scalar one, and `math.fsum` of a row's products is
+their correctly rounded sum (+0.0 for a row with none), which zero terms
+would not change.  The oracle reads only `values`, so a graph
 that nothing else reads never builds its `Eigenvalue` tuple; the tuple is
 built from `values` when a table's `eigenvalues` is first read.  No
 eigenvalue is kept past its table.
@@ -223,9 +224,12 @@ class _SummedTable(SpectrumTable):
     @cached_property
     def values(self) -> np.ndarray:
         re_roots = self._class_map.re_roots
-        products = (self._sums[:, : len(re_roots)] * re_roots).tolist()
-        numerators = np.array(list(map(math.fsum, products)))
-        return _read_only(numerators / self._class_map.degrees)
+        coeffs = self._sums[:, : len(re_roots)]
+        rows, cols = coeffs.nonzero()  # row-major, so each row's products are one slice
+        products = (coeffs[rows, cols] * re_roots[cols]).tolist()
+        ends = np.bincount(rows, minlength=len(coeffs)).cumsum().tolist()
+        numerators = [math.fsum(products[start:end]) for start, end in zip([0, *ends], ends)]
+        return _read_only(np.array(numerators) / self._class_map.degrees)
 
     @cached_property
     def eigenvalues(self) -> tuple[Eigenvalue, ...]:

@@ -352,6 +352,26 @@ def test_search_decides_each_set_before_the_next_is_yielded(capsys, monkeypatch)
     assert events == [(kind, idx) for idx in sets for kind in ("yield", "eigenvalues")]
 
 
+def test_search_builds_members_only_for_sets_with_transfer(capsys, monkeypatch):
+    """Rows need only classes and size; only the transfer reports list elements."""
+    sets = []
+    real_enumerate = cli.enumerate_connection_sets
+
+    def recording_enumerate(params, max_classes):
+        for conn in real_enumerate(params, max_classes):
+            sets.append(conn)
+            yield conn
+
+    monkeypatch.setattr(cli, "enumerate_connection_sets", recording_enumerate)
+    code, out = run_cli(capsys, ["search", "--n", "7", "--max-classes", "4"])
+    assert code == 0
+    doc = json.loads(out)
+    built = [list(conn.class_tags) for conn in sets if "members" in vars(conn)]
+    assert len(sets) == doc["totalSets"] == 152
+    assert built == [r["connectionSet"]["classes"] for r in doc["pstGraphs"]]
+    assert len(built) == 2
+
+
 # keys and strings with non-ASCII, quotes, backslashes, control characters and %
 _TEXT = st.one_of(
     st.text(max_size=8),

@@ -7,6 +7,7 @@ import pytest
 from v8npst import group
 from v8npst.group import (
     IDENTITY,
+    ConnectionSet,
     ConnectionSetError,
     GroupElement,
     GroupParams,
@@ -324,12 +325,34 @@ def test_enumerate_deterministic_validated_and_complete(n):
 def test_enumerate_matches_reference(n, max_classes):
     """The orbit-union enumeration yields the BFS reference's sets, in order."""
     p = GroupParams(n)
-    got = [(c.class_indices, c.members) for c in enumerate_connection_sets(p, max_classes)]
-    want = [
-        (c.class_indices, c.members)
-        for c in group_reference.enumerate_connection_sets(p, max_classes)
-    ]
+
+    def fields(c):
+        return c.class_indices, len(c), c.class_tags, c.members
+
+    got = [fields(c) for c in enumerate_connection_sets(p, max_classes)]
+    want = [fields(c) for c in group_reference.enumerate_connection_sets(p, max_classes)]
     assert got == want
+
+
+def test_connection_set_keeps_the_members_it_is_given():
+    """perfbench passes (params, members, ()) positionally and by keyword."""
+    p = GroupParams(2)
+    members = frozenset(all_elements(p)) - {IDENTITY}
+    for conn in (
+        ConnectionSet(p, members, ()),
+        ConnectionSet(params=p, members=members, class_indices=()),
+    ):
+        assert conn.members is members
+        assert conn.class_indices == ()
+    given = validate_connection_set(p, members)
+    assert given.members == members and "members" in vars(given)
+
+
+def test_group_params_is_one_instance_per_n():
+    assert GroupParams(4) is GroupParams(4) == GroupParams(4)
+    assert GroupParams(4) != GroupParams(5)
+    assert {GroupParams(4): 1}[GroupParams(4)] == 1
+    assert GroupParams(True) is GroupParams(1)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
@@ -397,3 +420,6 @@ def test_bad_params_rejected():
         GroupParams(0)
     with pytest.raises(ValueError):
         GroupParams(-3)
+    for bad in (3.0, "3", None):
+        with pytest.raises(ValueError):
+            GroupParams(bad)

@@ -144,7 +144,10 @@ def test_trace_and_second_moment(n):
 def test_class_map_matches_cyclotomic_reference(n, max_classes):
     """Summing the per-n class map gives the per-set CycloInt computation's
     eigenvalues, floats compared bit for bit through repr, and the float
-    vector `values` the oracle reads is the reference's values bit for bit."""
+    vector `values` the oracle reads is the reference's values bit for bit.
+    `values` sums only the nonzero products of a row, so each sweep must
+    hold a row with none, which has to come out as +0.0."""
+    zero_rows = 0
     for conn in enumerate_connection_sets(GroupParams(n), max_classes):
         want = spectrum_reference.eigenvalues(conn)
         got = eigenvalues(conn)
@@ -153,6 +156,8 @@ def test_class_map_matches_cyclotomic_reference(n, max_classes):
         ]
         assert repr(got.eigenvalues) == repr(want.eigenvalues)
         assert got.all_integral == want.all_integral
+        zero_rows += np.count_nonzero(~got._sums[:, : 4 * n].any(axis=1))
+    assert zero_rows
 
 
 def _near_zero_irrational():
