@@ -11,15 +11,28 @@ SPEC is either a '+'-joined list of conjugacy-class tags (as printed by the
 analyzer, e.g. "b+a*b") or a comma-separated list of explicit elements
 "a^r*b^s".  Explicit lists are validated as-is and never auto-symmetrised.
 
-Every report and every error document is written by one fixed-layout
-writer, `_render`, whose output is byte-identical to
+Every document is written by one fixed-layout writer, byte-identical to
 `json.dumps(doc, indent=2)` (which falls back to the pure-Python encoder
-with `indent`).  `search` decides each connection set as the enumeration
-yields it and keeps only the report rows, not the sets.  A row reads only
-a set's classes and size, so a set's members are built only for the
-report of a graph with transfer, which lists its elements.  Reports are
-written to stdout in slices of 1 MiB, so no encoded copy of a whole
-report is held.
+with `indent`): each dict is a `%`-template of its keys and pad
+(`_dict_template`), filled with the texts of its values, and each scalar
+is written by one function per type (`_SCALARS`).  Reports are records of
+fixed kinds (the analysis report, its connection set, spectrum entries,
+Types, transfer pairs and oracle block, and search's rows), so `analyze`
+and `search` fill each record's template directly from the set, the
+table and the verdicts, and build no dict; `_render` walks a dict tree
+only for `probe` and the error documents.  An integral spectrum is
+written from the table's integers and the per-n labels and
+multiplicities, so without `--verify` no float is evaluated and no
+eigenvalue tuple is built for it.
+
+`search` decides each connection set as the enumeration yields it and
+keeps only the text of its row, and of its report when the graph has
+transfer, not the set.  A row reads only a set's classes and size, so a
+set's members are built only for the report of a graph with transfer,
+which lists its elements.  The header's counts are known only at the end,
+so the document is written then, in pieces: the header, then each list
+in slices of about 1 MiB, so neither the whole text nor an encoded copy
+of it is ever held.
 
 `--verify` scans the fixed grid `oracle.GRID_POINTS` (10^4 points over
 2 pi); `probe --grid` defaults to the same constant.
@@ -46,6 +59,7 @@ from .group import (
     ConnectionSet,
     ConnectionSetError,
     GroupParams,
+    class_tags,
     conjugacy_classes,
     element_names,
     enumerate_connection_sets,
@@ -99,80 +113,21 @@ def parse_set_spec(params: GroupParams, text: str) -> ConnectionSet:
     return validate_connection_set(params, members)
 
 
-def _spectrum_json(table: spectrum.SpectrumTable) -> list[dict]:
-    out = []
-    for ev in table.eigenvalues:
-        value = ev.integer_value if ev.is_integer else _f(ev.value)
-        out.append(
-            {
-                "label": ev.label,
-                "value": value,
-                "multiplicity": ev.multiplicity,
-                "integer": ev.is_integer,
-            }
-        )
-    return out
-
-
-def _types_json(graph: pst.GraphVerdict):
-    t = graph.types
-    if t is None:
-        return None
-    return {"type1": t.type1, "type2": t.type2, "type3": t.type3}
-
-
-def _pst_pairs_json(verdicts) -> list[dict]:
-    return [
-        {
-            "u": v.u,
-            "v": v.v,
-            "clause": v.clause,
-            "minTimeOverPi": _f(1.0 / v.M),
-        }
-        for v in verdicts
-    ]
-
-
-def _decide(conn, table, verify: bool):
-    """(graph verdict, transfer pairs, "oracle" JSON block, disagreements)."""
-    graph = pst.decide_graph(table)
-    verdicts = pst.all_pst_pairs(table, graph)
-    if not verify:
-        return graph, verdicts, {"checked": False, "maxDeviation": None}, 0
-    max_dev, disagreements = oracle.verify(conn, table, verdicts)
-    return graph, verdicts, {"checked": True, "maxDeviation": _f(max_dev)}, disagreements
-
-
-def _analysis_report(conn, table, graph, verdicts, oracle_json) -> dict:
-    names = element_names(conn.params)
-    two_n = conn.params.two_n
-    return {
-        "n": conn.params.n,
-        "parity": conn.params.parity,
-        "connectionSet": {
-            "classes": list(conn.class_tags),
-            "elements": [names[i] for i in sorted([two_n * s + r for r, s in conn.members])],
-            "size": len(conn),
-        },
-        "spectrum": _spectrum_json(table),
-        "integral": table.all_integral,
-        "types": _types_json(graph),
-        "pstPairs": _pst_pairs_json(verdicts),
-        "oracle": oracle_json,
-    }
-
-
 def _float_json(x: float) -> str:
     if math.isfinite(x):
         return float.__repr__(x)
     return "NaN" if x != x else "Infinity" if x > 0 else "-Infinity"
 
 
+def _bool_json(x: bool) -> str:
+    return "true" if x else "false"
+
+
 _SCALARS = {
     str: encode_basestring_ascii,
     int: int.__repr__,
     float: _float_json,
-    bool: lambda x: "true" if x else "false",
+    bool: _bool_json,
     type(None): lambda x: "null",
 }
 
@@ -185,6 +140,14 @@ def _dict_template(keys: tuple[str, ...], pad: str) -> str:
         inner + encode_basestring_ascii(k).replace("%", "%%") + ": %s" for k in keys
     )
     return "{" + members + "\n" + pad + "}"
+
+
+def _list_text(items: list[str], pad: str) -> str:
+    """The list of the rendered `items` as `_render` writes it at `pad`."""
+    if not items:
+        return "[]"
+    deeper = pad + "  "
+    return "[\n" + deeper + (",\n" + deeper).join(items) + "\n" + pad + "]"
 
 
 def _render(x, pad: str = "") -> str:
@@ -209,24 +172,141 @@ def _render(x, pad: str = "") -> str:
         )
         return _dict_template(tuple(x), pad) % values
     if kind is list or kind is tuple:
-        if not x:
-            return "[]"
         deeper = pad + "  "
-        items = ",\n" + deeper
         rendered = [
             _render(v, deeper) if (scalar := _SCALARS.get(type(v))) is None else scalar(v)
             for v in x
         ]
-        return "[\n" + deeper + items.join(rendered) + "\n" + pad + "]"
+        return _list_text(rendered, pad)
     raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
 
 
-def _emit(doc, human_lines=None) -> None:
-    text = _render(doc)
-    # in slices: `print` would encode the whole report at once, a second copy of it
-    for start in range(0, len(text), 1 << 20):
-        sys.stdout.write(text[start : start + (1 << 20)])
-    sys.stdout.write("\n")
+# the texts of the "oracle" block's members without --verify
+_UNCHECKED = ("false", "null")
+
+
+def _decide(conn, table, verify: bool):
+    """(graph verdict, transfer pairs, texts of the "oracle" members, disagreements)."""
+    graph = pst.decide_graph(table)
+    verdicts = pst.all_pst_pairs(table, graph)
+    if not verify:
+        return graph, verdicts, _UNCHECKED, 0
+    max_dev, disagreements = oracle.verify(conn, table, verdicts)
+    return graph, verdicts, ("true", _float_json(_f(max_dev))), disagreements
+
+
+@functools.lru_cache(maxsize=None)
+def _quoted_tags(params: GroupParams) -> tuple[str, ...]:
+    """The JSON string of each class tag, in class order."""
+    return tuple([encode_basestring_ascii(tag) for tag in class_tags(params)])
+
+
+def _tags_text(conn, pad: str) -> str:
+    """The list of the set's class tags, as `_render` writes it at `pad`."""
+    return _list_text(list(map(_quoted_tags(conn.params).__getitem__, conn.class_indices)), pad)
+
+
+def _report_text(conn, table, graph, verdicts, oracle_texts, pad: str) -> str:
+    """The analysis report of one graph, as `_render` writes its dict at `pad`.
+
+    An integral spectrum is written from the table's integers, a
+    non-integral one from its eigenvalue tuple.
+    """
+    params = conn.params
+    names = element_names(params)
+    two_n = params.two_n
+    deeper = pad + "  "
+    item = deeper + "  "
+    elements = sorted([two_n * s + r for r, s in conn.members])
+    connection = _dict_template(("classes", "elements", "size"), deeper) % (
+        _tags_text(conn, item),
+        _list_text([encode_basestring_ascii(names[i]) for i in elements], item),
+        int.__repr__(len(conn)),
+    )
+    if table.all_integral:
+        values = [(int.__repr__(k), "true") for k in table.integers]
+    else:
+        values = [
+            (int.__repr__(ev.integer_value), "true")
+            if ev.is_integer
+            else (_float_json(_f(ev.value)), "false")
+            for ev in table.eigenvalues
+        ]
+    entry = _dict_template(("label", "value", "multiplicity", "integer"), item)
+    entries = [
+        entry % (encode_basestring_ascii(label), value, int.__repr__(multiplicity), integer)
+        for (label, _, _, multiplicity), (value, integer) in zip(
+            spectrum.representations(params), values
+        )
+    ]
+    types = "null"
+    if graph.types is not None:
+        types = _dict_template(graph.types._fields, deeper) % tuple(map(_bool_json, graph.types))
+    pairs = []
+    if verdicts:
+        pair = _dict_template(("u", "v", "clause", "minTimeOverPi"), item)
+        min_time = _float_json(_f(1.0 / graph.M))
+        pairs = [
+            pair
+            % (int.__repr__(v.u), int.__repr__(v.v), encode_basestring_ascii(v.clause), min_time)
+            for v in verdicts
+        ]
+    keys = ("n", "parity", "connectionSet", "spectrum", "integral", "types", "pstPairs", "oracle")
+    return _dict_template(keys, pad) % (
+        int.__repr__(params.n),
+        encode_basestring_ascii(params.parity),
+        connection,
+        _list_text(entries, deeper),
+        _bool_json(table.all_integral),
+        types,
+        _list_text(pairs, deeper),
+        _dict_template(("checked", "maxDeviation"), deeper) % oracle_texts,
+    )
+
+
+_SLICE = 1 << 20  # characters
+
+
+def _list_pieces(items: list[str], pad: str):
+    """`_list_text(items, pad)` in slices of about `_SLICE` characters."""
+    if not items:
+        yield "[]"
+        return
+    deeper = pad + "  "
+    sep = ",\n" + deeper
+    yield "[\n" + deeper
+    start = size = 0
+    for end, item in enumerate(items, 1):
+        size += len(item)
+        if size >= _SLICE and end < len(items):
+            yield sep.join(items[start:end]) + sep
+            start, size = end, 0
+    yield sep.join(items[start:]) + "\n" + pad + "]"
+
+
+def _document_pieces(keys: tuple[str, ...], values: tuple):
+    """The top-level dict of `keys` and `values` as `_render` writes it, in pieces.
+
+    A value is the text of a member, or the list of the texts of a list's
+    items; each list is given in slices, so its whole text is never joined.
+    """
+    lists = [value for value in values if type(value) is list]
+    text = _dict_template(keys, "") % tuple(
+        ["\0" if type(value) is list else value for value in values]
+    )
+    head, *tails = text.split("\0")  # a rendered text holds no raw NUL: strings escape it
+    yield head
+    for items, tail in zip(lists, tails):
+        yield from _list_pieces(items, "  ")
+        yield tail
+
+
+def _emit(pieces, human_lines=None) -> None:
+    """Write the pieces of a report and a newline to stdout, one at a time."""
+    write = sys.stdout.write
+    for piece in pieces:
+        write(piece)
+    write("\n")
     if human_lines and sys.stderr.isatty():  # pragma: no cover - terminal only
         for line in human_lines:
             print(line, file=sys.stderr)
@@ -244,13 +324,12 @@ def cmd_analyze(args) -> int:
     except (ConnectionSetError, ValueError) as exc:
         return _structured_error(type(exc).__name__, str(exc), EXIT_INVALID_SET)
     table = spectrum.eigenvalues(conn)
-    graph, verdicts, oracle_json, disagreements = _decide(conn, table, args.verify)
-    report = _analysis_report(conn, table, graph, verdicts, oracle_json)
+    graph, verdicts, oracle_texts, disagreements = _decide(conn, table, args.verify)
     human = [
-        f"Cay(V_{8 * args.n}, S) |S|={len(conn)} integral={report['integral']} "
-        f"pst-pairs={len(report['pstPairs'])}"
+        f"Cay(V_{8 * args.n}, S) |S|={len(conn)} integral={table.all_integral} "
+        f"pst-pairs={len(verdicts)}"
     ]
-    _emit(report, human)
+    _emit([_report_text(conn, table, graph, verdicts, oracle_texts, "")], human)
     return EXIT_DISAGREEMENT if disagreements else EXIT_OK
 
 
@@ -261,36 +340,48 @@ def cmd_search(args) -> int:
         )
     params = GroupParams(args.n)
     max_classes = args.max_classes or len(conjugacy_classes(params))
+    row = _dict_template(("classes", "size", "integral", "pstPairCount"), "    ")
     rows = []
     pst_reports = []
-    disagreements = 0
+    integral_count = disagreements = 0
     for conn in enumerate_connection_sets(params, max_classes):
         table = spectrum.eigenvalues(conn)
-        graph, verdicts, oracle_json, found = _decide(conn, table, args.verify)
+        graph, verdicts, oracle_texts, found = _decide(conn, table, args.verify)
         disagreements += found
+        integral_count += table.all_integral
         rows.append(
-            {
-                "classes": list(conn.class_tags),
-                "size": len(conn),
-                "integral": table.all_integral,
-                "pstPairCount": len(verdicts),
-            }
+            row
+            % (
+                _tags_text(conn, "      "),
+                int.__repr__(len(conn)),
+                _bool_json(table.all_integral),
+                int.__repr__(len(verdicts)),
+            )
         )
         if verdicts:
-            pst_reports.append(_analysis_report(conn, table, graph, verdicts, oracle_json))
-    summary = {
-        "n": args.n,
-        "parity": params.parity,
-        "maxClasses": max_classes,
-        "totalSets": len(rows),
-        "integralCount": sum(1 for r in rows if r["integral"]),
-        "pstCount": len(pst_reports),
-        "verified": bool(args.verify),
-        "disagreements": disagreements,
-        "sets": rows,
-        "pstGraphs": pst_reports,
-    }
-    _emit(summary, [f"{len(rows)} sets, {len(pst_reports)} with transfer"])
+            pst_reports.append(
+                _report_text(conn, table, graph, verdicts, oracle_texts, "    ")
+            )
+    keys = (
+        "n", "parity", "maxClasses", "totalSets", "integralCount", "pstCount",
+        "verified", "disagreements", "sets", "pstGraphs",
+    )
+    values = (
+        int.__repr__(args.n),
+        encode_basestring_ascii(params.parity),
+        int.__repr__(max_classes),
+        int.__repr__(len(rows)),
+        int.__repr__(integral_count),
+        int.__repr__(len(pst_reports)),
+        _bool_json(args.verify),
+        int.__repr__(disagreements),
+        rows,
+        pst_reports,
+    )
+    _emit(
+        _document_pieces(keys, values),
+        [f"{len(rows)} sets, {len(pst_reports)} with transfer"],
+    )
     return EXIT_DISAGREEMENT if disagreements else EXIT_OK
 
 
@@ -330,7 +421,7 @@ def cmd_probe(args) -> int:
         "candidates": candidates,
         "note": note,
     }
-    _emit(report, [f"best |H|={best.amplitude:.9f} at tau={best.tau:.6f}"])
+    _emit([_render(report)], [f"best |H|={best.amplitude:.9f} at tau={best.tau:.6f}"])
     return EXIT_OK
 
 

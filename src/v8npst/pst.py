@@ -1,9 +1,11 @@
 """Perfect-state-transfer decision procedure for normal Cay(V_8n, S).
 
-The decision works entirely on the integer spectrum.  Transfer between a
-vertex pair requires the graph to be integral, the pair to sit at one of
-the admissible displacements, and the gaps alpha_1 - lambda of least 2-adic
-valuation to be exactly those of one named set of (kind, index % 2) groups:
+The decision works entirely on the integer spectrum, the table's
+`integers`: no float is evaluated and no eigenvalue tuple is built.
+Transfer between a vertex pair requires the graph to be integral, the pair
+to sit at one of the admissible displacements, and the gaps alpha_1 - lambda
+of least 2-adic valuation to be exactly those of one named set of
+(kind, index % 2) groups:
 
   odd n    beta even, beta odd                 (transfer at u - v = +-4n)
   Type 1   beta odd, gamma odd                 (even n)
@@ -50,7 +52,7 @@ from functools import lru_cache
 from typing import NamedTuple, Optional
 
 from .group import GroupParams, region
-from .spectrum import SpectrumTable
+from .spectrum import SpectrumTable, representations
 
 INF = float("inf")
 
@@ -80,15 +82,17 @@ def nu2(x: int):
 
 
 def gap_gcd(table: SpectrumTable) -> int:
-    """M = gcd over the distinct eigenvalue values of |alpha_1 - value|."""
+    """M = gcd over the distinct eigenvalue values of |alpha_1 - value|.
+
+    Repeated and zero gaps leave a gcd unchanged, so it runs over every gap.
+    """
     if not table.all_integral:
         raise NotIntegral("gap gcd requires an integral spectrum")
-    alpha1 = table.alpha(1).integer_value
-    values = {ev.integer_value for ev in table.eigenvalues}
-    gaps = [abs(alpha1 - v) for v in values if v != alpha1]
-    if not gaps:
+    alpha1, *rest = table.integers
+    M = math.gcd(*[alpha1 - k for k in rest])
+    if not M:
         raise DegenerateSpectrum("spectrum has a single distinct eigenvalue")
-    return math.gcd(*gaps)
+    return M
 
 
 class TypeClassification(NamedTuple):
@@ -114,13 +118,17 @@ TYPE2_PATTERN = frozenset({("alpha", 0), ("beta", 1), ("gamma", 0)})
 TYPE3_PATTERN = frozenset({("alpha", 0), ("gamma", 0), ("gamma", 1)})
 
 
+@lru_cache(maxsize=None)
+def _rep_groups(params: GroupParams) -> tuple[tuple[str, int], ...]:
+    """The (kind, index % 2) group of each representation, in table order."""
+    return tuple((kind, index % 2) for _, kind, index, _ in representations(params))
+
+
 def _least_gaps_are(table: SpectrumTable, *patterns: frozenset) -> tuple[bool, ...]:
     """Per pattern: do its groups hold all and only the gaps of least nu2?"""
-    alpha1 = table.alpha(1).integer_value
-    gaps = [
-        ((ev.kind, ev.index % 2), nu2(alpha1 - ev.integer_value))
-        for ev in table.eigenvalues
-    ]
+    integers = table.integers
+    alpha1 = integers[0]
+    gaps = list(zip(_rep_groups(table.params), [nu2(alpha1 - k) for k in integers]))
     low = min(val for _, val in gaps)
     return tuple(
         all((val == low) == (group in pattern) for group, val in gaps)

@@ -28,7 +28,10 @@ A search rejects most sets on integrality alone, so `eigenvalues` sums
 the rows once and decides `all_integral` from the sums at once, exactly;
 everything else is built on first read.  On `search --n 7 --max-classes 4`
 only 8 of 152 tables are integral, and without `--verify` nothing reads the
-other 144 past `all_integral`.  A table's `values`, the float eigenvalue
+other 144 past `all_integral`.  An integral table's `integers`, the exact
+eigenvalue k / d of each representation, is one integer division of the
+reduced rows; the decision reads only these, so deciding a graph evaluates
+no float and builds no tuple.  A table's `values`, the float eigenvalue
 per representation, is one array pass over the nonzero coefficients of the
 summed numerator rows: each product of a coefficient with Re zeta^e is the
 same IEEE product as a scalar one, and `math.fsum` of a row's products is
@@ -79,7 +82,8 @@ class SpectrumTable:
 
     `all_integral` is fixed when the table is made.  `eigenvalues` is given
     as a function of no arguments that returns the tuple; it runs on the
-    first read of `eigenvalues`, and only then.
+    first read of `eigenvalues`, and only then.  `integers` is read from
+    the tuple here; the summed tables of `eigenvalues()` compute it without.
     """
 
     def __init__(
@@ -95,6 +99,14 @@ class SpectrumTable:
     @cached_property
     def eigenvalues(self) -> tuple[Eigenvalue, ...]:
         return self._eigenvalues()
+
+    @cached_property
+    def integers(self) -> tuple[int, ...]:
+        """The exact eigenvalue of each representation, alpha_1 first, on an
+        integral table; a table that is not integral has none."""
+        if not self.all_integral:
+            raise ValueError("only an integral spectrum has integer eigenvalues")
+        return tuple([ev.integer_value for ev in self.eigenvalues])
 
     @property
     def params(self) -> GroupParams:
@@ -198,18 +210,25 @@ def _build_class_map(params: GroupParams, table) -> _ClassMap:
     )
 
 
+def representations(params: GroupParams) -> tuple[tuple[str, str, int, int], ...]:
+    """(label, kind, index, multiplicity) of each representation, in the
+    order of every table: alpha_1 first."""
+    return _class_map(params).reps
+
+
 def rep_labels(params: GroupParams) -> tuple[str, ...]:
     """The eigenvalue label of each representation, in the order of every table."""
-    return tuple(label for label, *_ in _class_map(params).reps)
+    return tuple(label for label, *_ in representations(params))
 
 
 class _SummedTable(SpectrumTable):
     """The table of one set, from its summed class-map rows (reps, m + phi(m)).
 
     `values` is the read-only float vector of the eigenvalues, in the order
-    of `rep_labels`: one array pass over the numerator rows.  The tuple is
-    built from `values` and the reduced rows.  Each is built on its first
-    read; the tuple comes from the property below, not from a function.
+    of `rep_labels`: one array pass over the numerator rows.  `integers`
+    divides the reduced rows' integers by the degrees.  The tuple is built
+    from `values` and the reduced rows.  Each is built on its first read;
+    the tuple comes from the property below, not from a function.
     """
 
     def __init__(self, connection: ConnectionSet, class_map: _ClassMap, sums: np.ndarray) -> None:
@@ -220,6 +239,13 @@ class _SummedTable(SpectrumTable):
         )
         self._class_map = class_map
         self._sums = sums
+
+    @cached_property
+    def integers(self) -> tuple[int, ...]:
+        if not self.all_integral:
+            raise ValueError("only an integral spectrum has integer eigenvalues")
+        constants = self._sums[:, len(self._class_map.re_roots)]  # the reduced rows' zeta^0
+        return tuple((constants // self._class_map.degrees).tolist())
 
     @cached_property
     def values(self) -> np.ndarray:

@@ -1,17 +1,21 @@
 """Command-line interface: reports, determinism, exit codes."""
 
+import contextlib
+import functools
 import hashlib
+import io
 import json
 import math
 import shlex
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from v8npst import cli, oracle
-from v8npst.group import GroupParams, conjugacy_classes
+from v8npst import cli, oracle, spectrum
+from v8npst.group import GroupParams, conjugacy_classes, enumerate_connection_sets
 
 
 def run_cli(capsys, argv):
@@ -370,6 +374,86 @@ def test_search_builds_members_only_for_sets_with_transfer(capsys, monkeypatch):
     assert len(sets) == doc["totalSets"] == 152
     assert built == [r["connectionSet"]["classes"] for r in doc["pstGraphs"]]
     assert len(built) == 2
+
+
+def test_search_without_verify_reads_no_float_eigenvalue(capsys, monkeypatch):
+    """Without --verify, deciding and reporting read only `all_integral` and
+    an integral table's integers: no table's float `values` is read and no
+    `Eigenvalue` tuple is built, not even for the reports of graphs with
+    transfer."""
+    tables = []
+    built = []
+    real_eigenvalues = cli.spectrum.eigenvalues
+    real_entry = spectrum.Eigenvalue
+
+    def recording_eigenvalues(conn):
+        tables.append(real_eigenvalues(conn))
+        return tables[-1]
+
+    def recording_entry(*args, **kwargs):
+        built.append(args)
+        return real_entry(*args, **kwargs)
+
+    monkeypatch.setattr(cli.spectrum, "eigenvalues", recording_eigenvalues)
+    monkeypatch.setattr(spectrum, "Eigenvalue", recording_entry)
+    code, out = run_cli(capsys, ["search", "--n", "7", "--max-classes", "4"])
+    assert code == 0
+    doc = json.loads(out)
+    assert len(tables) == doc["totalSets"] == 152
+    assert (doc["integralCount"], doc["pstCount"]) == (8, 2)
+    assert [vars(t).keys() & {"values", "eigenvalues"} for t in tables] == [set()] * 152
+    assert built == []
+    assert sum("integers" in vars(t) for t in tables) == doc["integralCount"]
+
+
+@functools.lru_cache(maxsize=None)
+def specs_by_integrality(n: int) -> tuple[tuple[str, ...], tuple[str, ...]]:
+    """The '+'-joined class tags of every valid class union of V_8n: those
+    with an integral spectrum, then the others."""
+    params = GroupParams(n)
+    split = {True: [], False: []}
+    for conn in enumerate_connection_sets(params, len(conjugacy_classes(params))):
+        split[spectrum.eigenvalues(conn).all_integral].append("+".join(conn.class_tags))
+    return tuple(split[True]), tuple(split[False])
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_analyze_report_bytes_match_json_dumps_drawn(n):
+    """Drawn class unions, integral and not, with and without --verify:
+    analyze prints `json.dumps(doc, indent=2)` of its own document, and
+    each spectrum value is the table's integer, or `_f` of the float of a
+    non-integral eigenvalue."""
+    params = GroupParams(n)
+    integral, other = specs_by_integrality(n)  # n = 1, 2, 3 have no other
+    drawn = {kind: group for kind, group in ((True, integral), (False, other)) if group}
+    kinds = Counter()
+
+    @settings(derandomize=True, max_examples=30, deadline=None, database=None)
+    @given(st.one_of([st.sampled_from(group) for group in drawn.values()]), st.booleans())
+    def check(spec, verify):
+        argv = ["analyze", "--n", str(n), "--set", spec] + ["--verify"] * verify
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            assert cli.main(argv) == 0
+        out = buf.getvalue()
+        assert out == json.dumps(json.loads(out), indent=2) + "\n"
+        table = spectrum.eigenvalues(cli.parse_set_spec(params, spec))
+        if table.all_integral:
+            want = list(table.integers)
+        else:
+            want = [
+                ev.integer_value if ev.is_integer else cli._f(ev.value)
+                for ev in table.eigenvalues
+            ]
+        entries = json.loads(out)["spectrum"]
+        assert [(type(e["value"]), e["value"]) for e in entries] == [(type(x), x) for x in want]
+        assert [(e["label"], e["multiplicity"], e["integer"]) for e in entries] == [
+            (ev.label, ev.multiplicity, ev.is_integer) for ev in table.eigenvalues
+        ]
+        kinds[table.all_integral, verify] += 1
+
+    check()
+    assert set(kinds) == {(kind, verify) for kind in drawn for verify in (False, True)}
 
 
 # keys and strings with non-ASCII, quotes, backslashes, control characters and %

@@ -45,6 +45,8 @@ def test_alpha1_is_degree(n):
         table = eigenvalues(conn)
         assert table.alpha(1).integer_value == len(conn)
         assert table.eigenvalues[0].label == "alpha_1"
+        if table.all_integral:
+            assert table.integers[0] == len(conn)
 
 
 def test_disconnected_set_matches_dense_solver():
@@ -146,7 +148,9 @@ def test_class_map_matches_cyclotomic_reference(n, max_classes):
     eigenvalues, floats compared bit for bit through repr, and the float
     vector `values` the oracle reads is the reference's values bit for bit.
     `values` sums only the nonzero products of a row, so each sweep must
-    hold a row with none, which has to come out as +0.0."""
+    hold a row with none, which has to come out as +0.0.  An integral
+    table's `integers` are the reference's exact integers; a non-integral
+    table has none."""
     zero_rows = 0
     for conn in enumerate_connection_sets(GroupParams(n), max_classes):
         want = spectrum_reference.eigenvalues(conn)
@@ -156,6 +160,12 @@ def test_class_map_matches_cyclotomic_reference(n, max_classes):
         ]
         assert repr(got.eigenvalues) == repr(want.eigenvalues)
         assert got.all_integral == want.all_integral
+        if want.all_integral:
+            assert got.integers == want.integers
+            assert all(type(k) is int for k in got.integers)
+        else:
+            with pytest.raises(ValueError):
+                got.integers
         zero_rows += np.count_nonzero(~got._sums[:, : 4 * n].any(axis=1))
     assert zero_rows
 
