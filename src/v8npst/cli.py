@@ -11,19 +11,19 @@ SPEC is either a '+'-joined list of conjugacy-class tags (as printed by the
 analyzer, e.g. "b+a*b") or a comma-separated list of explicit elements
 "a^r*b^s".  Explicit lists are validated as-is and never auto-symmetrised.
 
-Every document is written by one fixed-layout writer, byte-identical to
-`json.dumps(doc, indent=2)` (which falls back to the pure-Python encoder
-with `indent`): each dict is a `%`-template of its keys and pad
-(`_dict_template`), filled with the texts of its values, and each scalar
-is written by one function per type (`_SCALARS`).  Reports are records of
-fixed kinds (the analysis report, its connection set, spectrum entries,
-Types, transfer pairs and oracle block, and search's rows), so `analyze`
-and `search` fill each record's template directly from the set, the
-table and the verdicts, and build no dict; `_render` walks a dict tree
-only for `probe` and the error documents.  An integral spectrum is
-written from the table's integers and the per-n labels and
-multiplicities, so without `--verify` no float is evaluated and no
-eigenvalue tuple is built for it.
+Every document is byte-identical to `json.dumps(doc, indent=2)`.  The
+short ones, `probe`'s report and the error documents, are written by it.
+The reports of `analyze` and `search` are records of fixed kinds (the
+analysis report, its connection set, spectrum entries, Types, transfer
+pairs and oracle block, and search's rows), so they skip `json.dumps`,
+which falls back to the pure-Python encoder with `indent`: each record
+is a `%`-template of its keys and pad (`_dict_template`), filled
+directly from the set, the table and the verdicts, and no dict is
+built.  An integral spectrum is written from the table's integers and
+the per-n labels and multiplicities, so without `--verify` no float is
+evaluated and no eigenvalue tuple is built for it; a non-integral set
+is written from its classes and size alone, so its class-map rows are
+not even summed.
 
 `search` decides each connection set as the enumeration yields it and
 keeps only the text of its row, and of its report when the graph has
@@ -48,6 +48,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import json
 import math
 import sys
 from json.encoder import encode_basestring_ascii
@@ -123,15 +124,6 @@ def _bool_json(x: bool) -> str:
     return "true" if x else "false"
 
 
-_SCALARS = {
-    str: encode_basestring_ascii,
-    int: int.__repr__,
-    float: _float_json,
-    bool: _bool_json,
-    type(None): lambda x: "null",
-}
-
-
 @functools.lru_cache(maxsize=256)
 def _dict_template(keys: tuple[str, ...], pad: str) -> str:
     """`%`-template of one dict's members; a non-str key raises TypeError."""
@@ -143,42 +135,11 @@ def _dict_template(keys: tuple[str, ...], pad: str) -> str:
 
 
 def _list_text(items: list[str], pad: str) -> str:
-    """The list of the rendered `items` as `_render` writes it at `pad`."""
+    """The list of the rendered `items` as `json.dumps` writes it at `pad`."""
     if not items:
         return "[]"
     deeper = pad + "  "
     return "[\n" + deeper + (",\n" + deeper).join(items) + "\n" + pad + "]"
-
-
-def _render(x, pad: str = "") -> str:
-    """`x` as `json.dumps(x, indent=2)` renders it, byte for byte.
-
-    Only the exact types dict, list, tuple, str, int, float, bool and None
-    are written, and dict keys must be str; anything else raises TypeError.
-    """
-    kind = type(x)
-    scalar = _SCALARS.get(kind)
-    if scalar is not None:
-        return scalar(x)
-    if kind is dict:
-        if not x:
-            return "{}"
-        deeper = pad + "  "
-        values = tuple(
-            [
-                _render(v, deeper) if (scalar := _SCALARS.get(type(v))) is None else scalar(v)
-                for v in x.values()
-            ]
-        )
-        return _dict_template(tuple(x), pad) % values
-    if kind is list or kind is tuple:
-        deeper = pad + "  "
-        rendered = [
-            _render(v, deeper) if (scalar := _SCALARS.get(type(v))) is None else scalar(v)
-            for v in x
-        ]
-        return _list_text(rendered, pad)
-    raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
 
 
 # the texts of the "oracle" block's members without --verify
@@ -202,12 +163,12 @@ def _quoted_tags(params: GroupParams) -> tuple[str, ...]:
 
 
 def _tags_text(conn, pad: str) -> str:
-    """The list of the set's class tags, as `_render` writes it at `pad`."""
+    """The list of the set's class tags, as `json.dumps` writes it at `pad`."""
     return _list_text(list(map(_quoted_tags(conn.params).__getitem__, conn.class_indices)), pad)
 
 
 def _report_text(conn, table, graph, verdicts, oracle_texts, pad: str) -> str:
-    """The analysis report of one graph, as `_render` writes its dict at `pad`.
+    """The analysis report of one graph, as `json.dumps` writes its dict at `pad`.
 
     An integral spectrum is written from the table's integers, a
     non-integral one from its eigenvalue tuple.
@@ -285,7 +246,7 @@ def _list_pieces(items: list[str], pad: str):
 
 
 def _document_pieces(keys: tuple[str, ...], values: tuple):
-    """The top-level dict of `keys` and `values` as `_render` writes it, in pieces.
+    """The top-level dict of `keys` and `values` as `json.dumps` writes it, in pieces.
 
     A value is the text of a member, or the list of the texts of a list's
     items; each list is given in slices, so its whole text is never joined.
@@ -313,7 +274,7 @@ def _emit(pieces, human_lines=None) -> None:
 
 
 def _structured_error(code: str, message: str, exit_code: int) -> int:
-    print(_render({"error": {"code": code, "message": message}}))
+    print(json.dumps({"error": {"code": code, "message": message}}, indent=2))
     return exit_code
 
 
@@ -421,7 +382,7 @@ def cmd_probe(args) -> int:
         "candidates": candidates,
         "note": note,
     }
-    _emit([_render(report)], [f"best |H|={best.amplitude:.9f} at tau={best.tau:.6f}"])
+    _emit([json.dumps(report, indent=2)], [f"best |H|={best.amplitude:.9f} at tau={best.tau:.6f}"])
     return EXIT_OK
 
 

@@ -19,6 +19,7 @@ enumerated set builds its member frozenset only when something reads it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Iterable, Iterator, NamedTuple, Optional
@@ -335,29 +336,59 @@ class ClassMasks(NamedTuple):
     proper normal subgroup lies in a normal subgroup of prime index, which
     is one of the three index-2 subgroups.  Hence S generates V_8n iff, for
     each of them, S has a class outside it.
+
+    The rational class of x is the union of the classes of x^k over every k
+    coprime to 8n; the rational classes partition the classes.  A normal
+    Cayley graph is integral iff its connection set is a union of rational
+    classes (Godsil and Spiga, 2014; `spectrum` gives the proof).
     """
 
     inverse_bit: tuple[int, ...]  # class i -> bit of the class of its inverses
     outside: tuple[int, ...]  # per index-2 subgroup, the classes outside it
+    rational: tuple[int, ...]  # the class bits of each rational class
 
     def generates(self, bits: int) -> bool:
         """The union of the classes whose bits are set generates V_8n."""
         return all(map(bits.__and__, self.outside))
 
+    def is_rational_union(self, bits: int) -> bool:
+        """The union of the classes whose bits are set is a union of rational
+        classes: it meets each rational class wholly or not at all."""
+        for mask in self.rational:
+            part = bits & mask
+            if part and part != mask:
+                return False
+        return True
+
 
 @lru_cache(maxsize=None)
 def class_masks(params: GroupParams) -> ClassMasks:
-    """Inverse-class bits and index-2-subgroup masks, computed once per n."""
+    """Inverse-class bits, index-2-subgroup masks and rational classes,
+    computed once per n."""
     cmap = class_index_map(params)
     # a normal subgroup holds a class wholly or not at all, so any member
     # decides for the class
     reps = [min(c.members) for c in conjugacy_classes(params)]
+    order = params.order
+    rational = []
+    covered = 0
+    for i, x in enumerate(reps):
+        if covered >> i & 1:
+            continue
+        bits, power = 0, x
+        for k in range(1, order + 1):  # one pass of powers: power = x^k
+            if math.gcd(k, order) == 1:
+                bits |= 1 << cmap[power]  # several k share a class: OR, never add
+            power = multiply(params, power, x)
+        rational.append(bits)
+        covered |= bits
     return ClassMasks(
         inverse_bit=tuple(1 << cmap[inverse(params, x)] for x in reps),
         outside=tuple(
             sum(1 << i for i, x in enumerate(reps) if not inside(x))
             for inside in _INDEX_TWO_SUBGROUPS
         ),
+        rational=tuple(rational),
     )
 
 
@@ -377,10 +408,11 @@ class ConnectionSet:
     """Validated connection set: identity-free, symmetric, normal, generating.
 
     S is the union of the conjugacy classes `class_indices`.  `members` is
-    the frozenset given to the constructor; when none is given, it is built
-    from the classes on first read.  `len` and `class_tags` read only the
-    per-n class sizes and tags, so deciding and listing an enumerated set
-    never builds its members.
+    the frozenset given to the constructor, and `bits` the class bits (bit
+    i for class i); when either is not given, it is built from the classes
+    on first read.  `len` and `class_tags` read only the per-n class sizes
+    and tags, so deciding and listing an enumerated set never builds its
+    members.
     """
 
     def __init__(
@@ -388,16 +420,23 @@ class ConnectionSet:
         params: GroupParams,
         members: Optional[frozenset[GroupElement]],
         class_indices: tuple[int, ...],
+        bits: Optional[int] = None,
     ) -> None:
         self.params = params
         self.class_indices = class_indices
         if members is not None:
             self.members = members
+        if bits is not None:
+            self.bits = bits
 
     @cached_property
     def members(self) -> frozenset[GroupElement]:
         classes = conjugacy_classes(self.params)
         return frozenset().union(*[classes[i].members for i in self.class_indices])
+
+    @cached_property
+    def bits(self) -> int:
+        return sum(map((1).__lshift__, self.class_indices))
 
     def __len__(self) -> int:
         return sum(map(class_sizes(self.params).__getitem__, self.class_indices))
@@ -458,9 +497,10 @@ def validate_connection_set(
     # mset lies inside the union of its classes, so equal sizes mean equality
     if sum(sizes[i] for i in idxs) != len(mset):
         raise NotNormal("set is not a union of conjugacy classes (Sg != gS)")
-    if not class_masks(params).generates(sum(1 << i for i in idxs)):
+    bits = sum(1 << i for i in idxs)
+    if not class_masks(params).generates(bits):
         raise NotGenerating("set does not generate the whole group")
-    return ConnectionSet(params=params, members=mset, class_indices=tuple(idxs))
+    return ConnectionSet(params, mset, tuple(idxs), bits)
 
 
 def enumerate_connection_sets(
@@ -472,8 +512,8 @@ def enumerate_connection_sets(
     of class indices.  Only inverse-closed unions are visited: each is a
     union of inverse orbits (a self-inverse class, or a class with its
     inverse class).  Unions that do not generate are skipped, decided on the
-    per-n class masks.  Sets are yielded without members, which are built
-    from the classes only if read.
+    per-n class masks.  Sets are yielded with their class bits and without
+    members, which are built from the classes only if read.
     """
     classes = conjugacy_classes(params)
     masks = class_masks(params)
@@ -494,9 +534,11 @@ def enumerate_connection_sets(
             if (union := bits | orbit).bit_count() <= max_classes
         ]
         combos += [_set_bits(bits) for bits, _ in level if masks.generates(bits)]
-    # by class count, then by the index tuple: a stable sort on each key
+    # by class count, then by the index tuple: a stable sort on each key; the
+    # bits are rebuilt from the tuple, since keeping them would hold one more
+    # int per set
     for combo in sorted(sorted(combos), key=len):
-        yield ConnectionSet(params, None, combo)
+        yield ConnectionSet(params, None, combo, sum(map((1).__lshift__, combo)))
 
 
 def _set_bits(bits: int) -> tuple[int, ...]:

@@ -16,25 +16,33 @@ Z[zeta_4n]: unreduced, and reduced mod Phi_4n.  The table is checked once,
 exactly, as the map is built; each spectrum's identities (real values,
 alpha_1 = |S|, trace 0, second moment 8n|S|) follow from that check, so no
 spectrum is checked again.  A spectrum is then a sum of integer rows over
-the classes of S, and integrality is decided exactly on the sum: lambda is
-an integer iff the reduced row is an integer k with d | k.  `CycloInt`
-arithmetic only builds the table and the map.  The float value, evaluated
-from the unreduced row, serves only for display and for the numerical
-oracle.  The paper's closed-form eigenbasis is kept with the tests
-(tests/spectrum_reference.py), which check it against these eigenvalues
-and the dense adjacency matrix.
+the classes of S: lambda is an integer iff the reduced row is an integer k
+with d | k.  `CycloInt` arithmetic only builds the table and the map.  The
+float value, evaluated from the unreduced row, serves only for display and
+for the numerical oracle.  The paper's closed-form eigenbasis is kept with
+the tests (tests/spectrum_reference.py), which check it against these
+eigenvalues and the dense adjacency matrix.
 
-A search rejects most sets on integrality alone, so `eigenvalues` sums
-the rows once and decides `all_integral` from the sums at once, exactly;
-everything else is built on first read.  On `search --n 7 --max-classes 4`
-only 8 of 152 tables are integral, and without `--verify` nothing reads the
-other 144 past `all_integral`.  An integral table's `integers`, the exact
-eigenvalue k / d of each representation, is one integer division of the
-reduced rows; the decision reads only these, so deciding a graph evaluates
-no float and builds no tuple.  A table's `values`, the float eigenvalue
-per representation, is one array pass over the nonzero coefficients of the
-summed numerator rows: each product of a coefficient with Re zeta^e is the
-same IEEE product as a scalar one, and `math.fsum` of a row's products is
+Integrality needs no sum at all.  The rational class of x is the union
+of the classes of x^k over every k coprime to 8n, and a normal Cayley
+graph is integral iff S is a union of rational classes (Godsil and Spiga,
+"Rationality conditions for the eigenvalues of normal finite Cayley
+graphs", 2014; `_SummedTable` gives the short Galois proof).  So
+`eigenvalues` decides `all_integral` on the set's class bits and the per-n
+rational classes (`group.class_masks`), and sums nothing.  A search
+rejects most sets on integrality alone: on `search --n 7 --max-classes 4`
+only 8 of 152 tables are integral, and without `--verify` nothing reads
+the other 144 past `all_integral`, so their rows are never summed.  The
+rows of a set are summed once, on the first read of anything else.  An
+integral table's `integers`, the exact eigenvalue k / d of each
+representation, is one integer division of the reduced rows, checked
+exactly: a reduced row that is not an integer its degree divides raises
+`IntegralityMismatch`, since the criterion rules it out.  The decision
+reads only these, so deciding a graph evaluates no float and builds no
+tuple.  A table's `values`, the float eigenvalue per representation, is
+one array pass over the nonzero coefficients of the summed numerator
+rows: each product of a coefficient with Re zeta^e is the same IEEE
+product as a scalar one, and `math.fsum` of a row's products is
 their correctly rounded sum (+0.0 for a row with none), which zero terms
 would not change.  The oracle reads only `values`, so a graph
 that nothing else reads never builds its `Eigenvalue` tuple; the tuple is
@@ -60,6 +68,11 @@ _KIND_BY_REP = {"theta": "alpha", "psi": "beta", "phi": "gamma"}
 class NonRealEigenvalue(ArithmeticError):
     """The character table breaks chi(c^-1) = conj chi(c), so character sums
     over an inverse-closed S would not all be real."""
+
+
+class IntegralityMismatch(ArithmeticError):
+    """A union of rational classes has a non-integral eigenvalue, which the
+    rationality criterion rules out: the class map is wrong."""
 
 
 class Eigenvalue(NamedTuple):
@@ -224,28 +237,52 @@ def rep_labels(params: GroupParams) -> tuple[str, ...]:
 class _SummedTable(SpectrumTable):
     """The table of one set, from its summed class-map rows (reps, m + phi(m)).
 
-    `values` is the read-only float vector of the eigenvalues, in the order
-    of `rep_labels`: one array pass over the numerator rows.  `integers`
-    divides the reduced rows' integers by the degrees.  The tuple is built
-    from `values` and the reduced rows.  Each is built on its first read;
-    the tuple comes from the property below, not from a function.
+    `all_integral` is given: it is whether S is a union of rational classes
+    (`group.ClassMasks.rational`).  That holds iff every eigenvalue is an
+    integer.  If S is such a union, x -> x^k permutes S for each k coprime
+    to 8n and maps each class into a class, and the Galois automorphism
+    zeta -> zeta^k sends chi(x) to chi(x^k).  So each numerator
+    sum_{s in S} chi(s) is fixed by the Galois group of Q(zeta_8n), hence
+    rational; it is an algebraic integer, hence an integer k, and k / d is a
+    rational eigenvalue of an integer matrix, hence an integer.  Conversely,
+    if every numerator is rational, the class function 1_S and its image
+    under x -> x^k have the same inner product with every character, so
+    they are equal: S is closed under the k-th powers.
+
+    `_sums`, the summed rows, is built on first read, by `integers`,
+    `values` or `eigenvalues`, so a set that is read only for
+    `all_integral` sums none.  `values` is the read-only float vector of
+    the eigenvalues, in the order of `rep_labels`: one array pass over the
+    numerator rows.  `integers` divides the reduced rows' integers by the
+    degrees, after checking that each reduced row is an integer that its
+    degree divides; a table whose class map breaks the criterion raises
+    `IntegralityMismatch` there.  The tuple is built from `values` and the
+    reduced rows.  Each is built on its first read; the tuple comes from the
+    property below, not from a function.
     """
 
-    def __init__(self, connection: ConnectionSet, class_map: _ClassMap, sums: np.ndarray) -> None:
-        reduced = sums[:, len(class_map.re_roots) :]
+    def __init__(self, connection: ConnectionSet, class_map: _ClassMap, all_integral: bool) -> None:
         self.connection = connection
-        self.all_integral = not np.count_nonzero(reduced[:, 1:]) and not np.count_nonzero(
-            reduced[:, 0] % class_map.degrees
-        )
+        self.all_integral = all_integral
         self._class_map = class_map
-        self._sums = sums
+
+    @cached_property
+    def _sums(self) -> np.ndarray:
+        stacked = self._class_map.stacked
+        return stacked.take(self.connection.class_indices, axis=0).sum(axis=0)
 
     @cached_property
     def integers(self) -> tuple[int, ...]:
         if not self.all_integral:
             raise ValueError("only an integral spectrum has integer eigenvalues")
-        constants = self._sums[:, len(self._class_map.re_roots)]  # the reduced rows' zeta^0
-        return tuple((constants // self._class_map.degrees).tolist())
+        reduced = self._sums[:, len(self._class_map.re_roots) :]
+        k, rest = np.divmod(reduced[:, 0], self._class_map.degrees)
+        if rest.any() or reduced[:, 1:].any():
+            raise IntegralityMismatch(
+                "a union of rational classes has a non-integral eigenvalue: "
+                "the class map breaks the rationality criterion"
+            )
+        return tuple(k.tolist())
 
     @cached_property
     def values(self) -> np.ndarray:
@@ -279,12 +316,11 @@ def eigenvalues(connection: ConnectionSet) -> _SummedTable:
     is inverse-closed (`validate_connection_set` and
     `enumerate_connection_sets` ensure it), so each numerator is its conjugate.
 
-    The rows of the classes of S are summed here, once, and `all_integral`
-    is decided on the sums: every reduced row is an integer k with d | k.
-    The float `values` and the `Eigenvalue` tuple are built from the same
-    sums and the same class map on their first read, so a caller that reads
-    only `all_integral` pays for neither.
+    `all_integral` is decided here on the set's class bits alone: S is a
+    union of rational classes.  The rows of the classes of S are summed on
+    the first read of `integers`, `values` or the `Eigenvalue` tuple, once,
+    so a caller that reads only `all_integral` sums none.
     """
-    class_map = _class_map(connection.params)
-    sums = class_map.stacked.take(connection.class_indices, axis=0).sum(axis=0)
-    return _SummedTable(connection, class_map, sums)
+    params = connection.params
+    all_integral = class_masks(params).is_rational_union(connection.bits)
+    return _SummedTable(connection, _class_map(params), all_integral)

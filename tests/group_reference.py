@@ -6,8 +6,10 @@ classes is checked element by element for inverse-closure, and its
 generated subgroup is computed by BFS.  `is_normal_subset` is the Sg = gS
 normality test that `validate_connection_set` once asserted against its
 class-union test.  `conjugate` gives the conjugation orbits that the
-listed conjugacy classes are checked against.  Tests compare the
-mask-based code against all three.
+listed conjugacy classes are checked against.  `rational_classes` is the
+partition into rational classes by a second definition: x ~ y iff the
+cyclic subgroups <x> and <y> are conjugate.  Tests compare the mask-based
+code against all four.
 """
 
 from __future__ import annotations
@@ -41,6 +43,22 @@ def is_normal_subset(params: GroupParams, members: frozenset[GroupElement]) -> b
         if left != right:
             return False
     return True
+
+
+def rational_classes(params: GroupParams) -> set[frozenset[GroupElement]]:
+    """The classes of x ~ y iff <x> and <y> are conjugate subgroups."""
+    elements = all_elements(params)
+    cyclic = {x: generated_subgroup(params, [x]) for x in elements}
+    blocks = set()
+    placed: set[GroupElement] = set()
+    for x in elements:
+        if x in placed:
+            continue
+        conjugates = {frozenset(conjugate(params, g, y) for y in cyclic[x]) for g in elements}
+        block = frozenset(y for y in elements if cyclic[y] in conjugates)
+        blocks.add(block)
+        placed |= block
+    return blocks
 
 
 def enumerate_connection_sets(

@@ -327,7 +327,7 @@ def test_enumerate_matches_reference(n, max_classes):
     p = GroupParams(n)
 
     def fields(c):
-        return c.class_indices, len(c), c.class_tags, c.members
+        return c.class_indices, c.bits, len(c), c.class_tags, c.members
 
     got = [fields(c) for c in enumerate_connection_sets(p, max_classes)]
     want = [fields(c) for c in group_reference.enumerate_connection_sets(p, max_classes)]
@@ -346,6 +346,7 @@ def test_connection_set_keeps_the_members_it_is_given():
         assert conn.class_indices == ()
     given = validate_connection_set(p, members)
     assert given.members == members and "members" in vars(given)
+    assert given.bits == sum(1 << i for i in given.class_indices) and "bits" in vars(given)
 
 
 def test_group_params_is_one_instance_per_n():
@@ -372,6 +373,20 @@ def test_class_masks_match_element_checks(n):
             inverse_mask = sum(masks.inverse_bit[i] for i in combo)
             assert (inverse_mask == bits) == symmetric
             assert masks.generates(bits) == (generated_subgroup(p, members) == full)
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_rational_classes_match_conjugate_cyclic_subgroups(n):
+    """The rational classes, from the classes of the powers x^k with k
+    coprime to 8n, are the classes of x ~ y iff <x> and <y> are conjugate."""
+    p = GroupParams(n)
+    classes = conjugacy_classes(p)
+    got = [
+        frozenset().union(*(c.members for i, c in enumerate(classes) if mask >> i & 1))
+        for mask in class_masks(p).rational
+    ]
+    assert len(set(got)) == len(got)
+    assert set(got) == group_reference.rational_classes(p)
 
 
 @pytest.mark.parametrize("n", [3, 4])

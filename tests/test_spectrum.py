@@ -1,9 +1,11 @@
 """Eigenvalues, eigenvectors and integrality decisions."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
-from v8npst import spectrum
+from v8npst import cli, spectrum
 from v8npst.cyclotomic import CycloInt, reduced_powers
 from v8npst.group import (
     IDENTITY,
@@ -236,7 +238,13 @@ def test_near_integer_irrational_is_not_integral(monkeypatch):
     ev = table.eigenvalues[1]
     assert abs(ev.value - plain.eigenvalues[1].value) < 1e-8
     assert (ev.is_integer, ev.integer_value) == (False, None)
-    assert not table.all_integral
+    # S is a union of rational classes, so the criterion calls it integral;
+    # the exact check of the reduced rows catches the corrupted map
+    assert table.all_integral
+    with pytest.raises(spectrum.IntegralityMismatch):
+        table.integers
+    with pytest.raises(spectrum.IntegralityMismatch):
+        cli.main(["analyze", "--n", "2", "--set", "+".join(conn.class_tags)])
 
 
 def test_non_real_numerator_raises(monkeypatch):
@@ -272,12 +280,29 @@ def test_reading_all_integral_builds_neither_values_nor_the_tuple():
     conn = _non_integral_set(4)
     table = eigenvalues(conn)
     assert not table.all_integral
-    assert "values" not in vars(table) and "eigenvalues" not in vars(table)
+    assert vars(table).keys().isdisjoint({"_sums", "values", "eigenvalues"})
     values = table.values
     assert not values.flags.writeable
     assert "eigenvalues" not in vars(table)  # the oracle's read builds no tuple
     entries = table.eigenvalues
     assert table.values is values and table.eigenvalues is entries
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_rational_criterion_matches_the_summed_rows(n):
+    """On every set with n <= 8, `all_integral`, decided on the rational
+    classes alone, is the exact integrality of the summed reduced rows:
+    each is an integer k with d | k."""
+    params = GroupParams(n)
+    cmap = spectrum._class_map(params)
+    reduced = cmap.stacked[:, :, 4 * n :]
+    counts = Counter()
+    for conn in enumerate_connection_sets(params, len(conjugacy_classes(params))):
+        sums = reduced.take(conn.class_indices, axis=0).sum(axis=0)
+        exact = not sums[:, 1:].any() and not (sums[:, 0] % cmap.degrees).any()
+        assert eigenvalues(conn).all_integral == exact
+        counts[exact] += 1
+    assert counts[True] and (counts[False] or n <= 3)  # n <= 3: every union is integral
 
 
 @pytest.mark.parametrize(
