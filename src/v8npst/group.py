@@ -15,6 +15,10 @@ the group's `GroupParams`, of which there is one instance per n, so each
 lookup hashes and compares in C.  A connection set is a union of classes:
 its size and tags come from the per-n class sizes and tags, and an
 enumerated set builds its member frozenset only when something reads it.
+`enumerate_connection_sets` holds one int per generating union, its class
+mask with class i at bit C - 1 - i of C classes: among unions with the
+same class count a larger reversed mask has a lexicographically smaller
+index tuple, so two C sorts of the ints give the output order.
 """
 
 from __future__ import annotations
@@ -22,6 +26,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from itertools import combinations, repeat
+from operator import getitem
 from typing import Iterable, Iterator, NamedTuple, Optional
 
 
@@ -511,41 +517,78 @@ def enumerate_connection_sets(
     Deterministic order: by class count, then lexicographically by the tuple
     of class indices.  Only inverse-closed unions are visited: each is a
     union of inverse orbits (a self-inverse class, or a class with its
-    inverse class).  Unions that do not generate are skipped, decided on the
-    per-n class masks.  Sets are yielded with their class bits and without
+    inverse class), and the orbits' masks are disjoint, so the sums of the
+    j-orbit combinations list each such union once.  Unions that do not
+    generate are skipped, decided on the per-n class masks.
+
+    The unions are held as reversed masks, class i at bit C - 1 - i of C
+    classes, one int per generating union and nothing else.  Of two sets
+    with the same class count, the one holding the smallest index of their
+    symmetric difference has the smaller index tuple; in reversed bits that
+    index is the highest differing bit, so that set has the larger mask.
+    Sorting the masks in decreasing order, then stably by class count,
+    therefore gives the order above.  Sets are yielded with their index
+    tuple and class bits, looked up per byte of the mask, and without
     members, which are built from the classes only if read.
     """
-    classes = conjugacy_classes(params)
-    masks = class_masks(params)
-    orbits = [  # class bits of each inverse orbit, in class order
-        1 << i | inv
-        for i, (c, inv) in enumerate(zip(classes, masks.inverse_bit))
-        if IDENTITY not in c.members and 1 << i <= inv
+    orbits, (o0, o1, o2), index_tables, bit_tables = _reversed_tables(params)
+    unions = [
+        u
+        for j in range(1, min(max_classes, len(orbits)) + 1)
+        for u in map(sum, combinations(orbits, j))
+        if u.bit_count() <= max_classes and u & o0 and u & o1 and u & o2
     ]
-    # unions of orbits within the class budget, level by level; each union
-    # is extended with later orbits only, so each is listed once
-    level = [(0, 0)]  # (class bits, index of the next orbit)
-    combos = []
-    while level:
-        level = [
-            (union, j)
-            for bits, start in level
-            for j, orbit in enumerate(orbits[start:], start + 1)
-            if (union := bits | orbit).bit_count() <= max_classes
-        ]
-        combos += [_set_bits(bits) for bits, _ in level if masks.generates(bits)]
-    # by class count, then by the index tuple: a stable sort on each key; the
-    # bits are rebuilt from the tuple, since keeping them would hold one more
-    # int per set
-    for combo in sorted(sorted(combos), key=len):
-        yield ConnectionSet(params, None, combo, sum(map((1).__lshift__, combo)))
+    unions.sort(reverse=True)
+    unions.sort(key=int.bit_count)
+    for key in map(int.to_bytes, unions, repeat(len(index_tables)), repeat("big")):
+        yield ConnectionSet(
+            params,
+            None,
+            sum(map(getitem, index_tables, key), ()),
+            sum(map(getitem, bit_tables, key)),
+        )
 
 
-def _set_bits(bits: int) -> tuple[int, ...]:
-    """The indices of the set bits, in increasing order."""
-    out = []
-    while bits:
-        low = bits & -bits
-        out.append(low.bit_length() - 1)
-        bits ^= low
-    return tuple(out)
+@lru_cache(maxsize=None)
+def _reversed_tables(params: GroupParams) -> tuple[
+    tuple[int, ...],
+    tuple[int, ...],
+    tuple[tuple[tuple[int, ...], ...], ...],
+    tuple[tuple[int, ...], ...],
+]:
+    """The enumeration's per-n masks and tables, in reversed class bits.
+
+    Returns the mask of each inverse orbit but the identity's, in class
+    order; `ClassMasks.outside`; and, per byte of a reversed mask, most
+    significant first, the index tuple and the class bits of each of its
+    256 values.  A mask's index tuple is its bytes' tuples joined in that
+    order, and its class bits the sum of theirs: ceil(C / 8) tables of 256
+    entries, whatever n is.  Built on the first enumeration for n.
+    """
+    masks = class_masks(params)
+    count = len(masks.inverse_bit)
+
+    def reverse(mask: int) -> int:
+        return int(f"{mask:0{count}b}"[::-1], 2)
+
+    orbits = tuple(
+        reverse(1 << i | inv)
+        for i, inv in enumerate(masks.inverse_bit)
+        if i and 1 << i <= inv  # class 0 is the identity's
+    )
+    index_tables = tuple(
+        tuple(
+            tuple(  # bit j of the byte is class count - 1 - low - j
+                count - 1 - low - j
+                for j in reversed(range(min(8, count - low)))
+                if value >> j & 1
+            )
+            for value in range(256)
+        )
+        for low in reversed(range(0, count, 8))
+    )
+    bit_tables = tuple(
+        tuple(sum(map((1).__lshift__, indices)) for indices in table)
+        for table in index_tables
+    )
+    return orbits, tuple(map(reverse, masks.outside)), index_tables, bit_tables

@@ -1,5 +1,6 @@
 """Group arithmetic, conjugacy classes and connection-set validation."""
 
+import functools
 import itertools
 
 import pytest
@@ -332,6 +333,41 @@ def test_enumerate_matches_reference(n, max_classes):
     got = [fields(c) for c in enumerate_connection_sets(p, max_classes)]
     want = [fields(c) for c in group_reference.enumerate_connection_sets(p, max_classes)]
     assert got == want
+
+
+@functools.lru_cache(maxsize=None)
+def full_enumeration(n):
+    """(class_indices, bits) of every set at the full class budget."""
+    p = GroupParams(n)
+    budget = len(conjugacy_classes(p))
+    return tuple((c.class_indices, c.bits) for c in enumerate_connection_sets(p, budget))
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_enumerate_order_and_bits(n):
+    """Strictly increasing by (class count, index tuple), each set's bits
+    those of its classes: the order with no BFS reference."""
+    sets = full_enumeration(n)
+    keys = [(len(indices), indices) for indices, _ in sets]
+    assert all(a < b for a, b in itertools.pairwise(keys))
+    for indices, bits in sets:
+        assert bits == sum(1 << i for i in indices)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_enumerate_budget_is_a_filter_of_the_full_list(n):
+    p = GroupParams(n)
+    full = full_enumeration(n)
+    for k in range(len(conjugacy_classes(p)) + 2):
+        got = tuple((c.class_indices, c.bits) for c in enumerate_connection_sets(p, k))
+        assert got == tuple(s for s in full if len(s[0]) <= k)
+
+
+@pytest.mark.parametrize(
+    "n,count", [(5, 704), (6, 6_656), (7, 5_888), (8, 55_296), (9, 48_128)]
+)
+def test_enumerate_counts(n, count):
+    assert len(full_enumeration(n)) == count
 
 
 def test_connection_set_keeps_the_members_it_is_given():
