@@ -10,6 +10,11 @@ human-readable summary goes to stderr when attached to a terminal):
 SPEC is either a '+'-joined list of conjugacy-class tags (as printed by the
 analyzer, e.g. "b+a*b") or a comma-separated list of explicit elements
 "a^r*b^s".  Explicit lists are validated as-is and never auto-symmetrised.
+Tags become class indices through the per-n tag index, and the union is
+checked on its class bits (`group.class_union`), so its members are never
+built; a union that fails a check is handed as members to
+`validate_connection_set`, so both forms of one set give the same report,
+or the same error document.
 
 Every document is byte-identical to `json.dumps(doc, indent=2)`.  The
 short ones, `probe`'s report and the error documents, are written by it.
@@ -19,17 +24,18 @@ pairs and oracle block, and search's rows), so they skip `json.dumps`,
 which falls back to the pure-Python encoder with `indent`: each record
 is a `%`-template of its keys and pad (`_dict_template`), filled
 directly from the set, the table and the verdicts, and no dict is
-built.  An integral spectrum is written from the table's integers and
-the per-n labels and multiplicities, so without `--verify` no float is
-evaluated and no eigenvalue tuple is built for it; a non-integral set
-is written from its classes and size alone, so its class-map rows are
-not even summed.
+built.  A report's elements are the per-n sorted vertex labels of the
+set's classes, merged by one sort and named from per-n quoted names, so
+no report reads a set's members.  An integral spectrum is written from
+the table's integers and the per-n labels and multiplicities, so without
+`--verify` no float is evaluated for it; a non-integral one from the
+table's float `values` and exact `integer_values`.  No report builds an
+`Eigenvalue` tuple.  A search row of a non-integral set is written from
+its classes and size alone, so its class-map rows are not even summed.
 
 `search` decides each connection set as the enumeration yields it and
 keeps only the text of its row, and of its report when the graph has
-transfer, not the set.  A row reads only a set's classes and size, so a
-set's members are built only for the report of a graph with transfer,
-which lists its elements.  The header's counts are known only at the end,
+transfer, not the set.  The header's counts are known only at the end,
 so the document is written then, in pieces: the header, then each list
 in slices of about 1 MiB, so neither the whole text nor an encoded copy
 of it is ever held.
@@ -51,6 +57,7 @@ import functools
 import json
 import math
 import sys
+from itertools import chain
 from json.encoder import encode_basestring_ascii
 
 import numpy as np
@@ -60,11 +67,14 @@ from .group import (
     ConnectionSet,
     ConnectionSetError,
     GroupParams,
+    class_labels,
     class_tags,
+    class_union,
     conjugacy_classes,
     element_names,
     enumerate_connection_sets,
     parse_element,
+    tag_index,
     validate_connection_set,
 )
 
@@ -100,15 +110,13 @@ def parse_set_spec(params: GroupParams, text: str) -> ConnectionSet:
     text = text.strip()
     if not text:
         raise ConnectionSetError("empty connection-set specifier")
-    classes = conjugacy_classes(params)
-    by_tag = {c.tag: c for c in classes}
     if "," in text:
         members = [parse_element(params, part) for part in text.split(",")]
         return validate_connection_set(params, members)
     parts = [p.strip() for p in text.split("+")]
-    if all(p in by_tag for p in parts):
-        members = frozenset().union(*(by_tag[p].members for p in parts))
-        return validate_connection_set(params, members)
+    index = tag_index(params)
+    if all(p in index for p in parts):
+        return class_union(params, map(index.__getitem__, parts))
     # single explicit element, or a typo'd tag; try element syntax
     members = [parse_element(params, part) for part in parts]
     return validate_connection_set(params, members)
@@ -162,6 +170,12 @@ def _quoted_tags(params: GroupParams) -> tuple[str, ...]:
     return tuple([encode_basestring_ascii(tag) for tag in class_tags(params)])
 
 
+@functools.lru_cache(maxsize=None)
+def _quoted_names(params: GroupParams) -> tuple[str, ...]:
+    """The JSON string of each element's name, by vertex label."""
+    return tuple([encode_basestring_ascii(name) for name in element_names(params)])
+
+
 def _tags_text(conn, pad: str) -> str:
     """The list of the set's class tags, as `json.dumps` writes it at `pad`."""
     return _list_text(list(map(_quoted_tags(conn.params).__getitem__, conn.class_indices)), pad)
@@ -170,28 +184,28 @@ def _tags_text(conn, pad: str) -> str:
 def _report_text(conn, table, graph, verdicts, oracle_texts, pad: str) -> str:
     """The analysis report of one graph, as `json.dumps` writes its dict at `pad`.
 
-    An integral spectrum is written from the table's integers, a
-    non-integral one from its eigenvalue tuple.
+    The elements are the union of the classes' sorted vertex labels,
+    sorted; the set's members are not read.  An integral spectrum is
+    written from the table's integers, a non-integral one from its float
+    `values` and exact `integer_values`, with no `Eigenvalue` tuple.
     """
     params = conn.params
-    names = element_names(params)
-    two_n = params.two_n
+    names = _quoted_names(params)
     deeper = pad + "  "
     item = deeper + "  "
-    elements = sorted([two_n * s + r for r, s in conn.members])
+    labels = class_labels(params)
+    elements = sorted(chain.from_iterable(map(labels.__getitem__, conn.class_indices)))
     connection = _dict_template(("classes", "elements", "size"), deeper) % (
         _tags_text(conn, item),
-        _list_text([encode_basestring_ascii(names[i]) for i in elements], item),
+        _list_text(list(map(names.__getitem__, elements)), item),
         int.__repr__(len(conn)),
     )
     if table.all_integral:
         values = [(int.__repr__(k), "true") for k in table.integers]
     else:
         values = [
-            (int.__repr__(ev.integer_value), "true")
-            if ev.is_integer
-            else (_float_json(_f(ev.value)), "false")
-            for ev in table.eigenvalues
+            (_float_json(_f(value)), "false") if k is None else (int.__repr__(k), "true")
+            for value, k in zip(table.values.tolist(), table.integer_values)
         ]
     entry = _dict_template(("label", "value", "multiplicity", "integer"), item)
     entries = [

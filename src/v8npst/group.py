@@ -13,8 +13,9 @@ V1 = [0, 2n), V2 = [2n, 4n), V3 = [4n, 6n), V4 = [6n, 8n).
 Everything that depends only on n is computed once per n and cached under
 the group's `GroupParams`, of which there is one instance per n, so each
 lookup hashes and compares in C.  A connection set is a union of classes:
-its size and tags come from the per-n class sizes and tags, and an
-enumerated set builds its member frozenset only when something reads it.
+its size and tags come from the per-n class sizes and tags, and a set
+enumerated or named by class tags (`class_union`, checked on its class
+bits) builds its member frozenset only when something reads it.
 `enumerate_connection_sets` holds one int per generating union, its class
 mask with class i at bit C - 1 - i of C classes: among unions with the
 same class count a larger reversed mask has a lexicographically smaller
@@ -410,6 +411,21 @@ def class_tags(params: GroupParams) -> tuple[str, ...]:
     return tuple([c.tag for c in conjugacy_classes(params)])
 
 
+@lru_cache(maxsize=None)
+def tag_index(params: GroupParams) -> dict[str, int]:
+    """Class tag -> class index."""
+    return {tag: i for i, tag in enumerate(class_tags(params))}
+
+
+@lru_cache(maxsize=None)
+def class_labels(params: GroupParams) -> tuple[tuple[int, ...], ...]:
+    """The sorted vertex labels of each conjugacy class, in class order."""
+    two_n = params.two_n
+    return tuple(
+        [tuple(sorted([two_n * s + r for r, s in c.members])) for c in conjugacy_classes(params)]
+    )
+
+
 class ConnectionSet:
     """Validated connection set: identity-free, symmetric, normal, generating.
 
@@ -417,7 +433,7 @@ class ConnectionSet:
     the frozenset given to the constructor, and `bits` the class bits (bit
     i for class i); when either is not given, it is built from the classes
     on first read.  `len` and `class_tags` read only the per-n class sizes
-    and tags, so deciding and listing an enumerated set never builds its
+    and tags, so deciding, listing and reporting a set never builds its
     members.
     """
 
@@ -507,6 +523,31 @@ def validate_connection_set(
     if not class_masks(params).generates(bits):
         raise NotGenerating("set does not generate the whole group")
     return ConnectionSet(params, mset, tuple(idxs), bits)
+
+
+def class_union(params: GroupParams, class_indices: Iterable[int]) -> ConnectionSet:
+    """The connection set that is the union of the classes `class_indices`.
+
+    Checked on the class bits with the per-n `ClassMasks`: class 0 is the
+    identity's; inversion permutes the classes, so the union is
+    inverse-closed iff the inverse classes of its classes are its classes;
+    it generates iff `ClassMasks.generates`; and a union of classes is
+    normal.  Its members are not built.  A union that fails a check is
+    handed, as its members, to `validate_connection_set`, which raises the
+    error it raises for that element list.
+    """
+    indices = tuple(sorted(set(class_indices)))
+    bits = sum(map((1).__lshift__, indices))
+    masks = class_masks(params)
+    if (
+        bits & 1
+        or sum(map(masks.inverse_bit.__getitem__, indices)) != bits
+        or not masks.generates(bits)
+    ):
+        classes = conjugacy_classes(params)
+        members = frozenset().union(*[classes[i].members for i in indices])
+        return validate_connection_set(params, members)
+    return ConnectionSet(params, None, indices, bits)
 
 
 def enumerate_connection_sets(

@@ -44,10 +44,14 @@ one array pass over the nonzero coefficients of the summed numerator
 rows: each product of a coefficient with Re zeta^e is the same IEEE
 product as a scalar one, and `math.fsum` of a row's products is
 their correctly rounded sum (+0.0 for a row with none), which zero terms
-would not change.  The oracle reads only `values`, so a graph
-that nothing else reads never builds its `Eigenvalue` tuple; the tuple is
-built from `values` when a table's `eigenvalues` is first read.  No
-eigenvalue is kept past its table.
+would not change.  A table's `integer_values` is, per representation, the
+exact eigenvalue when it is an integer and None otherwise, read off the
+reduced rows on each read.  No command builds the `Eigenvalue` tuple: the
+oracle reads only `values`, and a report prints an integral spectrum from
+`integers` and any other from `values` and `integer_values`.  The tuple,
+built from the same two on the first read of `eigenvalues`, serves the
+tests and callers that want one record per eigenvalue.  No eigenvalue is
+kept past its table.
 """
 
 from __future__ import annotations
@@ -250,14 +254,17 @@ class _SummedTable(SpectrumTable):
     they are equal: S is closed under the k-th powers.
 
     `_sums`, the summed rows, is built on first read, by `integers`,
-    `values` or `eigenvalues`, so a set that is read only for
-    `all_integral` sums none.  `values` is the read-only float vector of
-    the eigenvalues, in the order of `rep_labels`: one array pass over the
-    numerator rows.  `integers` divides the reduced rows' integers by the
-    degrees, after checking that each reduced row is an integer that its
-    degree divides; a table whose class map breaks the criterion raises
-    `IntegralityMismatch` there.  The tuple is built from `values` and the
-    reduced rows.  Each is built on its first read; the tuple comes from the
+    `values`, `integer_values` or `eigenvalues`, so a set that is read
+    only for `all_integral` sums none.  `values` is the read-only float
+    vector of the eigenvalues, in the order of `rep_labels`: one array pass
+    over the numerator rows.  `integer_values` divides each reduced row's
+    integer by its degree where the row is an integer that the degree
+    divides, and is None elsewhere; it is a plain property, recomputed on
+    each read, since its one reader per table reads it once.  `integers` is
+    `integer_values` of an integral table; a None there means the class map
+    breaks the criterion, and raises `IntegralityMismatch`.  The tuple is
+    built from `values` and `integer_values`.  `values`, `integers` and the
+    tuple are each built on their first read; the tuple comes from the
     property below, not from a function.
     """
 
@@ -271,18 +278,24 @@ class _SummedTable(SpectrumTable):
         stacked = self._class_map.stacked
         return stacked.take(self.connection.class_indices, axis=0).sum(axis=0)
 
+    @property
+    def integer_values(self) -> list[Optional[int]]:
+        reduced = self._sums[:, len(self._class_map.re_roots) :]
+        k, rest = np.divmod(reduced[:, 0], self._class_map.degrees)
+        is_int = (rest == 0) & ~reduced[:, 1:].any(axis=1)
+        return [k if i else None for k, i in zip(k.tolist(), is_int.tolist())]
+
     @cached_property
     def integers(self) -> tuple[int, ...]:
         if not self.all_integral:
             raise ValueError("only an integral spectrum has integer eigenvalues")
-        reduced = self._sums[:, len(self._class_map.re_roots) :]
-        k, rest = np.divmod(reduced[:, 0], self._class_map.degrees)
-        if rest.any() or reduced[:, 1:].any():
+        exact = self.integer_values
+        if None in exact:
             raise IntegralityMismatch(
                 "a union of rational classes has a non-integral eigenvalue: "
                 "the class map breaks the rationality criterion"
             )
-        return tuple(k.tolist())
+        return tuple(exact)
 
     @cached_property
     def values(self) -> np.ndarray:
@@ -296,14 +309,11 @@ class _SummedTable(SpectrumTable):
 
     @cached_property
     def eigenvalues(self) -> tuple[Eigenvalue, ...]:
-        reduced = self._sums[:, len(self._class_map.re_roots) :]
-        k, rest = np.divmod(reduced[:, 0], self._class_map.degrees)
-        is_int = (rest == 0) & ~reduced[:, 1:].any(axis=1)
         return tuple(
             [
-                Eigenvalue(*rep, value, i, k if i else None)
-                for rep, value, i, k in zip(
-                    self._class_map.reps, self.values.tolist(), is_int.tolist(), k.tolist()
+                Eigenvalue(*rep, value, k is not None, k)
+                for rep, value, k in zip(
+                    self._class_map.reps, self.values.tolist(), self.integer_values
                 )
             ]
         )
@@ -318,8 +328,9 @@ def eigenvalues(connection: ConnectionSet) -> _SummedTable:
 
     `all_integral` is decided here on the set's class bits alone: S is a
     union of rational classes.  The rows of the classes of S are summed on
-    the first read of `integers`, `values` or the `Eigenvalue` tuple, once,
-    so a caller that reads only `all_integral` sums none.
+    the first read of `integers`, `values`, `integer_values` or the
+    `Eigenvalue` tuple, once, so a caller that reads only `all_integral`
+    sums none.
     """
     params = connection.params
     all_integral = class_masks(params).is_rational_union(connection.bits)

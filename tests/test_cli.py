@@ -6,6 +6,7 @@ import hashlib
 import io
 import json
 import math
+import random
 import shlex
 from collections import Counter
 from pathlib import Path
@@ -15,7 +16,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from v8npst import cli, oracle, spectrum
-from v8npst.group import GroupParams, conjugacy_classes, enumerate_connection_sets
+from v8npst.group import (
+    GroupParams,
+    class_masks,
+    class_tags,
+    conjugacy_classes,
+    element_str,
+    enumerate_connection_sets,
+)
 
 
 def run_cli(capsys, argv):
@@ -356,24 +364,75 @@ def test_search_decides_each_set_before_the_next_is_yielded(capsys, monkeypatch)
     assert events == [(kind, idx) for idx in sets for kind in ("yield", "eigenvalues")]
 
 
-def test_search_builds_members_only_for_sets_with_transfer(capsys, monkeypatch):
-    """Rows need only classes and size; only the transfer reports list elements."""
+def test_search_and_analyze_build_no_member_set(capsys, monkeypatch):
+    """Rows read only a set's classes and size, and a report lists its
+    elements from the per-n class labels: no set, enumerated or named by
+    class tags, builds its member frozenset."""
     sets = []
     real_enumerate = cli.enumerate_connection_sets
+    real_union = cli.class_union
 
     def recording_enumerate(params, max_classes):
         for conn in real_enumerate(params, max_classes):
             sets.append(conn)
             yield conn
 
+    def recording_union(params, class_indices):
+        sets.append(real_union(params, class_indices))
+        return sets[-1]
+
     monkeypatch.setattr(cli, "enumerate_connection_sets", recording_enumerate)
+    monkeypatch.setattr(cli, "class_union", recording_union)
     code, out = run_cli(capsys, ["search", "--n", "7", "--max-classes", "4"])
     assert code == 0
     doc = json.loads(out)
-    built = [list(conn.class_tags) for conn in sets if "members" in vars(conn)]
-    assert len(sets) == doc["totalSets"] == 152
-    assert built == [r["connectionSet"]["classes"] for r in doc["pstGraphs"]]
-    assert len(built) == 2
+    assert len(sets) == doc["totalSets"] == 152 and doc["pstCount"] == 2
+    for report in doc["pstGraphs"]:
+        spec = "+".join(report["connectionSet"]["classes"])
+        code, out = run_cli(capsys, ["analyze", "--n", "7", "--set", spec, "--verify"])
+        assert code == 0
+        assert json.loads(out)["connectionSet"] == report["connectionSet"]
+    for argv in (
+        ["analyze", "--n", "7", "--set", full_set_spec(7)],
+        ["analyze", "--n", "4", "--set", "a*b+a+a^7", "--verify"],
+    ):
+        assert run_cli(capsys, argv)[0] == 0
+    assert len(sets) == 152 + 4
+    assert [conn.class_indices for conn in sets if "members" in vars(conn)] == []
+
+
+def test_analyze_builds_no_eigenvalue_tuple(capsys, monkeypatch):
+    """`analyze` prints an integral spectrum from the table's integers and a
+    non-integral one from its `values` and `integer_values`, with and
+    without --verify: no `Eigenvalue` is built."""
+    tables = []
+    built = []
+    real_eigenvalues = cli.spectrum.eigenvalues
+    real_entry = spectrum.Eigenvalue
+
+    def recording_eigenvalues(conn):
+        tables.append(real_eigenvalues(conn))
+        return tables[-1]
+
+    def recording_entry(*args, **kwargs):
+        built.append(args)
+        return real_entry(*args, **kwargs)
+
+    monkeypatch.setattr(cli.spectrum, "eigenvalues", recording_eigenvalues)
+    monkeypatch.setattr(spectrum, "Eigenvalue", recording_entry)
+    reports = []
+    for spec, n in (("a+b+a*b", 1), (full_set_spec(7), 7), ("a*b+a+a^7", 4), ("a*b+a^3+a^13", 8)):
+        for verify in (False, True):
+            argv = ["analyze", "--n", str(n), "--set", spec] + ["--verify"] * verify
+            code, out = run_cli(capsys, argv)
+            assert code == 0
+            reports.append(json.loads(out))
+    assert [r["integral"] for r in reports] == [True] * 4 + [False] * 4
+    assert [bool(r["pstPairs"]) for r in reports] == [True] * 2 + [False] * 6
+    # the non-integral spectra print integer entries too
+    assert all(any(e["integer"] for e in r["spectrum"]) for r in reports[4:])
+    assert len(tables) == 8 and all("eigenvalues" not in vars(t) for t in tables)
+    assert built == []
 
 
 def test_search_without_verify_reads_no_float_eigenvalue(capsys, monkeypatch):
@@ -406,6 +465,113 @@ def test_search_without_verify_reads_no_float_eigenvalue(capsys, monkeypatch):
     assert [t.all_integral for t in tables if "_sums" in vars(t)] == [True] * 8
     assert built == []
     assert sum("integers" in vars(t) for t in tables) == doc["integralCount"]
+
+
+def every_union_tags(n: int) -> list[str]:
+    """The '+'-joined tags of every generating inverse-closed class union of V_8n."""
+    params = GroupParams(n)
+    return ["+".join(conn.class_tags) for conn in enumerate_connection_sets(params, 99)]
+
+
+def drawn_union_tags(rng: random.Random, n: int, count: int) -> list[str]:
+    """`count` generating unions of V_8n: each non-identity class is taken with
+    probability 1/2, the union closed under inversion, non-generating draws
+    skipped."""
+    params = GroupParams(n)
+    tags, masks = class_tags(params), class_masks(params)
+    specs = []
+    while len(specs) < count:
+        bits = sum(1 << i for i in range(1, len(tags)) if rng.random() < 0.5)
+        bits |= sum(inv for i, inv in enumerate(masks.inverse_bit) if bits >> i & 1)
+        if masks.generates(bits):
+            specs.append("+".join(tag for i, tag in enumerate(tags) if bits >> i & 1))
+    return specs
+
+
+def test_analyze_stdout_is_byte_identical_to_recorded_digest(capsys):
+    """Every generating union for n <= 3 with and without --verify, then 200
+    seeded unions for n = 5..8, each with a drawn --verify: the SHA-256 of
+    the concatenated stdout was recorded before `analyze` stopped building
+    member sets and `Eigenvalue` tuples."""
+    argvs = [
+        ["analyze", "--n", str(n), "--set", spec] + ["--verify"] * verify
+        for n in (1, 2, 3)
+        for spec in every_union_tags(n)
+        for verify in (False, True)
+    ]
+    rng = random.Random(23)
+    argvs += [
+        ["analyze", "--n", str(n), "--set", spec] + ["--verify"] * rng.getrandbits(1)
+        for n in (5, 6, 7, 8)
+        for spec in drawn_union_tags(rng, n, 50)
+    ]
+    digest = hashlib.sha256()
+    kinds = Counter()
+    for argv in argvs:
+        code, out = run_cli(capsys, argv)
+        assert code == 0
+        digest.update(out.encode())
+        if int(argv[2]) >= 5:
+            kinds['"integral": true' in out, argv[-1] == "--verify"] += 1
+    assert len(argvs) == 2 * 168 + 200
+    assert set(kinds) == {(kind, verify) for kind in (False, True) for verify in (False, True)}
+    assert digest.hexdigest() == "70c4faaa0bae78810b7a328e3a0c4abbfca8f374dbd502e2b67e33f6cee2acce"
+
+
+def element_spec(params: GroupParams, tags: str) -> str:
+    """The comma-separated elements of the union of the classes `tags`."""
+    by_tag = {c.tag: c for c in conjugacy_classes(params)}
+    members = frozenset().union(*(by_tag[tag].members for tag in tags.split("+")))
+    return ",".join(map(element_str, sorted(members)))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_tag_and_element_specs_print_the_same_report(capsys, n):
+    params = GroupParams(n)
+    for tags in every_union_tags(n):
+        argv = ["analyze", "--n", str(n), "--set"]
+        tagged = run_cli(capsys, argv + [tags])
+        assert tagged[0] == 0
+        assert run_cli(capsys, argv + [element_spec(params, tags)]) == tagged
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_tag_and_element_specs_print_the_same_error(capsys, n):
+    """Every class union that is not a valid connection set, named by its
+    tags or by its elements, gives the same error document and exit 2: it
+    holds the identity, is not inverse-closed, or does not generate."""
+    params = GroupParams(n)
+    tags = class_tags(params)
+    valid = set(every_union_tags(n))
+    errors = Counter()
+    for bits in range(1, 1 << len(tags)):
+        spec = "+".join(tag for i, tag in enumerate(tags) if bits >> i & 1)
+        if spec in valid:
+            continue
+        argv = ["analyze", "--n", str(n), "--set"]
+        code, out = run_cli(capsys, argv + [spec])
+        assert code == 2
+        assert run_cli(capsys, argv + [element_spec(params, spec)]) == (code, out)
+        errors[json.loads(out)["error"]["code"]] += 1
+    symmetric = {"NotSymmetric"} if n > 1 else set()  # every class of V_8 is self-inverse
+    assert set(errors) == {"IdentityInSet", "NotGenerating"} | symmetric
+    assert sum(errors.values()) == (1 << len(tags)) - 1 - len(valid)
+
+
+@pytest.mark.parametrize(
+    "n,spec,same_as",
+    [
+        (1, "b+b", "b"),
+        (1, "a + b+a*b+b", "a+b+a*b"),
+        (3, "a*b+a^2*b^2+a*b", "a*b+a^2*b^2"),  # not generating, repeated
+        (2, "b^2+b^2", "b^2"),
+        (2, "1+1", "1"),
+        (2, "b+b+a", "b+a"),
+    ],
+)
+def test_repeated_tags_name_the_union_once(capsys, spec, same_as, n):
+    argv = ["analyze", "--n", str(n), "--set"]
+    assert run_cli(capsys, argv + [spec]) == run_cli(capsys, argv + [same_as])
 
 
 @functools.lru_cache(maxsize=None)

@@ -17,7 +17,9 @@ from v8npst.group import (
     NotNormal,
     NotSymmetric,
     all_elements,
+    class_labels,
     class_masks,
+    class_union,
     conjugacy_classes,
     element,
     element_names,
@@ -27,6 +29,7 @@ from v8npst.group import (
     inverse,
     multiply,
     parse_element,
+    tag_index,
     validate_connection_set,
     vertex_index,
 )
@@ -317,6 +320,50 @@ def test_enumerate_deterministic_validated_and_complete(n):
                 continue
             expected.add(members)
     assert {c.members for c in first} == expected
+
+
+def outcome(check, built: bool):
+    """(class indices, bits, size, members) of the set `check()` returns, or
+    the type and message of the ConnectionSetError it raises; whether the
+    set held its members before they were read must be `built`."""
+    try:
+        conn = check()
+    except ConnectionSetError as exc:
+        return type(exc), str(exc)
+    assert ("members" in vars(conn)) is built
+    return conn.class_indices, conn.bits, len(conn), conn.members
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_class_union_agrees_with_element_validation(n):
+    """Every union of classes, repeated indices included, checked on its
+    class bits gives the set, or the error, that the element-level check
+    gives for its members; a valid union's members are built only on read."""
+    p = GroupParams(n)
+    classes = conjugacy_classes(p)
+    for bits in range(1, 1 << len(classes)):
+        indices = [i for i in range(len(classes)) if bits >> i & 1]
+        members = frozenset().union(*(classes[i].members for i in indices))
+        assert outcome(lambda: class_union(p, indices[::-1] + indices[:1]), False) == outcome(
+            lambda: validate_connection_set(p, members), True
+        )
+
+
+def test_class_union_raises_what_validation_raises():
+    p = GroupParams(2)
+    for indices, error in (([0, 4], IdentityInSet), ([4], NotSymmetric), ([1], NotGenerating)):
+        with pytest.raises(error):
+            class_union(p, indices)
+
+
+@pytest.mark.parametrize("n", [1, 2, 4, 7])
+def test_tag_index_and_class_labels(n):
+    p = GroupParams(n)
+    classes = conjugacy_classes(p)
+    assert tag_index(p) == {c.tag: i for i, c in enumerate(classes)}
+    assert class_labels(p) == tuple(
+        tuple(sorted(vertex_index(p, x) for x in c.members)) for c in classes
+    )
 
 
 @pytest.mark.parametrize(
