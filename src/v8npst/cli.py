@@ -30,8 +30,12 @@ no report reads a set's members.  An integral spectrum is written from
 the table's integers and the per-n labels and multiplicities, so without
 `--verify` no float is evaluated for it; a non-integral one from the
 table's float `values` and exact `integer_values`.  No report builds an
-`Eigenvalue` tuple.  A search row of a non-integral set is written from
-its classes and size alone, so its class-map rows are not even summed.
+`Eigenvalue` tuple.  Without `--verify`, `search` decides integrality on
+a set's class bits first, by the rational-class criterion that
+`spectrum.eigenvalues` applies, and writes a non-integral set's row from
+its classes and size alone: no table, no decision.  Every row and report
+lists its class tags from per-n items, each class's quoted tag with its
+separator, joined once.
 
 `search` decides each connection set as the enumeration yields it and
 keeps only the text of its row, and of its report when the graph has
@@ -68,6 +72,8 @@ from .group import (
     ConnectionSetError,
     GroupParams,
     class_labels,
+    class_masks,
+    class_sizes,
     class_tags,
     class_union,
     conjugacy_classes,
@@ -165,9 +171,11 @@ def _decide(conn, table, verify: bool):
 
 
 @functools.lru_cache(maxsize=None)
-def _quoted_tags(params: GroupParams) -> tuple[str, ...]:
-    """The JSON string of each class tag, in class order."""
-    return tuple([encode_basestring_ascii(tag) for tag in class_tags(params)])
+def _tag_items(params: GroupParams, pad: str) -> tuple[str, ...]:
+    """Each class tag as an item of a list at `pad`, in class order: the
+    line break and indent before it, its JSON string, and a comma."""
+    indent = "\n" + pad + "  "
+    return tuple([indent + encode_basestring_ascii(tag) + "," for tag in class_tags(params)])
 
 
 @functools.lru_cache(maxsize=None)
@@ -177,8 +185,10 @@ def _quoted_names(params: GroupParams) -> tuple[str, ...]:
 
 
 def _tags_text(conn, pad: str) -> str:
-    """The list of the set's class tags, as `json.dumps` writes it at `pad`."""
-    return _list_text(list(map(_quoted_tags(conn.params).__getitem__, conn.class_indices)), pad)
+    """The list of the set's class tags, as `json.dumps` writes it at `pad`:
+    its items joined once, without the last comma.  A set has a class."""
+    items = _tag_items(conn.params, pad)
+    return "[" + "".join(map(items.__getitem__, conn.class_indices))[:-1] + "\n" + pad + "]"
 
 
 def _report_text(conn, table, graph, verdicts, oracle_texts, pad: str) -> str:
@@ -315,13 +325,21 @@ def cmd_search(args) -> int:
         )
     params = GroupParams(args.n)
     max_classes = args.max_classes or len(conjugacy_classes(params))
+    sizes = class_sizes(params)
+    verify = args.verify  # the oracle checks every set, so each gets a table
+    is_integral = class_masks(params).is_rational_union  # as `spectrum.eigenvalues` decides
     row = _dict_template(("classes", "size", "integral", "pstPairCount"), "    ")
+    non_integral_row = row % ("%s", "%s", "false", "0")  # no transfer without integrality
     rows = []
     pst_reports = []
     integral_count = disagreements = 0
     for conn in enumerate_connection_sets(params, max_classes):
+        if not (verify or is_integral(conn.bits)):
+            size = sum(map(sizes.__getitem__, conn.class_indices))
+            rows.append(non_integral_row % (_tags_text(conn, "      "), int.__repr__(size)))
+            continue
         table = spectrum.eigenvalues(conn)
-        graph, verdicts, oracle_texts, found = _decide(conn, table, args.verify)
+        graph, verdicts, oracle_texts, found = _decide(conn, table, verify)
         disagreements += found
         integral_count += table.all_integral
         rows.append(

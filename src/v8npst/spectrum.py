@@ -29,24 +29,28 @@ graph is integral iff S is a union of rational classes (Godsil and Spiga,
 "Rationality conditions for the eigenvalues of normal finite Cayley
 graphs", 2014; `_SummedTable` gives the short Galois proof).  So
 `eigenvalues` decides `all_integral` on the set's class bits and the per-n
-rational classes (`group.class_masks`), and sums nothing.  A search
-rejects most sets on integrality alone: on `search --n 7 --max-classes 4`
-only 8 of 152 tables are integral, and without `--verify` nothing reads
-the other 144 past `all_integral`, so their rows are never summed.  The
-rows of a set are summed once, on the first read of anything else.  An
-integral table's `integers`, the exact eigenvalue k / d of each
-representation, is one integer division of the reduced rows, checked
-exactly: a reduced row that is not an integer its degree divides raises
-`IntegralityMismatch`, since the criterion rules it out.  The decision
-reads only these, so deciding a graph evaluates no float and builds no
-tuple.  A table's `values`, the float eigenvalue per representation, is
-one array pass over the nonzero coefficients of the summed numerator
-rows: each product of a coefficient with Re zeta^e is the same IEEE
-product as a scalar one, and `math.fsum` of a row's products is
-their correctly rounded sum (+0.0 for a row with none), which zero terms
-would not change.  A table's `integer_values` is, per representation, the
-exact eigenvalue when it is an integer and None otherwise, read off the
-reduced rows on each read.  No command builds the `Eigenvalue` tuple: the
+rational classes (`group.class_masks`), and sums nothing; `search` asks
+the same criterion first and builds no table for a set that fails it,
+which is most sets (144 of 152 on `search --n 7 --max-classes 4`).  The
+rows of a set are summed once, on the first read of `values`,
+`integer_values` or the tuple.  An integral table's `integers`, the exact
+eigenvalue k / d of each representation, sums no rows: it is the sum of
+per-n integer vectors, one per rational class in S.  Each vector is that
+rational class's reduced rows, summed and divided by the degrees, and is
+checked exact once, when it is built: a rational class is itself a union
+of rational classes, so a reduced row that is not an integer its degree
+divides breaks the criterion and raises `IntegralityMismatch`.  The
+vectors are kept per class map, so a rebuilt map is checked again.  The
+decision reads only these, so deciding a graph evaluates no float and
+builds no tuple.  A table's `values`, the float eigenvalue per
+representation, is one array pass over the nonzero coefficients of the
+summed numerator rows: each product of a coefficient with Re zeta^e is
+the same IEEE product as a scalar one, and `math.fsum` of a row's
+products is their correctly rounded sum (+0.0 for a row with none),
+which zero terms would not change.  A table's `integer_values` is, per
+representation, the exact eigenvalue when it is an integer and None
+otherwise, read off the reduced rows on each read; it serves the reports
+of non-integral spectra.  No command builds the `Eigenvalue` tuple: the
 oracle reads only `values`, and a report prints an integral spectrum from
 `integers` and any other from `values` and `integer_values`.  The tuple,
 built from the same two on the first read of `eigenvalues`, serves the
@@ -227,6 +231,40 @@ def _build_class_map(params: GroupParams, table) -> _ClassMap:
     )
 
 
+_rational_vectors: dict[GroupParams, tuple[_ClassMap, tuple[tuple[int, tuple[int, ...]], ...]]] = {}
+
+
+def _rational_integers(
+    params: GroupParams, class_map: _ClassMap
+) -> tuple[tuple[int, tuple[int, ...]], ...]:
+    """(class bits, exact eigenvalues) of each rational class on its own.
+
+    A rational class is a union of rational classes, so its reduced rows,
+    summed, are integers that the degrees divide; the quotients are its
+    eigenvalues, one per representation, and the eigenvalues of a union of
+    rational classes are the sums of theirs.  Each vector is checked once,
+    as it is built, and a row that is not such an integer raises
+    `IntegralityMismatch`.  Kept per `class_map`, as `_class_map` is kept
+    per character table, so a rebuilt map is built and checked again.
+    """
+    cached = _rational_vectors.get(params)
+    if cached is None or cached[0] is not class_map:
+        m = len(class_map.re_roots)
+        vectors = []
+        for bits in class_masks(params).rational:
+            indices = [i for i in range(bits.bit_length()) if bits >> i & 1]
+            reduced = class_map.stacked.take(indices, axis=0).sum(axis=0)[:, m:]
+            k, rest = np.divmod(reduced[:, 0], class_map.degrees)
+            if rest.any() or reduced[:, 1:].any():
+                raise IntegralityMismatch(
+                    "a rational class has a non-integral eigenvalue: "
+                    "the class map breaks the rationality criterion"
+                )
+            vectors.append((bits, tuple(k.tolist())))
+        cached = _rational_vectors[params] = (class_map, tuple(vectors))
+    return cached[1]
+
+
 def representations(params: GroupParams) -> tuple[tuple[str, str, int, int], ...]:
     """(label, kind, index, multiplicity) of each representation, in the
     order of every table: alpha_1 first."""
@@ -253,19 +291,19 @@ class _SummedTable(SpectrumTable):
     under x -> x^k have the same inner product with every character, so
     they are equal: S is closed under the k-th powers.
 
-    `_sums`, the summed rows, is built on first read, by `integers`,
-    `values`, `integer_values` or `eigenvalues`, so a set that is read
-    only for `all_integral` sums none.  `values` is the read-only float
-    vector of the eigenvalues, in the order of `rep_labels`: one array pass
-    over the numerator rows.  `integer_values` divides each reduced row's
-    integer by its degree where the row is an integer that the degree
+    `_sums`, the summed rows, is built on first read, by `values`,
+    `integer_values` or `eigenvalues`, so a set that is read only for
+    `all_integral` or `integers` sums none.  `values` is the read-only
+    float vector of the eigenvalues, in the order of `rep_labels`: one array
+    pass over the numerator rows.  `integer_values` divides each reduced
+    row's integer by its degree where the row is an integer that the degree
     divides, and is None elsewhere; it is a plain property, recomputed on
-    each read, since its one reader per table reads it once.  `integers` is
-    `integer_values` of an integral table; a None there means the class map
-    breaks the criterion, and raises `IntegralityMismatch`.  The tuple is
-    built from `values` and `integer_values`.  `values`, `integers` and the
-    tuple are each built on their first read; the tuple comes from the
-    property below, not from a function.
+    each read, since its one reader per table reads it once.  `integers`,
+    on an integral table, is the sum of the per-n integer vectors of the
+    rational classes in S (`_rational_integers`), each checked exact when
+    built.  The tuple is built from `values` and `integer_values`.
+    `values`, `integers` and the tuple are each built on their first read;
+    the tuple comes from the property below, not from a function.
     """
 
     def __init__(self, connection: ConnectionSet, class_map: _ClassMap, all_integral: bool) -> None:
@@ -289,13 +327,9 @@ class _SummedTable(SpectrumTable):
     def integers(self) -> tuple[int, ...]:
         if not self.all_integral:
             raise ValueError("only an integral spectrum has integer eigenvalues")
-        exact = self.integer_values
-        if None in exact:
-            raise IntegralityMismatch(
-                "a union of rational classes has a non-integral eigenvalue: "
-                "the class map breaks the rationality criterion"
-            )
-        return tuple(exact)
+        bits = self.connection.bits
+        vectors = _rational_integers(self.connection.params, self._class_map)
+        return tuple(map(sum, zip(*[vector for mask, vector in vectors if bits & mask])))
 
     @cached_property
     def values(self) -> np.ndarray:
@@ -327,10 +361,10 @@ def eigenvalues(connection: ConnectionSet) -> _SummedTable:
     `enumerate_connection_sets` ensure it), so each numerator is its conjugate.
 
     `all_integral` is decided here on the set's class bits alone: S is a
-    union of rational classes.  The rows of the classes of S are summed on
-    the first read of `integers`, `values`, `integer_values` or the
-    `Eigenvalue` tuple, once, so a caller that reads only `all_integral`
-    sums none.
+    union of rational classes.  `integers` sums the per-n vectors of those
+    rational classes.  The rows of the classes of S are summed on the first
+    read of `values`, `integer_values` or the `Eigenvalue` tuple, once, so
+    a caller that reads only `all_integral` or `integers` sums none.
     """
     params = connection.params
     all_integral = class_masks(params).is_rational_union(connection.bits)

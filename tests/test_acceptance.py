@@ -53,6 +53,7 @@ from v8npst.group import (
     IDENTITY,
     GroupParams,
     all_elements,
+    class_masks,
     conjugacy_classes,
     element,
     enumerate_connection_sets,
@@ -501,13 +502,22 @@ def class_unions(params: GroupParams):
     )
 
 
+# how many valid class-union sets of V_8n have transfer: the pools drawn from
+TRANSFER_SET_COUNTS = {5: 10, 6: 288, 7: 10, 8: 960}
+
+
 def transfer_sets(n: int) -> tuple:
-    """The valid class-union sets of V_8n with transfer; the others are not kept."""
+    """The valid class-union sets of V_8n with transfer; the others are not kept.
+
+    Only a union of rational classes is integral, and only an integral graph
+    has transfer, so only those sets are decided: 1,280 of 55,296 at n = 8.
+    """
     params = GroupParams(n)
+    is_integral = class_masks(params).is_rational_union
     return tuple(
         conn
         for conn in enumerate_connection_sets(params, len(conjugacy_classes(params)))
-        if pst.all_pst_pairs(spectrum.eigenvalues(conn))
+        if is_integral(conn.bits) and pst.all_pst_pairs(spectrum.eigenvalues(conn))
     )
 
 
@@ -534,8 +544,11 @@ def test_eigh_agreement_on_drawn_sets_past_n4(n):
     def drawn_unions(conn):
         check(conn)
 
+    pool = transfer_sets(n)
+    assert len(pool) == TRANSFER_SET_COUNTS[n]  # a fixed pool keeps the draws fixed
+
     @settings(derandomize=True, max_examples=10, deadline=None, database=None)
-    @given(st.sampled_from(transfer_sets(n)))
+    @given(st.sampled_from(pool))
     def drawn_transfer_sets(conn):
         check(conn)
 

@@ -184,10 +184,20 @@ def test_search_n1_deterministic_summary(capsys):
             ["search", "--n", "4", "--verify"],
             "ecec5da4135a0c26e651bc28415fe1b21e48562d711cf151cb5a7ab4d10c499b",
         ),
+        (  # even n without --verify: rows of non-integral sets written without a table
+            ["search", "--n", "4"],
+            "caf877b02eb52a970c944b8d3772c37f76fcf418f2ce6c059c43b74867ef40ee",
+        ),
+        (
+            ["search", "--n", "6"],
+            "8d616f5ae917e4a19146dbd424a85bf7c51ae1708dd8e76375867191404792dd",
+        ),
     ],
 )
 def test_search_stdout_is_byte_identical_to_recorded_digest(capsys, argv, digest):
-    # the digests recorded for these runs in BENCH_pr10.json, BENCH_pr13.json and BENCH_pr17.json
+    # the digests recorded for these runs in BENCH_pr10.json, BENCH_pr13.json and
+    # BENCH_pr17.json; those of plain `search --n 4` and `--n 6` were recorded
+    # while every set still got a table
     code, out = run_cli(capsys, argv)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == digest
@@ -342,9 +352,13 @@ def test_probe_vertex_out_of_range(capsys):
 
 
 def test_search_decides_each_set_before_the_next_is_yielded(capsys, monkeypatch):
+    """Each set's table, if it gets one, and its row come before the next
+    set is yielded.  Every set is integral at n = 2; at n = 4 most are not,
+    and those get a row but no table."""
     events = []
     real_enumerate = cli.enumerate_connection_sets
     real_eigenvalues = cli.spectrum.eigenvalues
+    real_tags_text = cli._tags_text
 
     def recording_enumerate(params, max_classes):
         for conn in real_enumerate(params, max_classes):
@@ -355,13 +369,29 @@ def test_search_decides_each_set_before_the_next_is_yielded(capsys, monkeypatch)
         events.append(("eigenvalues", conn.class_indices))
         return real_eigenvalues(conn)
 
+    def recording_tags_text(conn, pad):
+        events.append(("tags", conn.class_indices))
+        return real_tags_text(conn, pad)
+
     monkeypatch.setattr(cli, "enumerate_connection_sets", recording_enumerate)
     monkeypatch.setattr(cli.spectrum, "eigenvalues", recording_eigenvalues)
-    code, out = run_cli(capsys, ["search", "--n", "2"])
-    assert code == 0
-    sets = [idx for kind, idx in events if kind == "yield"]
-    assert len(sets) == json.loads(out)["totalSets"] > 1
-    assert events == [(kind, idx) for idx in sets for kind in ("yield", "eigenvalues")]
+    monkeypatch.setattr(cli, "_tags_text", recording_tags_text)
+    for n, integral in ((2, {True}), (4, {True, False})):
+        events.clear()
+        code, out = run_cli(capsys, ["search", "--n", str(n)])
+        assert code == 0
+        rows = json.loads(out)["sets"]
+        sets = [idx for kind, idx in events if kind == "yield"]
+        assert len(sets) == len(rows) > 1
+        assert {row["integral"] for row in rows} == integral
+        # a set with transfer lists its tags twice, in its row and then in its report
+        once = [event for i, event in enumerate(events) if not i or event != events[i - 1]]
+        assert once == [
+            event
+            for idx, row in zip(sets, rows)
+            for event in [("yield", idx), ("eigenvalues", idx), ("tags", idx)]
+            if row["integral"] or event[0] != "eigenvalues"
+        ]
 
 
 def test_search_and_analyze_build_no_member_set(capsys, monkeypatch):
@@ -436,10 +466,10 @@ def test_analyze_builds_no_eigenvalue_tuple(capsys, monkeypatch):
 
 
 def test_search_without_verify_reads_no_float_eigenvalue(capsys, monkeypatch):
-    """Without --verify, deciding and reporting read only `all_integral` and
-    an integral table's integers: no table's float `values` is read and no
-    `Eigenvalue` tuple is built, not even for the reports of graphs with
-    transfer, and no non-integral table sums its class-map rows."""
+    """Without --verify, only an integral set gets a table, and deciding and
+    reporting read only its integers: no table's float `values` is read, no
+    table sums its class-map rows and no `Eigenvalue` tuple is built, not
+    even for the reports of graphs with transfer."""
     tables = []
     built = []
     real_eigenvalues = cli.spectrum.eigenvalues
@@ -458,13 +488,30 @@ def test_search_without_verify_reads_no_float_eigenvalue(capsys, monkeypatch):
     code, out = run_cli(capsys, ["search", "--n", "7", "--max-classes", "4"])
     assert code == 0
     doc = json.loads(out)
-    assert len(tables) == doc["totalSets"] == 152
+    assert doc["totalSets"] == 152
     assert (doc["integralCount"], doc["pstCount"]) == (8, 2)
-    assert [vars(t).keys() & {"values", "eigenvalues"} for t in tables] == [set()] * 152
-    # a non-integral set is listed from its classes alone: its rows are not summed
-    assert [t.all_integral for t in tables if "_sums" in vars(t)] == [True] * 8
+    # a non-integral set is listed from its classes alone: it gets no table
+    assert len(tables) == 8 and all(t.all_integral for t in tables)
+    assert [vars(t).keys() & {"values", "eigenvalues", "_sums"} for t in tables] == [set()] * 8
     assert built == []
-    assert sum("integers" in vars(t) for t in tables) == doc["integralCount"]
+    assert all("integers" in vars(t) for t in tables)
+
+
+def test_search_with_verify_checks_every_set(capsys, monkeypatch):
+    """With --verify, every set, integral or not, gets its table and its
+    oracle check."""
+    checked = []
+    real_verify = cli.oracle.verify
+
+    def recording_verify(conn, table, verdicts):
+        checked.append(table.all_integral)
+        return real_verify(conn, table, verdicts)
+
+    monkeypatch.setattr(cli.oracle, "verify", recording_verify)
+    code, out = run_cli(capsys, ["search", "--n", "7", "--max-classes", "4", "--verify"])
+    assert code == 0
+    assert len(checked) == json.loads(out)["totalSets"] == 152
+    assert checked.count(True) == 8
 
 
 def every_union_tags(n: int) -> list[str]:

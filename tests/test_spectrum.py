@@ -14,6 +14,7 @@ from v8npst.group import (
     NotGenerating,
     all_elements,
     class_index_map,
+    class_masks,
     conjugacy_classes,
     element,
     enumerate_connection_sets,
@@ -239,7 +240,8 @@ def test_near_integer_irrational_is_not_integral(monkeypatch):
     assert abs(ev.value - plain.eigenvalues[1].value) < 1e-8
     assert (ev.is_integer, ev.integer_value) == (False, None)
     # S is a union of rational classes, so the criterion calls it integral;
-    # the exact check of the reduced rows catches the corrupted map
+    # the exact check of the vector of b^2's rational class, made when the
+    # vectors of the corrupted map are built, catches it
     assert table.all_integral
     with pytest.raises(spectrum.IntegralityMismatch):
         table.integers
@@ -292,7 +294,8 @@ def test_reading_all_integral_builds_neither_values_nor_the_tuple():
 def test_rational_criterion_matches_the_summed_rows(n):
     """On every set with n <= 8, `all_integral`, decided on the rational
     classes alone, is the exact integrality of the summed reduced rows:
-    each is an integer k with d | k."""
+    each is an integer k with d | k.  On an integral set, `integers`, the
+    sum of the per-n vectors of its rational classes, is k / d."""
     params = GroupParams(n)
     cmap = spectrum._class_map(params)
     reduced = cmap.stacked[:, :, 4 * n :]
@@ -300,9 +303,30 @@ def test_rational_criterion_matches_the_summed_rows(n):
     for conn in enumerate_connection_sets(params, len(conjugacy_classes(params))):
         sums = reduced.take(conn.class_indices, axis=0).sum(axis=0)
         exact = not sums[:, 1:].any() and not (sums[:, 0] % cmap.degrees).any()
-        assert eigenvalues(conn).all_integral == exact
+        table = eigenvalues(conn)
+        assert table.all_integral == exact
+        if exact:
+            assert table.integers == tuple((sums[:, 0] // cmap.degrees).tolist())
         counts[exact] += 1
     assert counts[True] and (counts[False] or n <= 3)  # n <= 3: every union is integral
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_every_rational_class_vector_is_checked(n):
+    """A class map that gives any one rational class a non-integral
+    eigenvalue raises as its vectors are built, and the vectors are kept
+    per map: the intact map's are built again, and are exact."""
+    params = GroupParams(n)
+    cmap = spectrum._class_map(params)
+    rational = class_masks(params).rational
+    for bits in rational:
+        stacked = cmap.stacked.copy()
+        stacked[(bits & -bits).bit_length() - 1, 0, 4 * n + 1] += 1  # + zeta in alpha_1's row
+        with pytest.raises(spectrum.IntegralityMismatch):
+            spectrum._rational_integers(params, cmap._replace(stacked=stacked))
+    vectors = spectrum._rational_integers(params, cmap)
+    assert [bits for bits, _ in vectors] == list(rational)
+    assert spectrum._rational_integers(params, cmap) is vectors
 
 
 @pytest.mark.parametrize(
