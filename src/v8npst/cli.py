@@ -35,7 +35,8 @@ a set's class bits first, by the rational-class criterion that
 `spectrum.eigenvalues` applies, and writes a non-integral set's row from
 its classes and size alone: no table, no decision.  Every row and report
 lists its class tags from per-n items, each class's quoted tag with its
-separator, joined once.
+separator, joined once.  A report's "pstPairs" list depends on the
+graph's verdict alone, so its text is written once per verdict and pad.
 
 `search` decides each connection set as the enumeration yields it and
 keeps only the text of its row, and of its report when the graph has
@@ -46,6 +47,10 @@ of it is ever held.
 
 `--verify` scans the fixed grid `oracle.GRID_POINTS` (10^4 points over
 2 pi); `probe --grid` defaults to the same constant.
+
+A command line whose first word names a subcommand is parsed by that
+subcommand's parser alone; any other goes to the top-level parser, which
+keeps -h and the errors for a missing or unknown subcommand.
 
 Every failure prints one JSON error document on stdout.  Exit codes: 0 ok,
 1 usage error (a UsageError document, with the usage line on stderr; n
@@ -101,6 +106,8 @@ class UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    commands: dict[str, _Parser]  # on the top-level parser: the subcommands, by name
+
     def error(self, message: str):  # a JSON document and exit 1, not argparse's 2
         self.print_usage(sys.stderr)
         raise UsageError("UsageError", message)
@@ -191,7 +198,25 @@ def _tags_text(conn, pad: str) -> str:
     return "[" + "".join(map(items.__getitem__, conn.class_indices))[:-1] + "\n" + pad + "]"
 
 
-def _report_text(conn, table, graph, verdicts, oracle_texts, pad: str) -> str:
+@functools.lru_cache(maxsize=None)
+def _pairs_text(graph, pad: str) -> str:
+    """The "pstPairs" list of a verdict with transfer, as `json.dumps` writes
+    it at `pad`: its pairs depend on the verdict alone, so it is written
+    once per verdict and pad."""
+    item = pad + "  "
+    pair = _dict_template(("u", "v", "clause", "minTimeOverPi"), item)
+    min_time = _float_json(_f(1.0 / graph.M))
+    return _list_text(
+        [
+            pair
+            % (int.__repr__(v.u), int.__repr__(v.v), encode_basestring_ascii(v.clause), min_time)
+            for v in pst._transfer_pairs(graph)
+        ],
+        pad,
+    )
+
+
+def _report_text(conn, table, graph, oracle_texts, pad: str) -> str:
     """The analysis report of one graph, as `json.dumps` writes its dict at `pad`.
 
     The elements are the union of the classes' sorted vertex labels,
@@ -227,15 +252,6 @@ def _report_text(conn, table, graph, verdicts, oracle_texts, pad: str) -> str:
     types = "null"
     if graph.types is not None:
         types = _dict_template(graph.types._fields, deeper) % tuple(map(_bool_json, graph.types))
-    pairs = []
-    if verdicts:
-        pair = _dict_template(("u", "v", "clause", "minTimeOverPi"), item)
-        min_time = _float_json(_f(1.0 / graph.M))
-        pairs = [
-            pair
-            % (int.__repr__(v.u), int.__repr__(v.v), encode_basestring_ascii(v.clause), min_time)
-            for v in verdicts
-        ]
     keys = ("n", "parity", "connectionSet", "spectrum", "integral", "types", "pstPairs", "oracle")
     return _dict_template(keys, pad) % (
         int.__repr__(params.n),
@@ -244,7 +260,7 @@ def _report_text(conn, table, graph, verdicts, oracle_texts, pad: str) -> str:
         _list_text(entries, deeper),
         _bool_json(table.all_integral),
         types,
-        _list_text(pairs, deeper),
+        "[]" if graph.M is None else _pairs_text(graph, deeper),
         _dict_template(("checked", "maxDeviation"), deeper) % oracle_texts,
     )
 
@@ -314,7 +330,7 @@ def cmd_analyze(args) -> int:
         f"Cay(V_{8 * args.n}, S) |S|={len(conn)} integral={table.all_integral} "
         f"pst-pairs={len(verdicts)}"
     ]
-    _emit([_report_text(conn, table, graph, verdicts, oracle_texts, "")], human)
+    _emit([_report_text(conn, table, graph, oracle_texts, "")], human)
     return EXIT_DISAGREEMENT if disagreements else EXIT_OK
 
 
@@ -353,7 +369,7 @@ def cmd_search(args) -> int:
         )
         if verdicts:
             pst_reports.append(
-                _report_text(conn, table, graph, verdicts, oracle_texts, "    ")
+                _report_text(conn, table, graph, oracle_texts, "    ")
             )
     keys = (
         "n", "parity", "maxClasses", "totalSets", "integralCount", "pstCount",
@@ -449,12 +465,19 @@ def build_parser() -> _Parser:
     pp.add_argument("--v", type=int, required=True)
     pp.add_argument("--grid", type=positive_int, default=oracle.GRID_POINTS)
     pp.set_defaults(func=cmd_probe)
+    parser.commands = sub.choices
     return parser
 
 
 def main(argv=None) -> int:
+    """Run one command line.  A subcommand's parser raises the errors the
+    top-level parser would, with its own usage line on stderr."""
+    if argv is None:
+        argv = sys.argv[1:]
+    parser = build_parser()
     try:
-        args = build_parser().parse_args(argv)
+        command = parser.commands.get(argv[0]) if argv else None
+        args = command.parse_args(argv[1:]) if command else parser.parse_args(argv)
         return args.func(args)
     except UsageError as exc:
         return _structured_error(exc.code, str(exc), EXIT_USAGE)

@@ -558,9 +558,12 @@ def enumerate_connection_sets(
     Deterministic order: by class count, then lexicographically by the tuple
     of class indices.  Only inverse-closed unions are visited: each is a
     union of inverse orbits (a self-inverse class, or a class with its
-    inverse class), and the orbits' masks are disjoint, so the sums of the
-    j-orbit combinations list each such union once.  Unions that do not
-    generate are skipped, decided on the per-n class masks.
+    inverse class), and the orbits' masks are disjoint, so the sums of
+    their combinations list each such union once.  Each sum of p inverse
+    pairs is added to the per-call sums of s self-inverse classes with
+    2p + s <= max_classes, so only unions within the class budget are
+    summed.  Unions that do not generate are skipped, decided on the per-n
+    class masks.
 
     The unions are held as reversed masks, class i at bit C - 1 - i of C
     classes, one int per generating union and nothing else.  Of two sets
@@ -572,12 +575,18 @@ def enumerate_connection_sets(
     tuple and class bits, looked up per byte of the mask, and without
     members, which are built from the classes only if read.
     """
-    orbits, (o0, o1, o2), index_tables, bit_tables = _reversed_tables(params)
+    pairs, singles, (o0, o1, o2), index_tables, bit_tables = _reversed_tables(params)
+    single_sums = [
+        list(map(sum, combinations(singles, s)))
+        for s in range(min(len(singles), max_classes) + 1)
+    ]
     unions = [
         u
-        for j in range(1, min(max_classes, len(orbits)) + 1)
-        for u in map(sum, combinations(orbits, j))
-        if u.bit_count() <= max_classes and u & o0 and u & o1 and u & o2
+        for p in range(min(len(pairs), max_classes // 2) + 1)
+        for a in map(sum, combinations(pairs, p))
+        for sums in single_sums[: max_classes - 2 * p + 1]
+        for u in map(a.__add__, sums)
+        if u & o0 and u & o1 and u & o2  # the empty union meets none
     ]
     unions.sort(reverse=True)
     unions.sort(key=int.bit_count)
@@ -594,13 +603,15 @@ def enumerate_connection_sets(
 def _reversed_tables(params: GroupParams) -> tuple[
     tuple[int, ...],
     tuple[int, ...],
+    tuple[int, ...],
     tuple[tuple[tuple[int, ...], ...], ...],
     tuple[tuple[int, ...], ...],
 ]:
     """The enumeration's per-n masks and tables, in reversed class bits.
 
-    Returns the mask of each inverse orbit but the identity's, in class
-    order; `ClassMasks.outside`; and, per byte of a reversed mask, most
+    Returns the masks of the inverse orbits but the identity's, in class
+    order: first those of the inverse pairs, then those of the self-inverse
+    classes; `ClassMasks.outside`; and, per byte of a reversed mask, most
     significant first, the index tuple and the class bits of each of its
     256 values.  A mask's index tuple is its bytes' tuples joined in that
     order, and its class bits the sum of theirs: ceil(C / 8) tables of 256
@@ -612,11 +623,13 @@ def _reversed_tables(params: GroupParams) -> tuple[
     def reverse(mask: int) -> int:
         return int(f"{mask:0{count}b}"[::-1], 2)
 
-    orbits = tuple(
-        reverse(1 << i | inv)
+    orbits = [
+        1 << i | inv
         for i, inv in enumerate(masks.inverse_bit)
         if i and 1 << i <= inv  # class 0 is the identity's
-    )
+    ]
+    pairs = tuple([reverse(orbit) for orbit in orbits if orbit.bit_count() == 2])
+    singles = tuple([reverse(orbit) for orbit in orbits if orbit.bit_count() == 1])
     index_tables = tuple(
         tuple(
             tuple(  # bit j of the byte is class count - 1 - low - j
@@ -632,4 +645,4 @@ def _reversed_tables(params: GroupParams) -> tuple[
         tuple(sum(map((1).__lshift__, indices)) for indices in table)
         for table in index_tables
     )
-    return orbits, tuple(map(reverse, masks.outside)), index_tables, bit_tables
+    return pairs, singles, tuple(map(reverse, masks.outside)), index_tables, bit_tables

@@ -12,11 +12,13 @@ of least 2-adic valuation to be exactly those of one named set of
   Type 2   alpha even, beta odd, gamma even    (even n)
   Type 3   alpha even, gamma even, gamma odd   (even n)
 
-As nu2(M) is the least valuation, (alpha_1 - lambda) / M is odd exactly on
-the named set.  A spectrum has one set of least gaps, so the Types exclude
-one another.  For even n the admissible displacements depend on the Type
-and on n mod 4 (+-n within a block, +-3n/+-5n between opposite blocks, or
-+-4n).
+M = gcd(alpha_1 - lambda) is computed once per graph, and nu2(M) is the
+least valuation of the nonzero gaps: a gap has it iff it has M's low bit
+M & -M set, so the least gaps are one int with a bit per representation,
+compared with a per-n mask of each named set.  A spectrum has one set of
+least gaps, so the Types exclude one another.  For even n the admissible
+displacements depend on the Type and on n mod 4 (+-n within a block,
++-3n/+-5n between opposite blocks, or +-4n).
 
 None of this depends on the pair beyond its blocks and displacement, so
 each graph is decided once (`decide_graph`): integrality, the odd-n
@@ -34,14 +36,17 @@ The families are:
 
 `all_pst_pairs` lists the pairs of the positive families, and
 `classify_pair` looks one pair up in the same verdict: region no-go first,
-then displacement, then non-integral, then valuation.
+then displacement, then non-integral, then valuation.  The pairs depend
+on the verdict alone, so they are built once per verdict with transfer
+and shared by every graph that has it: one per odd n and three per even
+n for n <= 8.
 
 When transfer exists, the minimum time is pi/M with
 M = gcd(alpha_1 - lambda) over the distinct eigenvalues lambda != alpha_1.
 
-alpha_1's own gap is zero, of valuation +infinity, and no named set holds
-odd alpha, so it needs no special case: when every gap is zero, alpha_1's
-is among the least and no pattern holds.
+alpha_1's own gap is zero, of valuation +infinity, and has no bit set,
+so it needs no special case: when every gap is zero, M = 0 sets no bit
+and no pattern holds.
 """
 
 from __future__ import annotations
@@ -49,6 +54,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import compress
 from typing import NamedTuple, Optional
 
 from .group import GroupParams, region
@@ -116,6 +122,7 @@ ODD_PATTERN = frozenset({("beta", 0), ("beta", 1)})
 TYPE1_PATTERN = frozenset({("beta", 1), ("gamma", 1)})
 TYPE2_PATTERN = frozenset({("alpha", 0), ("beta", 1), ("gamma", 0)})
 TYPE3_PATTERN = frozenset({("alpha", 0), ("gamma", 0), ("gamma", 1)})
+_TYPE_PATTERNS = (TYPE1_PATTERN, TYPE2_PATTERN, TYPE3_PATTERN)
 
 
 @lru_cache(maxsize=None)
@@ -124,23 +131,44 @@ def _rep_groups(params: GroupParams) -> tuple[tuple[str, int], ...]:
     return tuple((kind, index % 2) for _, kind, index, _ in representations(params))
 
 
-def _least_gaps_are(table: SpectrumTable, *patterns: frozenset) -> tuple[bool, ...]:
-    """Per pattern: do its groups hold all and only the gaps of least nu2?"""
+@lru_cache(maxsize=None)
+def _rep_bits(params: GroupParams) -> tuple[int, ...]:
+    """Bit i for representation i, in table order."""
+    return tuple([1 << i for i in range(len(_rep_groups(params)))])
+
+
+@lru_cache(maxsize=None)
+def _pattern_masks(params: GroupParams, patterns: tuple[frozenset, ...]) -> tuple[int, ...]:
+    """Per pattern, the bits of the representations in its groups."""
+    groups = _rep_groups(params)
+    bits = _rep_bits(params)
+    return tuple(
+        [sum(bit for bit, group in zip(bits, groups) if group in pattern) for pattern in patterns]
+    )
+
+
+def _least_gaps_are(table: SpectrumTable, *patterns: frozenset) -> tuple[int, tuple[bool, ...]]:
+    """M, and per pattern: do its groups hold all and only the gaps of least nu2?
+
+    nu2(M) is the least valuation of the nonzero gaps, so a gap, negative
+    or not, has it iff it has the bit M & -M; a zero gap has no bit.  The
+    least gaps are one int, a bit per representation, compared with each
+    pattern's per-n mask.  M = 0 sets no bit and matches no pattern.
+    """
     integers = table.integers
     alpha1 = integers[0]
-    gaps = list(zip(_rep_groups(table.params), [nu2(alpha1 - k) for k in integers]))
-    low = min(val for _, val in gaps)
-    return tuple(
-        all((val == low) == (group in pattern) for group, val in gaps)
-        for pattern in patterns
-    )
+    gaps = [alpha1 - k for k in integers]
+    M = math.gcd(*gaps)
+    low = M & -M
+    least = sum(compress(_rep_bits(table.params), [gap & low for gap in gaps]))
+    return M, tuple([least == mask for mask in _pattern_masks(table.params, patterns)])
 
 
 def _odd_valuation_pattern(table: SpectrumTable) -> bool:
     """The beta gaps, and only these, have the least valuation (odd n)."""
     if not table.all_integral:
         return False
-    return _least_gaps_are(table, ODD_PATTERN)[0]
+    return _least_gaps_are(table, ODD_PATTERN)[1][0]
 
 
 def classify_graph_type(table: SpectrumTable) -> TypeClassification:
@@ -149,9 +177,7 @@ def classify_graph_type(table: SpectrumTable) -> TypeClassification:
         raise WrongParity("graph types are defined for even n only")
     if not table.all_integral:
         return TypeClassification(False, False, False)
-    return TypeClassification(
-        *_least_gaps_are(table, TYPE1_PATTERN, TYPE2_PATTERN, TYPE3_PATTERN)
-    )
+    return TypeClassification(*_least_gaps_are(table, *_TYPE_PATTERNS)[1])
 
 
 _BLOCK_PAIRS = ((1, 2), (1, 4), (2, 3), (3, 4))
@@ -194,7 +220,8 @@ def _non_integral_verdict(params: GroupParams) -> GraphVerdict:
 def decide_graph(table: SpectrumTable) -> GraphVerdict:
     """Decide integrality, the valuation pattern or Type 1/2/3 flags, and M once.
 
-    A non-integral table gets the one shared verdict of its n.
+    A non-integral table gets the one shared verdict of its n.  The flags
+    and M come from one `_least_gaps_are`, so M is not computed again.
     """
     params = table.params
     if not table.all_integral:
@@ -205,11 +232,13 @@ def decide_graph(table: SpectrumTable) -> GraphVerdict:
         return clause if holds else VALUATION
 
     if params.is_odd:
+        M, (odd,) = _least_gaps_are(table, ODD_PATTERN)
         types = None
-        antipodal = family("pst:odd-antipodal", _odd_valuation_pattern(table))
+        antipodal = family("pst:odd-antipodal", odd)
         same_region = cross = DISPLACEMENT
     else:
-        types = classify_graph_type(table)
+        M, flags = _least_gaps_are(table, *_TYPE_PATTERNS)
+        types = TypeClassification(*flags)
         antipodal = family("pst:type3-antipodal", types.type3)
         if n % 4 == 0:
             same_region = family("pst:type1-same-region", types.type1)
@@ -224,7 +253,7 @@ def decide_graph(table: SpectrumTable) -> GraphVerdict:
         antipodal=antipodal,
         same_region=same_region,
         cross=cross,
-        M=gap_gcd(table) if positive else None,
+        M=M if positive else None,
     )
 
 
@@ -265,12 +294,25 @@ def all_pst_pairs(
     """Every unordered pair (u < v) with perfect state transfer, sorted.
 
     `graph` is the table's `decide_graph` verdict when the caller already
-    holds it.
+    holds it.  The pairs are built once per verdict (`_transfer_pairs`).
     """
     if graph is None:
         graph = decide_graph(table)
     if graph.M is None:
         return ()
+    return _transfer_pairs(graph)
+
+
+@lru_cache(maxsize=None)
+def _transfer_pairs(graph: GraphVerdict) -> tuple[PstVerdict, ...]:
+    """The sorted pairs of a verdict with transfer.
+
+    They depend on n, the family clauses and M alone, all of them fields
+    of the verdict, which is frozen and hashes its fields (`GroupParams`
+    by identity).  Every integral set for n <= 8 has M = 2, so there is
+    one verdict with transfer per odd n and three per even n: a table of
+    at most three entries per n.
+    """
     n, two_n = graph.params.n, graph.params.two_n
     families = (
         (graph.antipodal, ((u, u + 4 * n) for u in range(4 * n))),

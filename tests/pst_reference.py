@@ -7,7 +7,8 @@ Two independent pieces:
   test, integrality and the valuation pattern on its own.  Tests compare
   the per-graph decision against it.  It reads the valuation patterns
   (`_odd_valuation_pattern`, `classify_graph_type`) and `gap_gcd` through
-  the `pst` module, so a test that patches them patches both sides.
+  the `pst` module.  Those patterns and the decision both read
+  `pst._least_gaps_are`, so a test that patches it patches both sides.
 - The valuation patterns as they were before `pst` stated each one as a
   named set of least gaps: per-kind valuation dicts, a baseline gap, and
   lists of groups that must equal it or exceed it

@@ -152,6 +152,59 @@ def test_parser_is_built_once_and_survives_a_usage_error(capsys):
     assert (code, after_error) == (fresh_code, fresh) == (0, fresh)
 
 
+# Messages of the usage errors as the parser that parsed every argv at the
+# top level printed them; the stdout is compared in full, byte for byte.
+# Only the usage line on stderr may change: it names the subcommand when
+# the subcommand's parser raised the error.
+RECORDED_USAGE_ERRORS = [
+    ([], "the following arguments are required: command"),
+    (["frobnicate"], "argument command: invalid choice: 'frobnicate' (choose from 'analyze', 'search', 'probe')"),
+    (["frobnicate", "--n", "2"], "argument command: invalid choice: 'frobnicate' (choose from 'analyze', 'search', 'probe')"),
+    (["--n", "2", "search"], "argument command: invalid choice: '2' (choose from 'analyze', 'search', 'probe')"),
+    (["Search", "--n", "2"], "argument command: invalid choice: 'Search' (choose from 'analyze', 'search', 'probe')"),
+    (["analyse", "--n", "2", "--set", "b"], "argument command: invalid choice: 'analyse' (choose from 'analyze', 'search', 'probe')"),
+    (["search", "--n", "0"], "argument --n: expected a positive integer, got 0"),
+    (["search", "--n", "x"], "argument --n: invalid positive_int value: 'x'"),
+    (["search"], "the following arguments are required: --n"),
+    (["search", "--n"], "argument --n: expected one argument"),
+    (["search", "--n", "2", "--max-classes", "0"], "argument --max-classes: expected a positive integer, got 0"),
+    (["search", "--n", "2", "--workers", "4"], "unrecognized arguments: --workers 4"),
+    (["search", "--n", "9", "--max-n", "9"], "unrecognized arguments: --max-n 9"),
+    (["analyze", "--n", "0", "--set", "a", "--verify"], "argument --n: expected a positive integer, got 0"),
+    (["analyze", "--n", "2"], "the following arguments are required: --set"),
+    (["analyze", "--set", "b"], "the following arguments are required: --n"),
+    (["analyze", "--n", "2", "--set", "b", "extra"], "unrecognized arguments: extra"),
+    (["probe", "--n", "1", "--set", "b", "--u", "0"], "the following arguments are required: --v"),
+    (["probe", "--n", "1", "--set", "b", "--u", "x", "--v", "1"], "argument --u: invalid int value: 'x'"),
+    (["probe", "--n", "1", "--set", "b", "--u", "0", "--v", "1", "--grid", "0"], "argument --grid: expected a positive integer, got 0"),
+]
+
+
+@pytest.mark.parametrize("argv, message", RECORDED_USAGE_ERRORS)
+def test_usage_error_stdout_is_byte_identical_to_recorded(capsys, argv, message):
+    code = cli.main(argv)
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == json.dumps(
+        {"error": {"code": "UsageError", "message": message}}, indent=2
+    ) + "\n"
+    command = argv[0] if argv and argv[0] in ("analyze", "search", "probe") else None
+    usage = f"usage: v8npst {command} [-h]" if command else "usage: v8npst [-h] {analyze,search,probe}"
+    assert captured.err.startswith(usage)
+
+
+def test_subcommand_is_parsed_by_its_own_parser(capsys, monkeypatch):
+    parser = cli.build_parser()
+    monkeypatch.setattr(parser, "parse_args", lambda *args: pytest.fail("top-level parse"))
+    code, out = run_cli(capsys, ["analyze", "--n", "1", "--set", "a+b+a*b"])
+    assert code == 0 and json.loads(out)["n"] == 1
+    monkeypatch.undo()
+    with pytest.raises(SystemExit) as exc:  # -h stays with the top level
+        cli.main(["-h"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: v8npst [-h] {analyze,search,probe}")
+
+
 def test_search_n1_deterministic_summary(capsys):
     code, first = run_cli(capsys, ["search", "--n", "1"])
     assert code == 0

@@ -1,6 +1,7 @@
 """2-adic valuations, graph types, and the transfer decision procedure."""
 
 import math
+import random
 from functools import lru_cache
 
 import numpy as np
@@ -11,6 +12,8 @@ from v8npst.group import (
     IDENTITY,
     GroupParams,
     all_elements,
+    class_masks,
+    conjugacy_classes,
     element,
     enumerate_connection_sets,
     validate_connection_set,
@@ -391,6 +394,60 @@ def test_classify_pair_matches_reference_every_ordered_pair(n):
         assert_matches_reference(table)
 
 
+def reference_inputs(table):
+    """`decision_inputs` from the reference patterns and a gcd of the gaps
+    read off the table's eigenvalue tuple."""
+    if table.params.is_odd:
+        shape = pst_reference.reference_odd_pattern(table)
+    else:
+        shape = pst_reference.reference_graph_type(table)
+    alpha1 = table.eigenvalues[0].integer_value
+    return (True, shape, math.gcd(*[alpha1 - ev.integer_value for ev in table.eigenvalues]))
+
+
+@lru_cache(maxsize=None)
+def rational_union_spectra(n):
+    """The table of every generating union of rational classes, all integral."""
+    params = GroupParams(n)
+    is_rational = class_masks(params).is_rational_union
+    sets = enumerate_connection_sets(params, len(conjugacy_classes(params)))
+    return tuple(eigenvalues(conn) for conn in sets if is_rational(conn.bits))
+
+
+@pytest.mark.parametrize("n", [6, 7, 8])
+def test_decision_matches_reference_on_every_rational_union(n):
+    tables = rational_union_spectra(n)
+    first = {}
+    for table in tables:
+        assert table.all_integral
+        inputs = decision_inputs(table)
+        assert inputs == reference_inputs(table)
+        graph = pst.decide_graph(table)
+        assert graph.types == (None if table.params.is_odd else inputs[1])
+        assert graph.M in (None, inputs[2])
+        first.setdefault(graph, table)
+    # the pairs of each distinct verdict, and of 20 seeded draws
+    for table in [*first.values(), *random.Random(n).sample(tables, 20)]:
+        assert all_pst_pairs(table) == pst_reference.reference_pairs(table)
+
+
+@pytest.mark.parametrize("n", [6, 7, 8])
+def test_transfer_pairs_are_built_once_per_verdict(n):
+    pst._transfer_pairs.cache_clear()
+    tables = rational_union_spectra(n)
+    graphs = [pst.decide_graph(table) for table in tables]
+    transfer = {graph for graph in graphs if graph.M is not None}
+    assert len(transfer) == (1 if n % 2 else 3)
+    assert {graph.M for graph in transfer} == {2}
+    for table, graph in zip(tables, graphs):
+        pairs = all_pst_pairs(table, graph)
+        assert pairs is all_pst_pairs(table)  # the same tuple, not a copy
+        assert bool(pairs) == (graph in transfer)
+    info = pst._transfer_pairs.cache_info()
+    assert info.currsize == len(transfer) <= 3
+    assert info.misses == len(transfer)
+
+
 # Gaps of 2 (nu2 = 1) for the (kind, index parity) groups a Type pattern
 # holds at its baseline, gaps of 4 (nu2 = 2) for every other gap.
 TYPE_BASELINE_GROUPS = {
@@ -437,8 +494,14 @@ def test_synthetic_single_type_matches_reference(n, type_name):
 def test_synthetic_all_types_matches_reference(n, monkeypatch):
     # The three Types name different sets of least gaps, and a spectrum has
     # only one, so no real table holds two of them; the flags are forced for
-    # the decision and the reference alike.
-    monkeypatch.setattr(pst, "classify_graph_type", lambda table: TypeClassification(True, True, True))
+    # the decision and the reference alike: both read them, and M, through
+    # `_least_gaps_are`.
+    least_gaps_are = pst._least_gaps_are
+    monkeypatch.setattr(
+        pst,
+        "_least_gaps_are",
+        lambda table, *patterns: (least_gaps_are(table)[0], (True,) * len(patterns)),
+    )
     table = typed_table(n, "type1")
     verdicts = all_pst_pairs(table)
     assert len(verdicts) == 12 * n
@@ -455,6 +518,32 @@ def test_synthetic_negative_tables_match_reference(n):
         assert classify_graph_type(table) == (False, False, False)
         assert all_pst_pairs(table) == ()
         assert_matches_reference(table)
+
+
+# (n, groups held at the least valuation) -> clause of the one positive family
+ODD_GCD_CASES = {
+    (3, "odd"): "pst:odd-antipodal",
+    (5, "odd"): "pst:odd-antipodal",
+    **SYNTHETIC_CLAUSES,
+}
+
+
+@pytest.mark.parametrize("n, pattern", sorted(ODD_GCD_CASES))
+def test_least_gaps_come_from_the_low_bit_of_an_odd_multiple_gcd(n, pattern):
+    # Gaps of +-6 on the pattern's groups, +-12 elsewhere: M = 6, and every
+    # gap of 12 shares the bit 4 of M although it is not a least gap.
+    base = eigenvalues(full_set(n))
+    groups = {("beta", 0), ("beta", 1)} if pattern == "odd" else TYPE_BASELINE_GROUPS[pattern]
+    values = [
+        30 if ev.label == "alpha_1"
+        else 30 - (-1) ** i * (6 if (ev.kind, ev.index % 2) in groups else 12)
+        for i, ev in enumerate(base.eigenvalues)
+    ]
+    table = _table_with_values(base, values)
+    verdicts = all_pst_pairs(table)
+    assert len(verdicts) == 4 * n
+    assert {(v.clause, v.M) for v in verdicts} == {(ODD_GCD_CASES[n, pattern], 6)}
+    assert_matches_reference(table)
 
 
 # -- valuation patterns against the reference ---------------------------------
