@@ -30,10 +30,12 @@ no report reads a set's members.  An integral spectrum is written from
 the table's integers and the per-n labels and multiplicities, so without
 `--verify` no float is evaluated for it; a non-integral one from the
 table's float `values` and exact `integer_values`.  No report builds an
-`Eigenvalue` tuple.  Without `--verify`, `search` decides integrality on
-a set's class bits first, by the rational-class criterion that
-`spectrum.eigenvalues` applies, and writes a non-integral set's row from
-its classes and size alone: no table, no decision.  Every row and report
+`Eigenvalue` tuple.  `search` decides integrality on a set's class bits
+first, by the rational-class criterion that `spectrum.eigenvalues`
+applies, and writes a non-integral set's row from its classes and size
+alone: no table, no decision.  `oracle.verify` takes its eigenvalues from
+its own projector stack, so `--verify` builds no table for a non-integral
+set either: the oracle checks it from its classes.  Every row and report
 lists its class tags from per-n items, each class's quoted tag with its
 separator, joined once.  A report's "pstPairs" list depends on the
 graph's verdict alone, so its text is written once per verdict and pad.
@@ -55,8 +57,11 @@ keeps -h and the errors for a missing or unknown subcommand.
 Every failure prints one JSON error document on stdout.  Exit codes: 0 ok,
 1 usage error (a UsageError document, with the usage line on stderr; n
 above 8 for search is a BoundExceeded one), 2 invalid connection set,
-4 decision/oracle disagreement (with --verify).  Integrality is decided
-exactly, so no input is numerically ambiguous; the former code 3 is retired.
+4 decision/oracle disagreement (with --verify), 5 stdout closed by its
+reader before the document was written (a broken pipe, as in
+`search ... | head`).  Code 5 is the one path that prints no document: there
+is nowhere to print it.  Integrality is decided exactly, so no input is
+numerically ambiguous; the former code 3 is retired.
 """
 
 from __future__ import annotations
@@ -65,6 +70,7 @@ import argparse
 import functools
 import json
 import math
+import os
 import sys
 from itertools import chain
 from json.encoder import encode_basestring_ascii
@@ -93,6 +99,7 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_INVALID_SET = 2
 EXIT_DISAGREEMENT = 4
+EXIT_OUTPUT_CLOSED = 5
 
 MAX_N = 8  # search enumerates every class union, so its cost grows fast with n
 
@@ -173,7 +180,7 @@ def _decide(conn, table, verify: bool):
     verdicts = pst.all_pst_pairs(table, graph)
     if not verify:
         return graph, verdicts, _UNCHECKED, 0
-    max_dev, disagreements = oracle.verify(conn, table, verdicts)
+    max_dev, disagreements = oracle.verify(conn, verdicts)
     return graph, verdicts, ("true", _float_json(_f(max_dev))), disagreements
 
 
@@ -342,30 +349,27 @@ def cmd_search(args) -> int:
     params = GroupParams(args.n)
     max_classes = args.max_classes or len(conjugacy_classes(params))
     sizes = class_sizes(params)
-    verify = args.verify  # the oracle checks every set, so each gets a table
     is_integral = class_masks(params).is_rational_union  # as `spectrum.eigenvalues` decides
     row = _dict_template(("classes", "size", "integral", "pstPairCount"), "    ")
     non_integral_row = row % ("%s", "%s", "false", "0")  # no transfer without integrality
+    integral_row = row % ("%s", "%s", "true", "%s")
     rows = []
     pst_reports = []
     integral_count = disagreements = 0
     for conn in enumerate_connection_sets(params, max_classes):
-        if not (verify or is_integral(conn.bits)):
+        if not is_integral(conn.bits):
             size = sum(map(sizes.__getitem__, conn.class_indices))
             rows.append(non_integral_row % (_tags_text(conn, "      "), int.__repr__(size)))
+            if args.verify:  # the oracle needs no table, only the set
+                disagreements += oracle.verify(conn, ())[1]
             continue
         table = spectrum.eigenvalues(conn)
-        graph, verdicts, oracle_texts, found = _decide(conn, table, verify)
+        graph, verdicts, oracle_texts, found = _decide(conn, table, args.verify)
         disagreements += found
-        integral_count += table.all_integral
+        integral_count += 1
         rows.append(
-            row
-            % (
-                _tags_text(conn, "      "),
-                int.__repr__(len(conn)),
-                _bool_json(table.all_integral),
-                int.__repr__(len(verdicts)),
-            )
+            integral_row
+            % (_tags_text(conn, "      "), int.__repr__(len(conn)), int.__repr__(len(verdicts)))
         )
         if verdicts:
             pst_reports.append(
@@ -407,14 +411,14 @@ def cmd_probe(args) -> int:
         )
     table = spectrum.eigenvalues(conn)
     times = np.arange(0, args.grid + 1) * (2 * math.pi / args.grid)
-    best = oracle.pst_probe(conn, args.u, args.v, times, table)
+    best = oracle.pst_probe(conn, args.u, args.v, times)
     candidates = []
     note = None
     if table.all_integral:
         M = pst.gap_gcd(table)
         for ell in range(8):
             tau = math.pi / M * (1 + 2 * ell)
-            amp = oracle.pair_amplitudes(conn, args.u, args.v, [tau], table)[0]
+            amp = oracle.pair_amplitudes(conn, args.u, args.v, [tau])[0]
             candidates.append({"ell": ell, "tau": _f(tau), "amplitude": _f(float(amp))})
     else:
         # H is not 2pi-periodic for non-integral spectra; the scan is
@@ -478,9 +482,16 @@ def main(argv=None) -> int:
     try:
         command = parser.commands.get(argv[0]) if argv else None
         args = command.parse_args(argv[1:]) if command else parser.parse_args(argv)
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe raises here, not at interpreter exit
+        return code
     except UsageError as exc:
         return _structured_error(exc.code, str(exc), EXIT_USAGE)
+    except BrokenPipeError:
+        # the reader is gone; what is still buffered goes to devnull, so the
+        # flush at exit does not raise again (Python `signal` docs, "Note on SIGPIPE")
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_OUTPUT_CLOSED
 
 
 if __name__ == "__main__":  # pragma: no cover

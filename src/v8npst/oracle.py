@@ -17,7 +17,18 @@ happens for one family), the outer-product orientation is used.
 The per-representation projector sums depend only on n: they are stacked
 once per n, on first use, and shared read-only by every graph, together with
 the bound B their first column gives; the rank-1 projectors themselves are
-not kept.  `verify` owns the numerical check of a graph's verdicts, on the
+not kept.  The oracle reads a graph's eigenvalues from the same stack, not
+from `spectrum`'s class map, so a wrong map cannot mislead the decision and
+its check alike.  A P = lambda P for the projector sum P of a label, and
+A[0, w] = 1 exactly when w is in S (S is inverse-closed), so entry (0, 0)
+gives
+
+    lambda = sum_{w in S} P[w, 0] / P[0, 0].
+
+Each class's share of that sum, the real parts over its vertices divided by
+P[0, 0], is kept with the stack as one (classes, labels) table; a graph's
+eigenvalues are its classes' rows, added in class order.
+`verify` owns the numerical check of a graph's verdicts, on the
 fixed grid of GRID_POINTS steps over 2 pi.
 Positive pairs are checked at their transfer time.  Every other pair is
 read, through the ratio table W, from one column of
@@ -51,11 +62,14 @@ from .group import (
     ConnectionSet,
     GroupParams,
     all_elements,
+    class_labels,
     inverse,
     multiply,
     vertex_index,
 )
-from .spectrum import SpectrumTable, eigenvalues, rep_labels
+# `eigenvalues` is not called here; it stays bound because the benchmark
+# (perfbench/layers.py) patches `oracle.eigenvalues`
+from .spectrum import eigenvalues, rep_labels  # noqa: F401
 
 __all__ = [
     "Eigenprojector",
@@ -215,9 +229,10 @@ class TransitionMatrix:
 
 @dataclass(frozen=True)
 class _Stack:
-    """Per-n projector sums and the constants B reads from their first column."""
+    """Per-n projector sums and the constants their first column gives."""
 
     mats: np.ndarray  # (labels, order, order) per-representation projector sums
+    class_eigs: np.ndarray  # (classes, labels): each class's share of every eigenvalue
     bound: np.ndarray  # B[w] = sum over labels of |mats[label, w, 0]|
     cand: np.ndarray  # the non-identity columns B leaves at or above the threshold
     cand_col: np.ndarray  # mats[:, cand, 0]
@@ -226,37 +241,32 @@ class _Stack:
 _STACKS: dict[GroupParams, _Stack] = {}
 
 
-def _spectral_data(
-    connection: ConnectionSet, table: SpectrumTable | None
-) -> tuple[np.ndarray, _Stack]:
+def _spectral_data(connection: ConnectionSet) -> tuple[np.ndarray, _Stack]:
     """(float eigenvalues, per-n stack of projector sums) aligned by label.
 
-    `table` is one that `spectrum.eigenvalues` made (None: it is made
-    here).  Every such table of one n lists its labels in the order of
-    `rep_labels`, so the stack is kept per n and only the table's `values`
-    are read.
+    The stack is built once per n, in the order of `rep_labels`.  A graph's
+    eigenvalues are its classes' rows of `class_eigs`, summed in class order.
     """
-    if table is None:
-        table = eigenvalues(connection)
     params = connection.params
     stack = _STACKS.get(params)
     if stack is None:
         sums = rep_projectors(connection)
         mats = np.stack([sums[label] for label in rep_labels(params)])
         col = mats[:, :, 0]
+        class_eigs = np.stack(
+            [col[:, labels].real.sum(axis=1) for labels in class_labels(params)]
+        ) / col[:, 0].real
         bound = np.abs(col).sum(axis=0)
         cand = 1 + np.flatnonzero(bound[1:] >= 1.0 - NEGATIVE_TOL)
-        stack = _STACKS[params] = _Stack(mats, bound, cand, col[:, cand])
-        for array in (mats, bound, cand, stack.cand_col):
+        stack = _STACKS[params] = _Stack(mats, class_eigs, bound, cand, col[:, cand])
+        for array in (mats, class_eigs, bound, cand, stack.cand_col):
             array.flags.writeable = False
-    return table.values, stack
+    return stack.class_eigs.take(connection.class_indices, axis=0).sum(axis=0), stack
 
 
-def transition(
-    connection: ConnectionSet, tau: float, table: SpectrumTable | None = None
-) -> TransitionMatrix:
+def transition(connection: ConnectionSet, tau: float) -> TransitionMatrix:
     """H(tau) = sum over eigenvalues of exp(-i lambda tau) E_lambda."""
-    lams, stack = _spectral_data(connection, table)
+    lams, stack = _spectral_data(connection)
     phases = np.exp(-1j * lams * tau)
     H = np.tensordot(phases, stack.mats, axes=(0, 0))
     return TransitionMatrix(tau=tau, H=H)
@@ -268,30 +278,18 @@ class ProbeResult:
     amplitude: float
 
 
-def pair_amplitudes(
-    connection: ConnectionSet,
-    u: int,
-    v: int,
-    times,
-    table: SpectrumTable | None = None,
-) -> np.ndarray:
+def pair_amplitudes(connection: ConnectionSet, u: int, v: int, times) -> np.ndarray:
     """|H(tau)_{uv}| for every tau in `times` (vectorised over times)."""
-    lams, stack = _spectral_data(connection, table)
+    lams, stack = _spectral_data(connection)
     coeffs = stack.mats[:, u, v]
     times = np.asarray(times, dtype=float)
     return np.abs(np.exp(-1j * np.outer(times, lams)) @ coeffs)
 
 
-def pst_probe(
-    connection: ConnectionSet,
-    u: int,
-    v: int,
-    times,
-    table: SpectrumTable | None = None,
-) -> ProbeResult:
+def pst_probe(connection: ConnectionSet, u: int, v: int, times) -> ProbeResult:
     """Best (tau, |H(tau)_{uv}|) over the given times."""
     times = np.asarray(times, dtype=float)
-    amps = pair_amplitudes(connection, u, v, times, table)
+    amps = pair_amplitudes(connection, u, v, times)
     best = int(np.argmax(amps))
     return ProbeResult(tau=float(times[best]), amplitude=float(amps[best]))
 
@@ -351,9 +349,7 @@ def _scan(coeffs: np.ndarray, spaces: np.ndarray, step: float, points: int) -> n
     return np.abs(weighted.reshape(-1, len(spaces)) @ by_r).reshape(coeffs.shape[1], Q * R)
 
 
-def grid_amplitude_maxima(
-    connection: ConnectionSet, grid_points: int, table: SpectrumTable | None = None
-) -> np.ndarray:
+def grid_amplitude_maxima(connection: ConnectionSet, grid_points: int) -> np.ndarray:
     """Upper bound on max over tau of |H(tau)_{w, 0}|, for every vertex w.
 
     Four stages, each run only on the columns the one before leaves at or
@@ -387,7 +383,7 @@ def grid_amplitude_maxima(
     |H(tau)_{00}| as well.  Through ratio_index_table the result bounds
     every pair's |H(tau)_{uv}| on the grid.
     """
-    lams, stack = _spectral_data(connection, table)
+    lams, stack = _spectral_data(connection)
     best = stack.bound.copy()
     spaces, coeffs = _eigenspaces(lams, stack.cand_col)
     weights = np.abs(coeffs)
@@ -408,7 +404,7 @@ def grid_amplitude_maxima(
     return best
 
 
-def verify(connection: ConnectionSet, table: SpectrumTable, verdicts) -> tuple[float, int]:
+def verify(connection: ConnectionSet, verdicts) -> tuple[float, int]:
     """(max 1 - |H(pi/M)_{uv}| over positive pairs, disagreements) of one graph.
 
     A positive pair disagrees at or below 1 - POSITIVE_TOL, any other pair
@@ -421,11 +417,11 @@ def verify(connection: ConnectionSet, table: SpectrumTable, verdicts) -> tuple[f
     disagreements = 0
     max_dev = 0.0
     for v in verdicts:
-        amp = pair_amplitudes(connection, v.u, v.v, [v.min_time], table)[0]
+        amp = pair_amplitudes(connection, v.u, v.v, [v.min_time])[0]
         max_dev = max(max_dev, 1.0 - amp)
         if amp <= 1.0 - POSITIVE_TOL:
             disagreements += 1
-    hit = grid_amplitude_maxima(connection, GRID_POINTS, table) >= 1.0 - NEGATIVE_TOL
+    hit = grid_amplitude_maxima(connection, GRID_POINTS) >= 1.0 - NEGATIVE_TOL
     W = ratio_index_table(connection.params)
     # every pair u < v whose ratio is hit, less the positive pairs among them
     disagreements += int(_pairs_per_ratio(connection.params)[hit].sum())

@@ -18,10 +18,12 @@ alpha_1 = |S|, trace 0, second moment 8n|S|) follow from that check, so no
 spectrum is checked again.  A spectrum is then a sum of integer rows over
 the classes of S: lambda is an integer iff the reduced row is an integer k
 with d | k.  `CycloInt` arithmetic only builds the table and the map.  The
-float value, evaluated from the unreduced row, serves only for display and
-for the numerical oracle.  The paper's closed-form eigenbasis is kept with
-the tests (tests/spectrum_reference.py), which check it against these
-eigenvalues and the dense adjacency matrix.
+float value, evaluated from the unreduced row, serves only to print the
+spectrum of a non-integral graph: the numerical oracle reads its own
+eigenvalues off the paper's projectors (`v8npst.oracle`).  The paper's
+closed-form eigenbasis is kept with the tests
+(tests/spectrum_reference.py), which check it against these eigenvalues
+and the dense adjacency matrix.
 
 Integrality needs no sum at all.  The rational class of x is the union
 of the classes of x^k over every k coprime to 8n, and a normal Cayley
@@ -31,16 +33,17 @@ graphs", 2014; `_SummedTable` gives the short Galois proof).  So
 `eigenvalues` decides `all_integral` on the set's class bits and the per-n
 rational classes (`group.class_masks`), and sums nothing; `search` asks
 the same criterion first and builds no table for a set that fails it,
-which is most sets (144 of 152 on `search --n 7 --max-classes 4`).  The
-rows of a set are summed once, on the first read of `values`,
-`integer_values` or the tuple.  An integral table's `integers`, the exact
-eigenvalue k / d of each representation, sums no rows: it is the sum of
-per-n integer vectors, one per rational class in S.  Each vector is that
-rational class's reduced rows, summed and divided by the degrees, and is
-checked exact once, when it is built: a rational class is itself a union
-of rational classes, so a reduced row that is not an integer its degree
-divides breaks the criterion and raises `IntegralityMismatch`.  The
-vectors are kept per class map, so a rebuilt map is checked again.  The
+with or without `--verify`; that is most sets (144 of 152 on
+`search --n 7 --max-classes 4`).  The rows of a set are summed once, on
+the first read of `values`, `integer_values` or the tuple.  An integral
+table's `integers`, the exact eigenvalue k / d of each representation,
+sums no rows: it is the sum of per-n integer vectors, one per rational
+class in S.  Each vector is that rational class's reduced rows, summed and
+divided by the degrees, and is checked exact once, when it is built: a
+rational class is itself a union of rational classes, so a reduced row
+that is not an integer its degree divides breaks the criterion and raises
+`IntegralityMismatch`.  The vectors are kept per class map, so a rebuilt
+map is checked again.  The
 decision reads only these, so deciding a graph evaluates no float and
 builds no tuple.  A table's `values`, the float eigenvalue per
 representation, is one array pass over the nonzero coefficients of the
@@ -50,9 +53,9 @@ products is their correctly rounded sum (+0.0 for a row with none),
 which zero terms would not change.  A table's `integer_values` is, per
 representation, the exact eigenvalue when it is an integer and None
 otherwise, read off the reduced rows on each read; it serves the reports
-of non-integral spectra.  No command builds the `Eigenvalue` tuple: the
-oracle reads only `values`, and a report prints an integral spectrum from
-`integers` and any other from `values` and `integer_values`.  The tuple,
+of non-integral spectra.  No command builds the `Eigenvalue` tuple: a
+report prints an integral spectrum from `integers` and any other from
+`values` and `integer_values`, and the oracle reads no table.  The tuple,
 built from the same two on the first read of `eigenvalues`, serves the
 tests and callers that want one record per eigenvalue.  No eigenvalue is
 kept past its table.

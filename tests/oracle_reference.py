@@ -9,8 +9,12 @@ its projectors and its eigenvalues against these.
 `spectral_data` is `oracle._spectral_data` as it was before the stack was
 kept per n: the label sums come from a `rep_projectors` dict (kept per n
 here, so that the tests do not rebuild the projectors on every call) and are
-stacked again on every call.  `transition` and `pair_amplitudes` evaluate the
-oracle's formulas on that data, and tests compare them bit for bit.
+stacked again on every call, and the eigenvalues are read from them on every
+call too.  From A P = lambda P at entry (0, 0), each label's eigenvalue is
+sum_{w in S} P[w, 0] / P[0, 0], added up here class by class in class order,
+as the oracle adds up its per-n class rows.  `transition` and
+`pair_amplitudes` evaluate the oracle's formulas on that data, and tests
+compare them bit for bit.
 `grid_amplitude_maxima` is the plain scan the oracle replaced: one `exp` per
 label and time, over all 8n columns.  The oracle's scan must match it on the
 columns it scans and bound it on the others.  `oracle_check` is the
@@ -26,8 +30,8 @@ from functools import lru_cache
 import numpy as np
 
 from v8npst import oracle
-from v8npst.group import ConnectionSet, all_elements, inverse, multiply
-from v8npst.spectrum import eigenvalues
+from v8npst.group import ConnectionSet, all_elements, class_labels, inverse, multiply
+from v8npst.spectrum import rep_labels
 
 POSITIVE_TOL = 1e-6
 NEGATIVE_TOL = 1e-4
@@ -79,34 +83,34 @@ def _rep_sums(params):
     return oracle.rep_projectors(ConnectionSet(params, frozenset(), ()))
 
 
-def spectral_data(connection, table):
+def spectral_data(connection):
     """(eigenvalues, stacked per-representation projectors) aligned by label."""
-    if table is None:
-        table = eigenvalues(connection)
-    sums = _rep_sums(connection.params)
-    lams = []
-    mats = []
-    for ev in table.eigenvalues:
-        lams.append(ev.value)
-        mats.append(sums[ev.label])
-    return np.array(lams), np.stack(mats)
+    params = connection.params
+    sums = _rep_sums(params)
+    mats = np.stack([sums[label] for label in rep_labels(params)])
+    col = mats[:, :, 0]
+    labels = class_labels(params)
+    lams = 0.0
+    for c in connection.class_indices:
+        lams = lams + col[:, labels[c]].real.sum(axis=1) / col[:, 0].real
+    return lams, mats
 
 
-def transition(connection, tau, table=None) -> np.ndarray:
-    lams, mats = spectral_data(connection, table)
+def transition(connection, tau) -> np.ndarray:
+    lams, mats = spectral_data(connection)
     phases = np.exp(-1j * lams * tau)
     return np.tensordot(phases, mats, axes=(0, 0))
 
 
-def pair_amplitudes(connection, u, v, times, table=None) -> np.ndarray:
-    lams, mats = spectral_data(connection, table)
+def pair_amplitudes(connection, u, v, times) -> np.ndarray:
+    lams, mats = spectral_data(connection)
     coeffs = mats[:, u, v]
     times = np.asarray(times, dtype=float)
     return np.abs(np.exp(-1j * np.outer(times, lams)) @ coeffs)
 
 
-def grid_amplitude_maxima(connection, times, table=None) -> np.ndarray:
-    lams, mats = spectral_data(connection, table)
+def grid_amplitude_maxima(connection, times) -> np.ndarray:
+    lams, mats = spectral_data(connection)
     col = mats[:, :, 0]
     times = np.asarray(times, dtype=float)
     order = col.shape[1]
@@ -119,17 +123,17 @@ def grid_amplitude_maxima(connection, times, table=None) -> np.ndarray:
     return best
 
 
-def oracle_check(conn, table, verdicts, grid_points: int) -> tuple[float, int]:
+def oracle_check(conn, verdicts, grid_points: int) -> tuple[float, int]:
     """Corroborate every verdict; returns (max deviation, disagreement count)."""
     times = np.arange(1, grid_points + 1) * (2 * math.pi / grid_points)
     disagreements = 0
     max_dev = 0.0
     for v in verdicts:
-        amp = pair_amplitudes(conn, v.u, v.v, [v.min_time], table)[0]
+        amp = pair_amplitudes(conn, v.u, v.v, [v.min_time])[0]
         max_dev = max(max_dev, 1.0 - amp)
         if amp <= 1.0 - POSITIVE_TOL:
             disagreements += 1
-    best = grid_amplitude_maxima(conn, times, table)
+    best = grid_amplitude_maxima(conn, times)
     W = oracle.ratio_index_table(conn.params)
     # negative pairs u < w whose grid maximum reaches the transfer threshold
     hit = np.triu(best[W] >= 1.0 - NEGATIVE_TOL, 1)

@@ -6,8 +6,11 @@ import hashlib
 import io
 import json
 import math
+import os
 import random
 import shlex
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -324,7 +327,7 @@ def test_search_max_n_flag_is_usage_error(capsys):
 def test_search_detects_planted_disagreement(capsys, monkeypatch):
     real = oracle.pair_amplitudes
 
-    def sabotaged(conn, u, v, times, table=None):
+    def sabotaged(conn, u, v, times):
         return np.zeros(len(np.atleast_1d(times)))
 
     monkeypatch.setattr(cli.oracle, "pair_amplitudes", sabotaged)
@@ -335,13 +338,86 @@ def test_search_detects_planted_disagreement(capsys, monkeypatch):
 
 
 def test_search_detects_planted_negative_disagreement(capsys, monkeypatch):
-    def sabotaged(conn, grid_points, table=None):
+    def sabotaged(conn, grid_points):
         return np.ones(conn.params.order)
 
     monkeypatch.setattr(cli.oracle, "grid_amplitude_maxima", sabotaged)
     code, out = run_cli(capsys, ["search", "--n", "1", "--verify"])
     assert code == 4
     assert json.loads(out)["disagreements"] > 0
+
+
+# `search --n 1 --verify`: 8 graphs of 8 vertices, 16 positive pairs among their 8 * 28
+N1_POSITIVE_PAIRS = 16
+N1_NEGATIVE_PAIRS = 8 * 28 - N1_POSITIVE_PAIRS
+
+
+@pytest.mark.parametrize("deficit,found", [(2e-6, N1_POSITIVE_PAIRS), (0.5e-6, 0)])
+def test_search_positive_threshold_is_one_minus_1e6(capsys, monkeypatch, deficit, found):
+    """Every positive pair's amplitude planted at 1 - deficit, just either side
+    of 1 - POSITIVE_TOL: it disagrees below the threshold, and only there."""
+
+    def planted(conn, u, v, times):
+        return np.full(len(times), 1.0 - deficit)
+
+    monkeypatch.setattr(cli.oracle, "pair_amplitudes", planted)
+    code, out = run_cli(capsys, ["search", "--n", "1", "--verify"])
+    doc = json.loads(out)
+    assert sum(len(graph["pstPairs"]) for graph in doc["pstGraphs"]) == N1_POSITIVE_PAIRS
+    assert doc["disagreements"] == found
+    assert code == (4 if found else 0)
+
+
+@pytest.mark.parametrize("deficit,found", [(2e-4, 0), (0.5e-4, N1_NEGATIVE_PAIRS)])
+def test_search_negative_threshold_is_one_minus_1e4(capsys, monkeypatch, deficit, found):
+    """Every grid maximum planted at 1 - deficit, just either side of
+    1 - NEGATIVE_TOL: every negative pair disagrees above the threshold, and
+    none below it."""
+
+    def planted(conn, grid_points):
+        return np.full(conn.params.order, 1.0 - deficit)
+
+    monkeypatch.setattr(cli.oracle, "grid_amplitude_maxima", planted)
+    code, out = run_cli(capsys, ["search", "--n", "1", "--verify"])
+    doc = json.loads(out)
+    assert doc["totalSets"] == 8
+    assert doc["disagreements"] == found
+    assert code == (4 if found else 0)
+
+
+def test_verify_catches_a_swapped_class_map_row(capsys, monkeypatch):
+    """Two representations' rows of class b^2 swapped in the n = 4 class map,
+    after its exact check: the decision reads the wrong integers, and the
+    oracle, whose eigenvalues come from the projectors, disagrees with it."""
+    params = GroupParams(4)
+    class_map = spectrum._class_map(params)
+    c = class_tags(params).index("b^2")
+    labels = spectrum.rep_labels(params)
+    i, j = labels.index("beta_1"), labels.index("gamma_1")
+    stacked = class_map.stacked.copy()
+    stacked[c, [i, j]] = stacked[c, [j, i]]
+    monkeypatch.setitem(spectrum._class_maps, params, class_map._replace(stacked=stacked))
+    monkeypatch.delitem(spectrum._rational_vectors, params, raising=False)
+    code, out = run_cli(capsys, ["search", "--n", "4", "--verify"])
+    doc = json.loads(out)
+    assert doc["pstCount"] != 240  # the mutant changes the verdicts
+    assert code == 4 and doc["disagreements"] > 0
+
+
+def test_broken_pipe_exits_5_without_a_traceback():
+    """stdout closed by its reader after 20 bytes: exit 5, nothing on stderr."""
+    src = Path(cli.__file__).resolve().parents[1]
+    with subprocess.Popen(
+        [sys.executable, "-m", "v8npst.cli", "search", "--n", "6"],
+        env=dict(os.environ, PYTHONPATH=str(src)),
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    ) as proc:  # the document is 3.6 MB, far more than a pipe holds
+        assert proc.stdout.read(20) == b'{\n  "n": 6,\n  "parit'
+        proc.stdout.close()
+        _, stderr = proc.communicate(timeout=60)
+    assert proc.returncode == cli.EXIT_OUTPUT_CLOSED == 5
+    assert stderr == b""
 
 
 def test_probe_self_pair_reports_unity(capsys):
@@ -551,20 +627,27 @@ def test_search_without_verify_reads_no_float_eigenvalue(capsys, monkeypatch):
 
 
 def test_search_with_verify_checks_every_set(capsys, monkeypatch):
-    """With --verify, every set, integral or not, gets its table and its
-    oracle check."""
+    """With --verify, every set, integral or not, gets its oracle check; only
+    an integral set gets a table, as without --verify."""
     checked = []
+    tables = []
     real_verify = cli.oracle.verify
+    real_eigenvalues = cli.spectrum.eigenvalues
 
-    def recording_verify(conn, table, verdicts):
-        checked.append(table.all_integral)
-        return real_verify(conn, table, verdicts)
+    def recording_verify(conn, verdicts):
+        checked.append(conn)
+        return real_verify(conn, verdicts)
+
+    def recording_eigenvalues(conn):
+        tables.append(real_eigenvalues(conn))
+        return tables[-1]
 
     monkeypatch.setattr(cli.oracle, "verify", recording_verify)
+    monkeypatch.setattr(cli.spectrum, "eigenvalues", recording_eigenvalues)
     code, out = run_cli(capsys, ["search", "--n", "7", "--max-classes", "4", "--verify"])
     assert code == 0
     assert len(checked) == json.loads(out)["totalSets"] == 152
-    assert checked.count(True) == 8
+    assert len(tables) == 8 and all(t.all_integral for t in tables)
 
 
 def every_union_tags(n: int) -> list[str]:

@@ -8,11 +8,12 @@ from collections import defaultdict
 import numpy as np
 import pytest
 
-from v8npst import oracle
+from v8npst import oracle, spectrum
 from v8npst.group import (
     IDENTITY,
     GroupParams,
     all_elements,
+    conjugacy_classes,
     element,
     enumerate_connection_sets,
     multiply,
@@ -154,10 +155,9 @@ def test_transition_at_zero_is_identity():
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_transition_unitarity_random_taus(n, rng):
     conn = valid_sets(n)[-1]
-    table = eigenvalues(conn)
     order = 8 * n
     for tau in rng.uniform(0, 2 * math.pi, size=12):
-        H = transition(conn, float(tau), table).H
+        H = transition(conn, float(tau)).H
         assert np.max(np.abs(H @ H.conj().T - np.eye(order))) < 1e-9
         assert np.max(np.abs(np.linalg.norm(H, axis=0) - 1.0)) < 1e-9
         assert np.max(np.abs(np.abs(H) - np.abs(H.T))) < 1e-10
@@ -203,7 +203,7 @@ def test_probe_finds_transfer_at_predicted_time():
     conn = cp_set(2)
     table = eigenvalues(conn)
     verdict = all_pst_pairs(table)[0]
-    res = pst_probe(conn, verdict.u, verdict.v, [verdict.min_time], table)
+    res = pst_probe(conn, verdict.u, verdict.v, [verdict.min_time])
     assert res.amplitude > 1 - 1e-6
 
 
@@ -220,16 +220,15 @@ def test_periodicity_probe_integral_graph_every_vertex():
     table = eigenvalues(conn)
     assert table.all_integral
     for u in range(16):
-        res = pst_probe(conn, u, u, [2 * math.pi], table)
+        res = pst_probe(conn, u, u, [2 * math.pi])
         assert res.amplitude > 1 - 1e-9
 
 
 def test_ratio_table_translation_invariance():
     conn = valid_sets(2)[7]
-    table = eigenvalues(conn)
     W = ratio_index_table(conn.params)
     for tau in (0.3, 1.1):
-        H = np.abs(transition(conn, tau, table).H)
+        H = np.abs(transition(conn, tau).H)
         assert np.max(np.abs(H - H[W, 0])) < 1e-10
 
 
@@ -253,35 +252,35 @@ def test_vertex_zero_is_the_identity(n):
     assert np.count_nonzero(W == 0) == params.order
 
 
-def projector_bound(conn, table):
+def projector_bound(conn):
     """B[w]: the column's projector coefficients, |.| summed over labels."""
-    lams, mats = oracle_reference.spectral_data(conn, table)
+    lams, mats = oracle_reference.spectral_data(conn)
     return np.abs(mats[:, :, 0]).sum(axis=0)
 
 
-def _eigenspace_weights(conn, table):
+def _eigenspace_weights(conn):
     """(distinct eigenvalues, |coefficients summed per eigenvalue| per column)."""
-    lams, mats = oracle_reference.spectral_data(conn, table)
+    lams, mats = oracle_reference.spectral_data(conn)
     col = mats[:, :, 0]
     spaces = sorted(set(lams.tolist()))
     return np.array(spaces), np.array([np.abs(col[lams == lam].sum(axis=0)) for lam in spaces])
 
 
-def eigenspace_bound(conn, table):
+def eigenspace_bound(conn):
     """B'[w]: column w's projector coefficients summed per eigenvalue, then |.| summed."""
-    return _eigenspace_weights(conn, table)[1].sum(axis=0)
+    return _eigenspace_weights(conn)[1].sum(axis=0)
 
 
-def coarse_bound(conn, table, grid_points):
+def coarse_bound(conn, grid_points):
     """The reference scan on every COARSE_STEP-th grid point, plus L[w] K h / 2."""
-    spaces, weights = _eigenspace_weights(conn, table)
+    spaces, weights = _eigenspace_weights(conn)
     lipschitz = np.abs(spaces - (spaces[0] + spaces[-1]) / 2) @ weights
     step = oracle.COARSE_STEP * 2 * math.pi / grid_points
     times = np.arange(-(-grid_points // oracle.COARSE_STEP) + 1) * step
-    return oracle_reference.grid_amplitude_maxima(conn, times, table) + lipschitz * step / 2
+    return oracle_reference.grid_amplitude_maxima(conn, times) + lipschitz * step / 2
 
 
-def check_grid_maxima(conn, table, grid_points):
+def check_grid_maxima(conn, grid_points):
     """grid_amplitude_maxima against the all-column reference scan on the same grid.
 
     Every column is at least the reference's grid maximum, up to rounding
@@ -293,12 +292,12 @@ def check_grid_maxima(conn, table, grid_points):
     """
     thr = 1 - oracle.NEGATIVE_TOL
     times = np.arange(1, grid_points + 1) * (2 * math.pi / grid_points)
-    want = oracle_reference.grid_amplitude_maxima(conn, times, table)
-    best = grid_amplitude_maxima(conn, grid_points, table)
+    want = oracle_reference.grid_amplitude_maxima(conn, times)
+    best = grid_amplitude_maxima(conn, grid_points)
     certified = (
-        (projector_bound(conn, table) < thr)
-        | (eigenspace_bound(conn, table) < thr)
-        | (coarse_bound(conn, table, grid_points) < thr)
+        (projector_bound(conn) < thr)
+        | (eigenspace_bound(conn) < thr)
+        | (coarse_bound(conn, grid_points) < thr)
     )
     scanned = 1 + np.flatnonzero(~certified[1:])
     assert np.all(best >= want - 1e-12)
@@ -310,14 +309,13 @@ def check_grid_maxima(conn, table, grid_points):
 
 def test_grid_maxima_agree_with_direct_scan():
     conn = valid_sets(1)[3]  # b^2 + b + a*b: no bound certifies b^2, so it is fine-scanned
-    table = eigenvalues(conn)
     times = np.arange(1, 801) * (2 * math.pi / 800)
-    best, scanned = check_grid_maxima(conn, table, 800)
+    best, scanned = check_grid_maxima(conn, 800)
     assert len(scanned)
     W = ratio_index_table(conn.params)
     for u in range(8):
         for v in range(8):
-            direct = pair_amplitudes(conn, u, v, times, table).max()
+            direct = pair_amplitudes(conn, u, v, times).max()
             if W[u, v] in scanned:
                 assert abs(direct - best[W[u, v]]) < 1e-10
             else:  # a bound on the grid, up to rounding of both sums
@@ -332,12 +330,11 @@ def test_projector_bound_certifies_all_but_central(n):
     central = central_vertices(params)
     assert len(central) == (2 if n % 2 else 4)
     for conn in sets[:: max(1, len(sets) // 4)]:
-        table = eigenvalues(conn)
-        bound = projector_bound(conn, table)
+        bound = projector_bound(conn)
         assert list(np.flatnonzero(bound >= 1 - oracle.NEGATIVE_TOL)) == central
         others = np.setdiff1d(np.arange(params.order), central)
         for grid_points in (1, 2, 7, 300, 10000):
-            best, scanned = check_grid_maxima(conn, table, grid_points)
+            best, scanned = check_grid_maxima(conn, grid_points)
             assert set(scanned) <= set(central)
             assert np.array_equal(best[others], bound[others])
 
@@ -348,12 +345,11 @@ def test_eigenspace_bound_certifies_a_central_column(n):
     params = GroupParams(n)
     central = central_vertices(params)[1:]
     for conn in enumerate_connection_sets(params, 3):
-        table = eigenvalues(conn)
-        bound = projector_bound(conn, table)
-        tight = eigenspace_bound(conn, table)
+        bound = projector_bound(conn)
+        tight = eigenspace_bound(conn)
         certified = [w for w in central if tight[w] < 1 - oracle.NEGATIVE_TOL <= bound[w]]
         if certified:
-            best, scanned = check_grid_maxima(conn, table, 512)
+            best, scanned = check_grid_maxima(conn, 512)
             assert not set(certified) & set(scanned)
             assert np.all(np.abs(best[certified] - tight[certified]) < 1e-12)
             return
@@ -380,7 +376,7 @@ def test_transfer_columns_reach_the_fine_pass(n):
         ratios = sorted({int(W[v.u, v.v]) for v in verdicts})
         assert all(ratio in central_vertices(params) for ratio in ratios)
         for grid_points in (10000, 2 * verdicts[0].M * (250 * K + K // 2)):
-            best, scanned = check_grid_maxima(conn, table, grid_points)
+            best, scanned = check_grid_maxima(conn, grid_points)
             assert set(ratios) <= set(scanned)
             assert np.all(best[ratios] >= 1 - oracle.NEGATIVE_TOL)
         checked += 1
@@ -396,7 +392,7 @@ def test_candidate_times_stay_below_threshold_for_negative_pairs():
     assert all_pst_pairs(table) == ()
     for ell in range(8):
         tau = math.pi / M * (1 + 2 * ell)
-        H = np.abs(transition(conn, tau, table).H)
+        H = np.abs(transition(conn, tau).H)
         off = H - np.diag(np.diag(H))
         assert off.max() < 1 - 1e-4
 
@@ -411,24 +407,24 @@ def test_cached_stack_matches_per_call_reference(n, monkeypatch):
     for conn in sets:
         table = eigenvalues(conn)
         for tau in (0.7, math.pi / 3):
-            want = oracle_reference.transition(conn, tau, table)
-            assert np.array_equal(transition(conn, tau, table).H, want)
+            want = oracle_reference.transition(conn, tau)
+            assert np.array_equal(transition(conn, tau).H, want)
         verdicts = all_pst_pairs(table)
         for v in verdicts:
             tau = [math.pi / v.M]
-            want = oracle_reference.pair_amplitudes(conn, v.u, v.v, tau, table)
-            assert np.array_equal(pair_amplitudes(conn, v.u, v.v, tau, table), want)
-        check_grid_maxima(conn, table, 512)
-        want = oracle_reference.oracle_check(conn, table, verdicts, 512)
-        assert oracle.verify(conn, table, verdicts) == want
-        stack = oracle._spectral_data(conn, table)[1]
-        assert np.array_equal(stack.bound, projector_bound(conn, table))
+            want = oracle_reference.pair_amplitudes(conn, v.u, v.v, tau)
+            assert np.array_equal(pair_amplitudes(conn, v.u, v.v, tau), want)
+        check_grid_maxima(conn, 512)
+        want = oracle_reference.oracle_check(conn, verdicts, 512)
+        assert oracle.verify(conn, verdicts) == want
+        stack = oracle._spectral_data(conn)[1]
+        assert np.array_equal(stack.bound, projector_bound(conn))
         for array in (stack.mats, stack.bound, stack.cand, stack.cand_col):
             assert not array.flags.writeable
         with pytest.raises(ValueError):
             stack.mats[0, 0, 0] = 0
     # one stack per n, shared by every graph
-    assert oracle._spectral_data(sets[0], None)[1] is stack
+    assert oracle._spectral_data(sets[0])[1] is stack
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7, 8])
@@ -449,12 +445,29 @@ def test_verification_thresholds():
 
 
 @pytest.mark.parametrize("n", [4, 7, 8])
-def test_verify_reads_only_the_float_values(n):
-    """The oracle reads a table's `values`: checking a graph without transfer
-    builds no `Eigenvalue` tuple."""
+def test_verify_builds_no_spectrum_table(n, monkeypatch):
+    """The oracle reads its eigenvalues from its own projector stack: checking
+    a graph without transfer asks `spectrum` for no table."""
     conn = next(
         c for c in enumerate_connection_sets(GroupParams(n), 3) if not eigenvalues(c).all_integral
     )
-    table = eigenvalues(conn)
-    assert oracle.verify(conn, table, ()) == (0.0, 0)
-    assert "values" in vars(table) and "eigenvalues" not in vars(table)
+
+    def no_table(conn):
+        raise AssertionError("the oracle asked for a spectrum table")
+
+    monkeypatch.setattr(spectrum, "eigenvalues", no_table)
+    monkeypatch.setattr(oracle, "eigenvalues", no_table)
+    assert oracle.verify(conn, ()) == (0.0, 0)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_projector_eigenvalues_match_table_values(n):
+    """sum_{w in S} P[w, 0] / P[0, 0], from the closed-form projectors, is the
+    table's float eigenvalue of each label, on every set."""
+    params = GroupParams(n)
+    count = 0
+    for conn in enumerate_connection_sets(params, len(conjugacy_classes(params))):
+        lams = oracle._spectral_data(conn)[0]
+        assert np.max(np.abs(lams - eigenvalues(conn).values)) <= 1e-12
+        count += 1
+    assert count > 0
