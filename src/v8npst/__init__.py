@@ -22,7 +22,6 @@ from .pst import (
     classify_graph_type,
     classify_pair,
     gap_gcd,
-    nu2,
 )
 from .oracle import pst_probe, transition
 
@@ -46,7 +45,6 @@ __all__ = [
     "eigenvalues",
     "enumerate_connection_sets",
     "gap_gcd",
-    "nu2",
     "pst_probe",
     "transition",
     "validate_connection_set",

@@ -27,18 +27,16 @@ directly from the set, the table and the verdicts, and no dict is
 built.  A report's elements are the per-n sorted vertex labels of the
 set's classes, merged by one sort and named from per-n quoted names, so
 no report reads a set's members.  An integral spectrum is written from
-the table's integers and the per-n labels and multiplicities, so without
-`--verify` no float is evaluated for it; a non-integral one from the
-table's float `values` and exact `integer_values`.  No report builds an
-`Eigenvalue` tuple.  `search` decides integrality on a set's class bits
-first, by the rational-class criterion that `spectrum.eigenvalues`
-applies, and writes a non-integral set's row from its classes and size
-alone: no table, no decision.  `oracle.verify` takes its eigenvalues from
-its own projector stack, so `--verify` builds no table for a non-integral
-set either: the oracle checks it from its classes.  Every row and report
-lists its class tags from per-n items, each class's quoted tag with its
-separator, joined once.  A report's "pstPairs" list depends on the
-graph's verdict alone, so its text is written once per verdict and pad.
+the table's integers, so without `--verify` no float is evaluated for it;
+a non-integral one from its float `values` and exact `integer_values`.
+`search` decides integrality on a set's class bits first, by the
+rational-class criterion of `spectrum.eigenvalues`, and writes a
+non-integral set's row from its classes and size alone: no table and no
+decision, with or without `--verify`, since the oracle takes its
+eigenvalues from its own projector stack.  Each class's quoted tag, with
+its separator, is a per-n item, so a list of tags is joined once.  A
+report's "pstPairs" list depends on the graph's verdict alone, so its
+text is written once per verdict and pad.
 
 `search` decides each connection set as the enumeration yields it and
 keeps only the text of its row, and of its report when the graph has
@@ -59,9 +57,12 @@ Every failure prints one JSON error document on stdout.  Exit codes: 0 ok,
 above 8 for search is a BoundExceeded one), 2 invalid connection set,
 4 decision/oracle disagreement (with --verify), 5 stdout closed by its
 reader before the document was written (a broken pipe, as in
-`search ... | head`).  Code 5 is the one path that prints no document: there
-is nowhere to print it.  Integrality is decided exactly, so no input is
-numerically ambiguous; the former code 3 is retired.
+`search ... | head`), 6 internal check failed (the character table or the
+class map built from it fails an exact check: a `NonRealEigenvalue`,
+`CharacterTableError` or `IntegralityMismatch` document).  Code 5 is the
+one path that prints no document: there is nowhere to print it.
+Integrality is decided exactly, so no input is numerically ambiguous; the
+former code 3 is retired.
 """
 
 from __future__ import annotations
@@ -94,12 +95,14 @@ from .group import (
     tag_index,
     validate_connection_set,
 )
+from .spectrum import CharacterTableError, IntegralityMismatch, NonRealEigenvalue
 
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_INVALID_SET = 2
 EXIT_DISAGREEMENT = 4
 EXIT_OUTPUT_CLOSED = 5
+EXIT_INTERNAL = 6
 
 MAX_N = 8  # search enumerates every class union, so its cost grows fast with n
 
@@ -229,7 +232,7 @@ def _report_text(conn, table, graph, oracle_texts, pad: str) -> str:
     The elements are the union of the classes' sorted vertex labels,
     sorted; the set's members are not read.  An integral spectrum is
     written from the table's integers, a non-integral one from its float
-    `values` and exact `integer_values`, with no `Eigenvalue` tuple.
+    `values` and exact `integer_values`.
     """
     params = conn.params
     names = _quoted_names(params)
@@ -487,6 +490,8 @@ def main(argv=None) -> int:
         return code
     except UsageError as exc:
         return _structured_error(exc.code, str(exc), EXIT_USAGE)
+    except (NonRealEigenvalue, CharacterTableError, IntegralityMismatch) as exc:
+        return _structured_error(type(exc).__name__, str(exc), EXIT_INTERNAL)
     except BrokenPipeError:
         # the reader is gone; what is still buffered goes to devnull, so the
         # flush at exit does not raise again (Python `signal` docs, "Note on SIGPIPE")

@@ -1,24 +1,24 @@
 """Perfect-state-transfer decision procedure for normal Cay(V_8n, S).
 
 The decision works entirely on the integer spectrum, the table's
-`integers`: no float is evaluated and no eigenvalue tuple is built.
-Transfer between a vertex pair requires the graph to be integral, the pair
-to sit at one of the admissible displacements, and the gaps alpha_1 - lambda
-of least 2-adic valuation to be exactly those of one named set of
-(kind, index % 2) groups:
+`integers`: no float is evaluated.  Transfer between a vertex pair
+requires the graph to be integral, the pair to sit at one of the
+admissible displacements, and the gaps alpha_1 - lambda of least 2-adic
+valuation to be exactly those of one named set of (kind, index % 2)
+groups:
 
   odd n    beta even, beta odd                 (transfer at u - v = +-4n)
   Type 1   beta odd, gamma odd                 (even n)
   Type 2   alpha even, beta odd, gamma even    (even n)
   Type 3   alpha even, gamma even, gamma odd   (even n)
 
-M = gcd(alpha_1 - lambda) is computed once per graph, and nu2(M) is the
-least valuation of the nonzero gaps: a gap has it iff it has M's low bit
-M & -M set, so the least gaps are one int with a bit per representation,
-compared with a per-n mask of each named set.  A spectrum has one set of
-least gaps, so the Types exclude one another.  For even n the admissible
-displacements depend on the Type and on n mod 4 (+-n within a block,
-+-3n/+-5n between opposite blocks, or +-4n).
+M = gcd(alpha_1 - lambda) is computed once per graph, and nu2(M), its
+2-adic valuation, is the least valuation of the nonzero gaps: a gap has
+it iff it has M's low bit M & -M set, so the least gaps are one int with
+a bit per representation, compared with a per-n mask of each named set.
+A spectrum has one set of least gaps, so the Types exclude one another.
+For even n the admissible displacements depend on the Type and on n mod 4
+(+-n within a block, +-3n/+-5n between opposite blocks, or +-4n).
 
 None of this depends on the pair beyond its blocks and displacement, so
 each graph is decided once (`decide_graph`): integrality, the odd-n
@@ -43,10 +43,6 @@ n for n <= 8.
 
 When transfer exists, the minimum time is pi/M with
 M = gcd(alpha_1 - lambda) over the distinct eigenvalues lambda != alpha_1.
-
-alpha_1's own gap is zero, of valuation +infinity, and has no bit set,
-so it needs no special case: when every gap is zero, M = 0 sets no bit
-and no pattern holds.
 """
 
 from __future__ import annotations
@@ -59,8 +55,6 @@ from typing import NamedTuple, Optional
 
 from .group import GroupParams, region
 from .spectrum import SpectrumTable, representations
-
-INF = float("inf")
 
 
 class NotIntegral(ValueError):
@@ -77,14 +71,6 @@ class SameVertex(ValueError):
 
 class WrongParity(ValueError):
     pass
-
-
-def nu2(x: int):
-    """2-adic valuation; nu2(0) = +infinity."""
-    if x == 0:
-        return INF
-    x = abs(x)
-    return (x & -x).bit_length() - 1
 
 
 def gap_gcd(table: SpectrumTable) -> int:
@@ -151,9 +137,10 @@ def _least_gaps_are(table: SpectrumTable, *patterns: frozenset) -> tuple[int, tu
     """M, and per pattern: do its groups hold all and only the gaps of least nu2?
 
     nu2(M) is the least valuation of the nonzero gaps, so a gap, negative
-    or not, has it iff it has the bit M & -M; a zero gap has no bit.  The
-    least gaps are one int, a bit per representation, compared with each
-    pattern's per-n mask.  M = 0 sets no bit and matches no pattern.
+    or not, has it iff it has the bit M & -M; a zero gap, alpha_1's own
+    included, has no bit.  The least gaps are one int, a bit per
+    representation, compared with each pattern's per-n mask.  M = 0, when
+    every gap is zero, sets no bit and matches no pattern.
     """
     integers = table.integers
     alpha1 = integers[0]
@@ -162,13 +149,6 @@ def _least_gaps_are(table: SpectrumTable, *patterns: frozenset) -> tuple[int, tu
     low = M & -M
     least = sum(compress(_rep_bits(table.params), [gap & low for gap in gaps]))
     return M, tuple([least == mask for mask in _pattern_masks(table.params, patterns)])
-
-
-def _odd_valuation_pattern(table: SpectrumTable) -> bool:
-    """The beta gaps, and only these, have the least valuation (odd n)."""
-    if not table.all_integral:
-        return False
-    return _least_gaps_are(table, ODD_PATTERN)[1][0]
 
 
 def classify_graph_type(table: SpectrumTable) -> TypeClassification:

@@ -18,10 +18,8 @@ alpha_1 = |S|, trace 0, second moment 8n|S|) follow from that check, so no
 spectrum is checked again.  A spectrum is then a sum of integer rows over
 the classes of S: lambda is an integer iff the reduced row is an integer k
 with d | k.  `CycloInt` arithmetic only builds the table and the map.  The
-float value, evaluated from the unreduced row, serves only to print the
-spectrum of a non-integral graph: the numerical oracle reads its own
-eigenvalues off the paper's projectors (`v8npst.oracle`).  The paper's
-closed-form eigenbasis is kept with the tests
+numerical oracle reads its own eigenvalues off the paper's projectors
+(`v8npst.oracle`).  The paper's closed-form eigenbasis is kept with the tests
 (tests/spectrum_reference.py), which check it against these eigenvalues
 and the dense adjacency matrix.
 
@@ -29,43 +27,24 @@ Integrality needs no sum at all.  The rational class of x is the union
 of the classes of x^k over every k coprime to 8n, and a normal Cayley
 graph is integral iff S is a union of rational classes (Godsil and Spiga,
 "Rationality conditions for the eigenvalues of normal finite Cayley
-graphs", 2014; `_SummedTable` gives the short Galois proof).  So
+graphs", 2014; `SpectrumTable` gives the short Galois proof).  So
 `eigenvalues` decides `all_integral` on the set's class bits and the per-n
-rational classes (`group.class_masks`), and sums nothing; `search` asks
-the same criterion first and builds no table for a set that fails it,
-with or without `--verify`; that is most sets (144 of 152 on
-`search --n 7 --max-classes 4`).  The rows of a set are summed once, on
-the first read of `values`, `integer_values` or the tuple.  An integral
-table's `integers`, the exact eigenvalue k / d of each representation,
-sums no rows: it is the sum of per-n integer vectors, one per rational
-class in S.  Each vector is that rational class's reduced rows, summed and
-divided by the degrees, and is checked exact once, when it is built: a
-rational class is itself a union of rational classes, so a reduced row
-that is not an integer its degree divides breaks the criterion and raises
-`IntegralityMismatch`.  The vectors are kept per class map, so a rebuilt
-map is checked again.  The
-decision reads only these, so deciding a graph evaluates no float and
-builds no tuple.  A table's `values`, the float eigenvalue per
-representation, is one array pass over the nonzero coefficients of the
-summed numerator rows: each product of a coefficient with Re zeta^e is
-the same IEEE product as a scalar one, and `math.fsum` of a row's
-products is their correctly rounded sum (+0.0 for a row with none),
-which zero terms would not change.  A table's `integer_values` is, per
-representation, the exact eigenvalue when it is an integer and None
-otherwise, read off the reduced rows on each read; it serves the reports
-of non-integral spectra.  No command builds the `Eigenvalue` tuple: a
-report prints an integral spectrum from `integers` and any other from
-`values` and `integer_values`, and the oracle reads no table.  The tuple,
-built from the same two on the first read of `eigenvalues`, serves the
-tests and callers that want one record per eigenvalue.  No eigenvalue is
-kept past its table.
+rational classes (`group.class_masks`); `search` asks the same criterion
+first and builds no table for a set that fails it, most sets (144 of 152
+on `search --n 7 --max-classes 4`).  An integral table's `integers`, the
+exact eigenvalue k / d of each representation, is the sum of per-n integer
+vectors, one per rational class in S, each checked exact once, when it is
+built (`_rational_integers`).  The decision reads only these, so deciding
+a graph sums no rows and evaluates no float.  A set's rows are summed
+only for `values` and `integer_values`, which print the spectrum of a
+non-integral graph.  No eigenvalue is kept past its table.
 """
 
 from __future__ import annotations
 
 import math
 from functools import cached_property
-from typing import Callable, NamedTuple, Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -81,69 +60,19 @@ class NonRealEigenvalue(ArithmeticError):
     over an inverse-closed S would not all be real."""
 
 
+class CharacterTableError(RuntimeError):
+    """The character table fails one of its exact checks other than
+    realness: theta_1 = 1, chi(1) = d, or column orthogonality."""
+
+
 class IntegralityMismatch(ArithmeticError):
     """A union of rational classes has a non-integral eigenvalue, which the
     rationality criterion rules out: the class map is wrong."""
 
 
-class Eigenvalue(NamedTuple):
-    label: str
-    kind: str  # alpha | beta | gamma
-    index: int
-    multiplicity: int
-    value: float
-    is_integer: bool
-    integer_value: Optional[int]
-
-
 def _read_only(array: np.ndarray) -> np.ndarray:
     array.flags.writeable = False
     return array
-
-
-class SpectrumTable:
-    """The eigenvalues of Cay(V_8n, S), one per representation.
-
-    `all_integral` is fixed when the table is made.  `eigenvalues` is given
-    as a function of no arguments that returns the tuple; it runs on the
-    first read of `eigenvalues`, and only then.  `integers` is read from
-    the tuple here; the summed tables of `eigenvalues()` compute it without.
-    """
-
-    def __init__(
-        self,
-        connection: ConnectionSet,
-        eigenvalues: Callable[[], tuple[Eigenvalue, ...]],
-        all_integral: bool,
-    ) -> None:
-        self.connection = connection
-        self.all_integral = all_integral
-        self._eigenvalues = eigenvalues
-
-    @cached_property
-    def eigenvalues(self) -> tuple[Eigenvalue, ...]:
-        return self._eigenvalues()
-
-    @cached_property
-    def integers(self) -> tuple[int, ...]:
-        """The exact eigenvalue of each representation, alpha_1 first, on an
-        integral table; a table that is not integral has none."""
-        if not self.all_integral:
-            raise ValueError("only an integral spectrum has integer eigenvalues")
-        return tuple([ev.integer_value for ev in self.eigenvalues])
-
-    @property
-    def params(self) -> GroupParams:
-        return self.connection.params
-
-    def by_label(self, label: str) -> Eigenvalue:
-        for ev in self.eigenvalues:
-            if ev.label == label:
-                return ev
-        raise KeyError(label)
-
-    def alpha(self, i: int) -> Eigenvalue:
-        return self.by_label(f"alpha_{i}")
 
 
 class _ClassMap(NamedTuple):
@@ -211,16 +140,16 @@ def _build_class_map(params: GroupParams, table) -> _ClassMap:
     if not is_integer(unreduced[:, inverse] - conj, 0):
         raise NonRealEigenvalue("chi(c^-1) != conj chi(c) for some c: eigenvalues not real")
     if not is_integer(unreduced[0], sizes):
-        raise RuntimeError("theta_1 is not 1 on every class: alpha_1 must equal |S|")
+        raise CharacterTableError("theta_1 is not 1 on every class: alpha_1 must equal |S|")
     if not is_integer(unreduced[:, 0], [d.degree for d in descs]):  # class 0 is {1}
-        raise RuntimeError("the identity column of the character table is not the degrees")
+        raise CharacterTableError("the identity column of the character table is not the degrees")
     # sum_rho |c| chi_rho(c) conj(|d| chi_rho(d)) = delta_cd 8n |c|, one class c at
     # a time: coefficient k sums conj[rho, d, i] * unreduced[rho, c, k - i]
     shift = (np.arange(m)[None, :] - np.arange(m)[:, None]) % m
     for c, size in enumerate(sizes):
         gram = np.tensordot(conj, unreduced[:, c][:, shift], ([0, 2], [0, 1]))
         if not is_integer(gram, params.order * size * (np.arange(len(sizes)) == c)):
-            raise RuntimeError(f"column orthogonality fails at class {classes[c].tag}")
+            raise CharacterTableError(f"column orthogonality fails at class {classes[c].tag}")
     stacked = np.concatenate([unreduced, unreduced @ reduce], axis=2)
     return _ClassMap(
         table=table,
@@ -242,13 +171,11 @@ def _rational_integers(
 ) -> tuple[tuple[int, tuple[int, ...]], ...]:
     """(class bits, exact eigenvalues) of each rational class on its own.
 
-    A rational class is a union of rational classes, so its reduced rows,
-    summed, are integers that the degrees divide; the quotients are its
-    eigenvalues, one per representation, and the eigenvalues of a union of
-    rational classes are the sums of theirs.  Each vector is checked once,
-    as it is built, and a row that is not such an integer raises
-    `IntegralityMismatch`.  Kept per `class_map`, as `_class_map` is kept
-    per character table, so a rebuilt map is built and checked again.
+    A rational class is a union of rational classes, so its summed reduced
+    rows are integers that the degrees divide, or the map is wrong and
+    `IntegralityMismatch` is raised; the quotients are its eigenvalues, and
+    a union's are the sums of theirs.  Kept per `class_map`, so a rebuilt
+    map is checked again.
     """
     cached = _rational_vectors.get(params)
     if cached is None or cached[0] is not class_map:
@@ -279,8 +206,9 @@ def rep_labels(params: GroupParams) -> tuple[str, ...]:
     return tuple(label for label, *_ in representations(params))
 
 
-class _SummedTable(SpectrumTable):
-    """The table of one set, from its summed class-map rows (reps, m + phi(m)).
+class SpectrumTable:
+    """The eigenvalues of Cay(V_8n, S), one per representation, from the
+    summed class-map rows of S (reps, m + phi(m)).
 
     `all_integral` is given: it is whether S is a union of rational classes
     (`group.ClassMasks.rational`).  That holds iff every eigenvalue is an
@@ -294,25 +222,26 @@ class _SummedTable(SpectrumTable):
     under x -> x^k have the same inner product with every character, so
     they are equal: S is closed under the k-th powers.
 
-    `_sums`, the summed rows, is built on first read, by `values`,
-    `integer_values` or `eigenvalues`, so a set that is read only for
-    `all_integral` or `integers` sums none.  `values` is the read-only
-    float vector of the eigenvalues, in the order of `rep_labels`: one array
-    pass over the numerator rows.  `integer_values` divides each reduced
-    row's integer by its degree where the row is an integer that the degree
-    divides, and is None elsewhere; it is a plain property, recomputed on
-    each read, since its one reader per table reads it once.  `integers`,
-    on an integral table, is the sum of the per-n integer vectors of the
-    rational classes in S (`_rational_integers`), each checked exact when
-    built.  The tuple is built from `values` and `integer_values`.
-    `values`, `integers` and the tuple are each built on their first read;
-    the tuple comes from the property below, not from a function.
+    `integers`, on an integral table, sums the per-n vectors of the
+    rational classes in S (`_rational_integers`) and reads no rows.
+    `values` and `integer_values` read `_sums`, the summed rows, built on
+    the first read of either.  `values` is the read-only float vector of
+    the eigenvalues, in the order of `rep_labels`: one array pass over the
+    nonzero coefficients of the numerator rows, each product the IEEE
+    product a scalar loop would make, and each row's products summed by
+    `math.fsum`, correctly rounded (+0.0 for a row with none).
+    `integer_values` is k / d where a reduced row is an integer k that the
+    degree d divides, and None elsewhere, recomputed on each read.
     """
 
     def __init__(self, connection: ConnectionSet, class_map: _ClassMap, all_integral: bool) -> None:
         self.connection = connection
         self.all_integral = all_integral
         self._class_map = class_map
+
+    @property
+    def params(self) -> GroupParams:
+        return self.connection.params
 
     @cached_property
     def _sums(self) -> np.ndarray:
@@ -344,19 +273,8 @@ class _SummedTable(SpectrumTable):
         numerators = [math.fsum(products[start:end]) for start, end in zip([0, *ends], ends)]
         return _read_only(np.array(numerators) / self._class_map.degrees)
 
-    @cached_property
-    def eigenvalues(self) -> tuple[Eigenvalue, ...]:
-        return tuple(
-            [
-                Eigenvalue(*rep, value, k is not None, k)
-                for rep, value, k in zip(
-                    self._class_map.reps, self.values.tolist(), self.integer_values
-                )
-            ]
-        )
 
-
-def eigenvalues(connection: ConnectionSet) -> _SummedTable:
+def eigenvalues(connection: ConnectionSet) -> SpectrumTable:
     """Per-representation eigenvalues of Cay(V_8n, S), exact and numeric.
 
     Each value is real: the table check gives chi(c^-1) = conj chi(c), and S
@@ -366,9 +284,9 @@ def eigenvalues(connection: ConnectionSet) -> _SummedTable:
     `all_integral` is decided here on the set's class bits alone: S is a
     union of rational classes.  `integers` sums the per-n vectors of those
     rational classes.  The rows of the classes of S are summed on the first
-    read of `values`, `integer_values` or the `Eigenvalue` tuple, once, so
-    a caller that reads only `all_integral` or `integers` sums none.
+    read of `values` or `integer_values`, once, so a caller that reads only
+    `all_integral` or `integers` sums none.
     """
     params = connection.params
     all_integral = class_masks(params).is_rational_union(connection.bits)
-    return _SummedTable(connection, _class_map(params), all_integral)
+    return SpectrumTable(connection, _class_map(params), all_integral)

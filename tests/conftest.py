@@ -8,10 +8,14 @@ import numpy as np
 import pytest
 
 from v8npst.group import (
+    IDENTITY,
     GroupElement,
     GroupParams,
+    all_elements,
     conjugacy_classes,
+    element,
     enumerate_connection_sets,
+    validate_connection_set,
 )
 
 
@@ -61,9 +65,19 @@ def valid_sets(n: int):
     return tuple(enumerate_connection_sets(params, budget))
 
 
-def eigh_data(A: np.ndarray):
-    lam, V = np.linalg.eigh(A)
-    return lam, V
+@lru_cache(maxsize=None)
+def full_set(n: int):
+    """Every element but the identity: the complete graph K_8n."""
+    p = GroupParams(n)
+    return validate_connection_set(p, [x for x in all_elements(p) if x != IDENTITY])
+
+
+@lru_cache(maxsize=None)
+def cp_set(n: int):
+    """Everything except the central involution b^2: the cocktail-party graph."""
+    p = GroupParams(n)
+    skip = {IDENTITY, element(p, 0, 2)}
+    return validate_connection_set(p, [x for x in all_elements(p) if x not in skip])
 
 
 def eigh_entry_amplitude(lam, V, u: int, v: int, tau: float) -> float:

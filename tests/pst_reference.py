@@ -1,60 +1,73 @@
 """References for the transfer decision in `v8npst.pst`.
 
-Two independent pieces:
+Three independent pieces:
 
 - The per-pair decision as it was before `pst` decided each graph once:
   every vertex pair is walked through the region no-gos, the displacement
   test, integrality and the valuation pattern on its own.  Tests compare
   the per-graph decision against it.  It reads the valuation patterns
-  (`_odd_valuation_pattern`, `classify_graph_type`) and `gap_gcd` through
-  the `pst` module.  Those patterns and the decision both read
-  `pst._least_gaps_are`, so a test that patches it patches both sides.
+  (`_least_gaps_are` with `ODD_PATTERN`, `classify_graph_type`) and
+  `gap_gcd` through the `pst` module.  The decision reads
+  `pst._least_gaps_are` too, so a test that patches it patches both sides.
 - The valuation patterns as they were before `pst` stated each one as a
-  named set of least gaps: per-kind valuation dicts, a baseline gap, and
-  lists of groups that must equal it or exceed it
+  named set of least gaps: per-kind valuation dicts of `nu2`, a baseline
+  gap, and lists of groups that must equal it or exceed it
   (`reference_odd_pattern`, `reference_graph_type`).  Tests compare the
   pattern flags against these.
+- `PlantedTable`, a spectrum planted as one value per representation,
+  holding only what the decision and `gap_gcd` read.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Optional
+from typing import Optional, Sequence
 
 from v8npst import pst
-from v8npst.group import region
+from v8npst.group import GroupParams, region
 from v8npst.pst import (
-    INF,
     PstVerdict,
     SameVertex,
     TypeClassification,
     WrongParity,
     gap_gcd,
-    nu2,
 )
-from v8npst.spectrum import SpectrumTable
+from v8npst.spectrum import SpectrumTable, representations
+
+INF = float("inf")
+
+
+def nu2(x: int):
+    """2-adic valuation; nu2(0) = +infinity."""
+    if x == 0:
+        return INF
+    x = abs(x)
+    return (x & -x).bit_length() - 1
+
+
+class PlantedTable:
+    """`params`, `all_integral` and `integers` of a planted spectrum: one
+    value per representation, in table order, None where it is not an
+    integer.  Like a `SpectrumTable`, it has `integers` only if integral."""
+
+    def __init__(self, params: GroupParams, values: Sequence[Optional[int]]) -> None:
+        self.params, self.all_integral, self._values = params, None not in values, tuple(values)
+
+    @property
+    def integers(self) -> tuple[int, ...]:
+        if not self.all_integral:
+            raise ValueError("only an integral spectrum has integer eigenvalues")
+        return self._values
 
 
 class _GapValuations:
-    """Valuations nu2(alpha_1 - lambda) of every labelled gap."""
+    """Valuations nu2(alpha_1 - lambda) of every gap, per kind by index."""
 
     def __init__(self, table: SpectrumTable) -> None:
-        alpha1 = table.alpha(1).integer_value
-        self.alpha = {
-            ev.index: nu2(alpha1 - ev.integer_value)
-            for ev in table.eigenvalues
-            if ev.kind == "alpha"
-        }
-        self.beta = {
-            ev.index: nu2(alpha1 - ev.integer_value)
-            for ev in table.eigenvalues
-            if ev.kind == "beta"
-        }
-        self.gamma = {
-            ev.index: nu2(alpha1 - ev.integer_value)
-            for ev in table.eigenvalues
-            if ev.kind == "gamma"
-        }
+        self.alpha, self.beta, self.gamma = {}, {}, {}
+        alpha1 = table.integers[0]
+        for (_, kind, index, _), k in zip(representations(table.params), table.integers):
+            getattr(self, kind)[index] = nu2(alpha1 - k)
 
 
 def reference_odd_pattern(table: SpectrumTable) -> bool:
@@ -150,7 +163,7 @@ def classify_pair_odd(table: SpectrumTable, u: int, v: int) -> PstVerdict:
         return _verdict(u, v, "no-pst:displacement")
     if not table.all_integral:
         return _verdict(u, v, "no-pst:non-integral")
-    if not pst._odd_valuation_pattern(table):
+    if not pst._least_gaps_are(table, pst.ODD_PATTERN)[1][0]:
         return _verdict(u, v, "no-pst:valuation")
     return _verdict(u, v, "pst:odd-antipodal", table)
 

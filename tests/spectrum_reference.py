@@ -7,8 +7,8 @@ Two independent pieces:
   one addition and scalar product per class per representation, and
   reduced mod Phi_4n on its own.  The character table and the classes are
   read through the `spectrum` module, so a test that patches them patches
-  both sides.  Tests compare the class map against it, floats included,
-  bit for bit.
+  both sides.  Tests compare its `Row`s with the `rows` of a
+  `spectrum.SpectrumTable`, floats included, bit for bit.
 - `eigenvectors` is the paper's printed orthonormal eigenbasis of C^{8n},
   one labelled column per eigenvalue and multiplicity.  It does not depend
   on S; tests check that it diagonalises the dense adjacency matrix of
@@ -19,6 +19,7 @@ Two independent pieces:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -26,14 +27,35 @@ from v8npst import spectrum
 from v8npst.characters import rep_descriptors
 from v8npst.cyclotomic import CycloInt
 from v8npst.group import ConnectionSet
-from v8npst.spectrum import Eigenvalue, NonRealEigenvalue, SpectrumTable
+from v8npst.spectrum import NonRealEigenvalue, SpectrumTable
 
 from cyclotomic_reference import as_integer, is_real
 
 _KIND_BY_REP = {"theta": "alpha", "psi": "beta", "phi": "gamma"}
 
 
-def eigenvalues(connection: ConnectionSet) -> SpectrumTable:
+class Row(NamedTuple):  # one representation's eigenvalue
+    label: str
+    kind: str  # alpha | beta | gamma
+    index: int
+    multiplicity: int
+    value: float
+    is_integer: bool
+    integer_value: Optional[int]
+
+
+def rows(table: SpectrumTable) -> tuple[Row, ...]:
+    """The rows of a table, alpha_1 first, from `spectrum.representations`,
+    `values` and `integer_values`."""
+    return tuple(
+        Row(*rep, value, k is not None, k)
+        for rep, value, k in zip(
+            spectrum.representations(table.params), table.values.tolist(), table.integer_values
+        )
+    )
+
+
+def eigenvalues(connection: ConnectionSet) -> tuple[Row, ...]:
     """Per-representation eigenvalues of Cay(V_8n, S), exact and numeric."""
     params = connection.params
     classes = spectrum.conjugacy_classes(params)
@@ -49,22 +71,10 @@ def eigenvalues(connection: ConnectionSet) -> SpectrumTable:
             raise NonRealEigenvalue(f"eigenvalue for {desc} is not real: {num.c}")
         k = as_integer(num)
         is_int = k is not None and k % den == 0
-        entries.append(
-            Eigenvalue(
-                label=f"{_KIND_BY_REP[desc.kind]}_{desc.index}",
-                kind=_KIND_BY_REP[desc.kind],
-                index=desc.index,
-                multiplicity=desc.degree ** 2,
-                value=num.value().real / den,
-                is_integer=is_int,
-                integer_value=k // den if is_int else None,
-            )
-        )
-    return SpectrumTable(
-        connection=connection,
-        eigenvalues=lambda: tuple(entries),
-        all_integral=all(e.is_integer for e in entries),
-    )
+        kind, integer = _KIND_BY_REP[desc.kind], (k // den if is_int else None)
+        value = num.value().real / den
+        entries.append(Row(f"{kind}_{desc.index}", kind, desc.index, den**2, value, is_int, integer))
+    return tuple(entries)
 
 
 @dataclass(frozen=True)

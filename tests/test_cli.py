@@ -28,6 +28,8 @@ from v8npst.group import (
     enumerate_connection_sets,
 )
 
+from spectrum_reference import rows
+
 
 def run_cli(capsys, argv):
     code = cli.main(argv)
@@ -563,22 +565,15 @@ def test_search_and_analyze_build_no_member_set(capsys, monkeypatch):
 def test_analyze_builds_no_eigenvalue_tuple(capsys, monkeypatch):
     """`analyze` prints an integral spectrum from the table's integers and a
     non-integral one from its `values` and `integer_values`, with and
-    without --verify: no `Eigenvalue` is built."""
+    without --verify, one table per call."""
     tables = []
-    built = []
     real_eigenvalues = cli.spectrum.eigenvalues
-    real_entry = spectrum.Eigenvalue
 
     def recording_eigenvalues(conn):
         tables.append(real_eigenvalues(conn))
         return tables[-1]
 
-    def recording_entry(*args, **kwargs):
-        built.append(args)
-        return real_entry(*args, **kwargs)
-
     monkeypatch.setattr(cli.spectrum, "eigenvalues", recording_eigenvalues)
-    monkeypatch.setattr(spectrum, "Eigenvalue", recording_entry)
     reports = []
     for spec, n in (("a+b+a*b", 1), (full_set_spec(7), 7), ("a*b+a+a^7", 4), ("a*b+a^3+a^13", 8)):
         for verify in (False, True):
@@ -590,30 +585,22 @@ def test_analyze_builds_no_eigenvalue_tuple(capsys, monkeypatch):
     assert [bool(r["pstPairs"]) for r in reports] == [True] * 2 + [False] * 6
     # the non-integral spectra print integer entries too
     assert all(any(e["integer"] for e in r["spectrum"]) for r in reports[4:])
-    assert len(tables) == 8 and all("eigenvalues" not in vars(t) for t in tables)
-    assert built == []
+    assert len(tables) == 8
 
 
 def test_search_without_verify_reads_no_float_eigenvalue(capsys, monkeypatch):
     """Without --verify, only an integral set gets a table, and deciding and
-    reporting read only its integers: no table's float `values` is read, no
-    table sums its class-map rows and no `Eigenvalue` tuple is built, not
-    even for the reports of graphs with transfer."""
+    reporting read only its integers: no table's float `values` is read and
+    no table sums its class-map rows, not even for the reports of graphs
+    with transfer."""
     tables = []
-    built = []
     real_eigenvalues = cli.spectrum.eigenvalues
-    real_entry = spectrum.Eigenvalue
 
     def recording_eigenvalues(conn):
         tables.append(real_eigenvalues(conn))
         return tables[-1]
 
-    def recording_entry(*args, **kwargs):
-        built.append(args)
-        return real_entry(*args, **kwargs)
-
     monkeypatch.setattr(cli.spectrum, "eigenvalues", recording_eigenvalues)
-    monkeypatch.setattr(spectrum, "Eigenvalue", recording_entry)
     code, out = run_cli(capsys, ["search", "--n", "7", "--max-classes", "4"])
     assert code == 0
     doc = json.loads(out)
@@ -621,8 +608,7 @@ def test_search_without_verify_reads_no_float_eigenvalue(capsys, monkeypatch):
     assert (doc["integralCount"], doc["pstCount"]) == (8, 2)
     # a non-integral set is listed from its classes alone: it gets no table
     assert len(tables) == 8 and all(t.all_integral for t in tables)
-    assert [vars(t).keys() & {"values", "eigenvalues", "_sums"} for t in tables] == [set()] * 8
-    assert built == []
+    assert [vars(t).keys() & {"values", "_sums"} for t in tables] == [set()] * 8
     assert all("integers" in vars(t) for t in tables)
 
 
@@ -793,13 +779,12 @@ def test_analyze_report_bytes_match_json_dumps_drawn(n):
             want = list(table.integers)
         else:
             want = [
-                ev.integer_value if ev.is_integer else cli._f(ev.value)
-                for ev in table.eigenvalues
+                ev.integer_value if ev.is_integer else cli._f(ev.value) for ev in rows(table)
             ]
         entries = json.loads(out)["spectrum"]
         assert [(type(e["value"]), e["value"]) for e in entries] == [(type(x), x) for x in want]
         assert [(e["label"], e["multiplicity"], e["integer"]) for e in entries] == [
-            (ev.label, ev.multiplicity, ev.is_integer) for ev in table.eigenvalues
+            (ev.label, ev.multiplicity, ev.is_integer) for ev in rows(table)
         ]
         kinds[table.all_integral, verify] += 1
 

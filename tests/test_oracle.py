@@ -14,10 +14,8 @@ from v8npst.group import (
     GroupParams,
     all_elements,
     conjugacy_classes,
-    element,
     enumerate_connection_sets,
     multiply,
-    validate_connection_set,
 )
 from v8npst.oracle import (
     grid_amplitude_maxima,
@@ -29,23 +27,12 @@ from v8npst.oracle import (
     transition,
 )
 from v8npst.pst import all_pst_pairs, gap_gcd
-from v8npst.spectrum import eigenvalues
+from v8npst.spectrum import eigenvalues, rep_labels
 
 import oracle_reference
-from conftest import valid_sets
+from conftest import cp_set, full_set, valid_sets
 from oracle_reference import adjacency, expm_taylor, transition_expm
 from spectrum_reference import eigenvectors
-
-
-def full_set(n):
-    p = GroupParams(n)
-    return validate_connection_set(p, [x for x in all_elements(p) if x != IDENTITY])
-
-
-def cp_set(n):
-    p = GroupParams(n)
-    skip = {IDENTITY, element(p, 0, 2)}
-    return validate_connection_set(p, [x for x in all_elements(p) if x not in skip])
 
 
 def test_adjacency_k8():
@@ -142,7 +129,7 @@ def test_adjacency_reconstruction(n):
     for conn in valid_sets(n):
         table = eigenvalues(conn)
         sums = rep_projectors(conn)
-        A = sum(ev.value * sums[ev.label] for ev in table.eigenvalues)
+        A = sum(value * sums[label] for label, value in zip(rep_labels(conn.params), table.values))
         assert np.max(np.abs(A - adjacency(conn))) < 1e-8
 
 

@@ -9,9 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from v8npst.group import (
-    IDENTITY,
     GroupParams,
-    all_elements,
     class_masks,
     conjugacy_classes,
     element,
@@ -20,7 +18,6 @@ from v8npst.group import (
 )
 from v8npst import pst
 from v8npst.pst import (
-    INF,
     DegenerateSpectrum,
     NotIntegral,
     SameVertex,
@@ -30,26 +27,13 @@ from v8npst.pst import (
     classify_graph_type,
     classify_pair,
     gap_gcd,
-    nu2,
 )
-from v8npst.spectrum import Eigenvalue, SpectrumTable, eigenvalues
+from v8npst.spectrum import eigenvalues, representations
 from v8npst.oracle import pair_amplitudes
 
-from conftest import valid_sets
+from conftest import cp_set, full_set, valid_sets
 import pst_reference
-
-
-@lru_cache(maxsize=None)
-def full_set(n):
-    p = GroupParams(n)
-    return validate_connection_set(p, [x for x in all_elements(p) if x != IDENTITY])
-
-
-def cp_set(n):
-    """Everything except the central involution b^2: the cocktail-party graph."""
-    p = GroupParams(n)
-    skip = {IDENTITY, element(p, 0, 2)}
-    return validate_connection_set(p, [x for x in all_elements(p) if x not in skip])
+from pst_reference import INF, PlantedTable, nu2
 
 
 # -- nu2 --------------------------------------------------------------------
@@ -84,30 +68,8 @@ def test_nu2_sum_rule_random(rng):
 
 # -- gap gcd ----------------------------------------------------------------
 
-def _table_with_values(base, values):
-    evs = []
-    for ev, v in zip(base.eigenvalues, values):
-        evs.append(
-            Eigenvalue(
-                label=ev.label,
-                kind=ev.kind,
-                index=ev.index,
-                multiplicity=ev.multiplicity,
-                value=float(v) if v is not None else 2.5,
-                is_integer=v is not None,
-                integer_value=v,
-            )
-        )
-    return SpectrumTable(
-        connection=base.connection,
-        eigenvalues=lambda: tuple(evs),
-        all_integral=all(v is not None for v in values),
-    )
-
-
 def test_gap_gcd_simple_arithmetic():
-    base = eigenvalues(full_set(1))
-    synthetic = _table_with_values(base, [12, 8, 4, 0, 8])  # gaps {4, 8, 12}
+    synthetic = PlantedTable(GroupParams(1), [12, 8, 4, 0, 8])  # gaps {4, 8, 12}
     assert gap_gcd(synthetic) == 4
 
 
@@ -116,15 +78,13 @@ def test_gap_gcd_k8():
 
 
 def test_gap_gcd_requires_integrality():
-    base = eigenvalues(full_set(1))
-    synthetic = _table_with_values(base, [7, -1, None, -1, -1])
+    synthetic = PlantedTable(GroupParams(1), [7, -1, None, -1, -1])
     with pytest.raises(NotIntegral):
         gap_gcd(synthetic)
 
 
 def test_gap_gcd_degenerate():
-    base = eigenvalues(full_set(1))
-    synthetic = _table_with_values(base, [3, 3, 3, 3, 3])
+    synthetic = PlantedTable(GroupParams(1), [3, 3, 3, 3, 3])
     with pytest.raises(DegenerateSpectrum):
         gap_gcd(synthetic)
 
@@ -149,9 +109,9 @@ def test_gcd_divides_every_gap():
     for conn in valid_sets(2):
         table = eigenvalues(conn)
         M = gap_gcd(table)
-        a1 = table.alpha(1).integer_value
-        for ev in table.eigenvalues[1:]:
-            assert (a1 - ev.integer_value) % M == 0
+        a1, *rest = table.integers
+        for k in rest:
+            assert (a1 - k) % M == 0
 
 
 # -- pair classification, odd n ---------------------------------------------
@@ -227,53 +187,47 @@ def test_odd_verdicts_match_oracle(n):
 # -- graph types and even n --------------------------------------------------
 
 def test_types_all_false_when_not_integral():
-    base = eigenvalues(full_set(2))
-    values = [ev.integer_value for ev in base.eigenvalues]
+    values = list(eigenvalues(full_set(2)).integers)
     values[3] = None
-    synthetic = _table_with_values(base, values)
+    synthetic = PlantedTable(GroupParams(2), values)
     assert classify_graph_type(synthetic) == (False, False, False)
 
 
 def test_odd_pattern_false_when_not_integral():
-    base = eigenvalues(full_set(3))
-    values = [ev.integer_value for ev in base.eigenvalues]
+    values = list(eigenvalues(full_set(3)).integers)
     values[5] = None
-    synthetic = _table_with_values(base, values)
-    assert pst._odd_valuation_pattern(synthetic) is False
+    synthetic = PlantedTable(GroupParams(3), values)
     assert pst.decide_graph(synthetic).antipodal == pst.NON_INTEGRAL
 
 
 def test_type1_synthetic_pattern():
     # n=2: beta_1 and gamma_1 gaps have valuation 1, all alpha gaps higher
-    base = eigenvalues(full_set(2))
-    labels = [ev.label for ev in base.eigenvalues]
     values = []
-    for lab in labels:
+    for lab, *_ in representations(GroupParams(2)):
         if lab == "alpha_1":
             values.append(10)
         elif lab.startswith("alpha"):
             values.append(10 - 4)  # nu2 = 2
         else:
             values.append(10 - 2)  # beta_1, gamma_1: nu2 = 1
-    synthetic = _table_with_values(base, values)
+    synthetic = PlantedTable(GroupParams(2), values)
     types = classify_graph_type(synthetic)
     assert types == (True, False, False)
 
 
 def test_type1_requires_even_beta_gaps_strictly_greater():
     # n=4 with ALL beta gaps at the baseline fails Type 1 (beta_2 must exceed it)
-    base = eigenvalues(full_set(4))
     values = []
-    for ev in base.eigenvalues:
-        if ev.label == "alpha_1":
+    for label, kind, index, _ in representations(GroupParams(4)):
+        if label == "alpha_1":
             values.append(20)
-        elif ev.kind == "alpha":
+        elif kind == "alpha":
             values.append(20 - 8)
-        elif ev.kind == "beta":
+        elif kind == "beta":
             values.append(20 - 2)
         else:  # gamma: odd index baseline, even index higher
-            values.append(20 - 2 if ev.index % 2 == 1 else 20 - 8)
-    synthetic = _table_with_values(base, values)
+            values.append(20 - 2 if index % 2 == 1 else 20 - 8)
+    synthetic = PlantedTable(GroupParams(4), values)
     assert classify_graph_type(synthetic).type1 is False
 
 
@@ -371,13 +325,18 @@ def test_all_pst_pairs_match_reference_every_set(n):
         assert_matches_reference(table, ordered_pairs=False)
 
 
+def odd_antipodal(table) -> bool:
+    """The odd-n valuation pattern of an integral table, as the decision reads it."""
+    return pst.decide_graph(table).antipodal == "pst:odd-antipodal"
+
+
 def decision_inputs(table):
     """What the reference reads from a table besides the pair: integrality,
     the valuation pattern (odd n) or Type flags (even n), and M."""
     if not table.all_integral:
         return (False,)
     if table.params.is_odd:
-        shape = pst._odd_valuation_pattern(table)
+        shape = odd_antipodal(table)
     else:
         shape = classify_graph_type(table)
     return (True, shape, gap_gcd(table))
@@ -396,13 +355,13 @@ def test_classify_pair_matches_reference_every_ordered_pair(n):
 
 def reference_inputs(table):
     """`decision_inputs` from the reference patterns and a gcd of the gaps
-    read off the table's eigenvalue tuple."""
+    read off the table's summed rows (`integer_values`)."""
     if table.params.is_odd:
         shape = pst_reference.reference_odd_pattern(table)
     else:
         shape = pst_reference.reference_graph_type(table)
-    alpha1 = table.eigenvalues[0].integer_value
-    return (True, shape, math.gcd(*[alpha1 - ev.integer_value for ev in table.eigenvalues]))
+    alpha1, *rest = table.integer_values
+    return (True, shape, math.gcd(*[alpha1 - k for k in rest]))
 
 
 @lru_cache(maxsize=None)
@@ -458,13 +417,12 @@ TYPE_BASELINE_GROUPS = {
 
 
 def typed_table(n, type_name):
-    base = eigenvalues(full_set(n))
     groups = TYPE_BASELINE_GROUPS[type_name]
     values = [
-        20 if ev.label == "alpha_1" else 20 - (2 if (ev.kind, ev.index % 2) in groups else 4)
-        for ev in base.eigenvalues
+        20 if label == "alpha_1" else 20 - (2 if (kind, index % 2) in groups else 4)
+        for label, kind, index, _ in representations(GroupParams(n))
     ]
-    return _table_with_values(base, values)
+    return PlantedTable(GroupParams(n), values)
 
 
 # (n, type) -> clause of the one family it makes positive
@@ -511,9 +469,10 @@ def test_synthetic_all_types_matches_reference(n, monkeypatch):
 
 @pytest.mark.parametrize("n", [6, 8])
 def test_synthetic_negative_tables_match_reference(n):
-    base = eigenvalues(full_set(n))
-    no_type = _table_with_values(base, [20] + [16] * (len(base.eigenvalues) - 1))
-    non_integral = _table_with_values(base, [20] + [None] * (len(base.eigenvalues) - 1))
+    params = GroupParams(n)
+    size = len(representations(params))
+    no_type = PlantedTable(params, [20] + [16] * (size - 1))
+    non_integral = PlantedTable(params, [20] + [None] * (size - 1))
     for table in (no_type, non_integral):
         assert classify_graph_type(table) == (False, False, False)
         assert all_pst_pairs(table) == ()
@@ -532,14 +491,13 @@ ODD_GCD_CASES = {
 def test_least_gaps_come_from_the_low_bit_of_an_odd_multiple_gcd(n, pattern):
     # Gaps of +-6 on the pattern's groups, +-12 elsewhere: M = 6, and every
     # gap of 12 shares the bit 4 of M although it is not a least gap.
-    base = eigenvalues(full_set(n))
     groups = {("beta", 0), ("beta", 1)} if pattern == "odd" else TYPE_BASELINE_GROUPS[pattern]
     values = [
-        30 if ev.label == "alpha_1"
-        else 30 - (-1) ** i * (6 if (ev.kind, ev.index % 2) in groups else 12)
-        for i, ev in enumerate(base.eigenvalues)
+        30 if label == "alpha_1"
+        else 30 - (-1) ** i * (6 if (kind, index % 2) in groups else 12)
+        for i, (label, kind, index, _) in enumerate(representations(GroupParams(n)))
     ]
-    table = _table_with_values(base, values)
+    table = PlantedTable(GroupParams(n), values)
     verdicts = all_pst_pairs(table)
     assert len(verdicts) == 4 * n
     assert {(v.clause, v.M) for v in verdicts} == {(ODD_GCD_CASES[n, pattern], 6)}
@@ -557,7 +515,7 @@ def pattern_flags(table, odd_pattern, graph_type):
 
 
 def assert_patterns_match_reference(table):
-    got = pattern_flags(table, pst._odd_valuation_pattern, classify_graph_type)
+    got = pattern_flags(table, odd_antipodal, classify_graph_type)
     want = pattern_flags(
         table, pst_reference.reference_odd_pattern, pst_reference.reference_graph_type
     )
@@ -589,30 +547,30 @@ def valuation_spectra(draw, n):
     """An integral spectrum on the real labels of n: one set of groups holds
     its gaps at one valuation, every other gap is above it or zero, and now
     and then one value is moved by +-1."""
-    base = eigenvalues(full_set(n))
-    groups = sorted({(ev.kind, ev.index % 2) for ev in base.eigenvalues})
+    reps = representations(GroupParams(n))
+    groups = sorted({(kind, index % 2) for _, kind, index, _ in reps})
     least = draw(
         st.sampled_from(NAMED_LEAST_SETS[n % 2]) | st.frozensets(st.sampled_from(groups))
     )
     low = draw(st.integers(0, 3))
     alpha1 = draw(st.integers(-40, 40))
-    size = len(base.eigenvalues)
+    size = len(reps)
     # one draw per gap: an odd factor in -11..9 and a rise of 0, 1 or 2
     codes = draw(st.lists(st.integers(0, 32), min_size=size, max_size=size))
     values = []
-    for ev, code in zip(base.eigenvalues, codes):
+    for (label, kind, index, _), code in zip(reps, codes):
         half, rise = divmod(code, 3)
         odd = 2 * half - 11
-        if ev.label == "alpha_1":
+        if label == "alpha_1":
             gap = 0
-        elif (ev.kind, ev.index % 2) in least:
+        elif (kind, index % 2) in least:
             gap = odd << low
         else:  # zero, or one or two above the least valuation
             gap = rise and odd << (low + rise)
         values.append(alpha1 - gap)
     if draw(st.integers(0, 9)) == 0:
         values[draw(st.integers(0, size - 1))] += draw(st.sampled_from((-1, 1)))
-    return _table_with_values(base, values)
+    return PlantedTable(GroupParams(n), values)
 
 
 @pytest.mark.parametrize("n", range(1, 9))

@@ -1,5 +1,6 @@
 """Eigenvalues, eigenvectors and integrality decisions."""
 
+import json
 from collections import Counter
 
 import numpy as np
@@ -8,13 +9,12 @@ import pytest
 from v8npst import cli, spectrum
 from v8npst.cyclotomic import CycloInt, reduced_powers
 from v8npst.group import (
-    IDENTITY,
     ConnectionSet,
     GroupParams,
     NotGenerating,
-    all_elements,
     class_index_map,
     class_masks,
+    class_tags,
     conjugacy_classes,
     element,
     enumerate_connection_sets,
@@ -23,20 +23,15 @@ from v8npst.group import (
 from v8npst.spectrum import eigenvalues
 
 import spectrum_reference
-from conftest import valid_sets
+from conftest import full_set, valid_sets
 from oracle_reference import adjacency
-from spectrum_reference import eigenvectors
-
-
-def full_set(n):
-    p = GroupParams(n)
-    return validate_connection_set(p, [x for x in all_elements(p) if x != IDENTITY])
+from spectrum_reference import eigenvectors, rows
 
 
 def test_k8_spectrum():
     table = eigenvalues(full_set(1))
     multiset = sorted(
-        v for ev in table.eigenvalues for v in [ev.integer_value] * ev.multiplicity
+        v for ev in rows(table) for v in [ev.integer_value] * ev.multiplicity
     )
     assert multiset == [-1] * 7 + [7]
     assert table.all_integral
@@ -46,8 +41,8 @@ def test_k8_spectrum():
 def test_alpha1_is_degree(n):
     for conn in valid_sets(n):
         table = eigenvalues(conn)
-        assert table.alpha(1).integer_value == len(conn)
-        assert table.eigenvalues[0].label == "alpha_1"
+        first = rows(table)[0]
+        assert (first.label, first.integer_value) == ("alpha_1", len(conn))
         if table.all_integral:
             assert table.integers[0] == len(conn)
 
@@ -63,7 +58,7 @@ def test_disconnected_set_matches_dense_solver():
     conn = ConnectionSet(p, members, tuple(sorted({cmap[x] for x in members})))
     table = eigenvalues(conn)
     mine = sorted(
-        v for ev in table.eigenvalues for v in [ev.value] * ev.multiplicity
+        v for ev in rows(table) for v in [ev.value] * ev.multiplicity
     )
     dense = sorted(np.linalg.eigvalsh(adjacency(conn)))
     assert np.allclose(mine, dense, atol=1e-7)
@@ -76,7 +71,7 @@ def test_eigenvalue_multiset_matches_eigh(n):
         table = eigenvalues(conn)
         mine = np.sort(
             np.concatenate(
-                [[ev.value] * ev.multiplicity for ev in table.eigenvalues]
+                [[ev.value] * ev.multiplicity for ev in rows(table)]
             )
         )
         dense = np.sort(np.linalg.eigvalsh(adjacency(conn)))
@@ -104,7 +99,7 @@ def test_eigenbasis_diagonalises_every_set(n):
         table = eigenvalues(conn)
         E = eigenvectors(conn)
         V = E.matrix
-        by_label = {ev.label: ev.value for ev in table.eigenvalues}
+        by_label = {ev.label: ev.value for ev in rows(table)}
         lam = np.array([by_label[lab] for lab in E.labels])
         A = adjacency(conn)
         assert np.max(np.abs(V.conj().T @ V - np.eye(8 * n))) < 1e-10
@@ -116,7 +111,7 @@ def test_full_set_even_eigenvector_pairing():
     table = eigenvalues(conn)
     E = eigenvectors(conn)
     A = adjacency(conn)
-    beta1 = table.by_label("beta_1").value
+    beta1 = table.values[spectrum.rep_labels(GroupParams(2)).index("beta_1")]
     cols = [i for i, lab in enumerate(E.labels) if lab == "beta_1"]
     assert len(cols) == 4
     for c in cols:
@@ -130,15 +125,15 @@ def test_trace_and_second_moment(n):
     # map test below; no runtime check guards these identities per graph
     for conn in enumerate_connection_sets(GroupParams(n), 3 if n >= 6 else 99):
         table = eigenvalues(conn)
-        mults = [ev.multiplicity for ev in table.eigenvalues]
-        vals = [ev.value for ev in table.eigenvalues]
+        mults = [ev.multiplicity for ev in rows(table)]
+        vals = table.values.tolist()
         assert sum(mults) == 8 * n
         assert abs(sum(m * v for m, v in zip(mults, vals))) < 1e-7
         assert abs(
             sum(m * v * v for m, v in zip(mults, vals)) - 8 * n * len(conn)
         ) < 1e-6 * 8 * n * len(conn)
         if table.all_integral:
-            ints = [ev.integer_value for ev in table.eigenvalues]
+            ints = table.integers
             assert sum(m * k for m, k in zip(mults, ints)) == 0
             assert sum(m * k * k for m, k in zip(mults, ints)) == 8 * n * len(conn)
 
@@ -158,13 +153,11 @@ def test_class_map_matches_cyclotomic_reference(n, max_classes):
     for conn in enumerate_connection_sets(GroupParams(n), max_classes):
         want = spectrum_reference.eigenvalues(conn)
         got = eigenvalues(conn)
-        assert [x.hex() for x in got.values.tolist()] == [
-            ev.value.hex() for ev in want.eigenvalues
-        ]
-        assert repr(got.eigenvalues) == repr(want.eigenvalues)
-        assert got.all_integral == want.all_integral
-        if want.all_integral:
-            assert got.integers == want.integers
+        assert [x.hex() for x in got.values.tolist()] == [ev.value.hex() for ev in want]
+        assert repr(rows(got)) == repr(want)
+        assert got.all_integral == all(ev.is_integer for ev in want)
+        if got.all_integral:
+            assert got.integers == tuple(ev.integer_value for ev in want)
             assert all(type(k) is int for k in got.integers)
         else:
             with pytest.raises(ValueError):
@@ -195,20 +188,27 @@ def _patch_entry(monkeypatch, p, extra, row_index=1, tag="b^2"):
     return idx
 
 
-@pytest.mark.parametrize(
-    "row_index,tag,extra,match",
-    [
-        # the trivial character is 1 everywhere; 2 at {b^2} makes alpha_1 = |S| + 1
-        (0, "b^2", CycloInt.integer(8, 1), "alpha_1 must equal"),
-        # psi_1 (degree 2) at the identity: real and theta_1 intact, chi(1) = 3
-        (8, "1", CycloInt.integer(8, 1), "identity column"),
-        # real, theta_1 and chi(1) intact; far inside any float band
-        (1, "b^2", _near_zero_irrational(), "column orthogonality"),
-    ],
-    ids=["alpha_1", "degree", "orthogonality"],
-)
-def test_broken_spectral_identity_raises(monkeypatch, row_index, tag, extra, match):
+# Each adds one entry to the n = 2 character table, so that one check fails
+# and those before it pass: (row, class tag, added entry, message part, a
+# command line that reaches the check, S being every class but the identity's)
+TABLE_BREAKS = {
+    # + i at {b^2}: a numerator that is not real
+    "non-real": (1, "b^2", CycloInt.root(8, 2), "not real", "probe --n 2 --set S --u 0 --v 8"),
+    # the trivial character is 1 everywhere; 2 at {b^2} makes alpha_1 = |S| + 1
+    "alpha_1": (0, "b^2", CycloInt.integer(8, 1), "alpha_1 must equal", "search --n 2"),
+    # psi_1 (degree 2) at the identity: real and theta_1 intact, chi(1) = 3
+    "degree": (8, "1", CycloInt.integer(8, 1), "identity column", "analyze --n 2 --set S"),
+    # real, theta_1 and chi(1) intact; far inside any float band
+    "orthogonality": (
+        1, "b^2", _near_zero_irrational(), "column orthogonality", "analyze --n 2 --set S --verify"
+    ),
+}
+
+
+@pytest.mark.parametrize("name", ["alpha_1", "degree", "orthogonality"])
+def test_broken_spectral_identity_raises(monkeypatch, name):
     """Each table check rejects a table that passes the checks before it."""
+    row_index, tag, extra, match, _ = TABLE_BREAKS[name]
     _patch_entry(monkeypatch, GroupParams(2), extra, row_index, tag)
     with pytest.raises(RuntimeError, match=match):
         eigenvalues(full_set(2))
@@ -236,17 +236,51 @@ def test_near_integer_irrational_is_not_integral(monkeypatch):
     stacked[b2, 1] += np.concatenate([eps.c, np.array(eps.c) @ np.array(reduced_powers(8))])
     monkeypatch.setattr(spectrum, "_class_map", lambda params: cmap._replace(stacked=stacked))
     table = eigenvalues(conn)
-    ev = table.eigenvalues[1]
-    assert abs(ev.value - plain.eigenvalues[1].value) < 1e-8
-    assert (ev.is_integer, ev.integer_value) == (False, None)
+    assert abs(table.values[1] - plain.values[1]) < 1e-8
+    assert table.integer_values[1] is None
     # S is a union of rational classes, so the criterion calls it integral;
     # the exact check of the vector of b^2's rational class, made when the
     # vectors of the corrupted map are built, catches it
     assert table.all_integral
     with pytest.raises(spectrum.IntegralityMismatch):
         table.integers
-    with pytest.raises(spectrum.IntegralityMismatch):
-        cli.main(["analyze", "--n", "2", "--set", "+".join(conn.class_tags)])
+    # `cli.main` prints it as an error document and exits 6
+    assert cli.main(["analyze", "--n", "2", "--set", "+".join(conn.class_tags)]) == 6
+
+
+def assert_internal_error(capsys, argv, code, match):
+    """`argv` prints exactly one error document, of `code`, and exits 6."""
+    exit_code = cli.main(argv)
+    out = capsys.readouterr().out
+    doc = json.loads(out)  # a second document or a partial report fails to parse
+    assert out == json.dumps(doc, indent=2) + "\n"
+    assert list(doc) == ["error"] and doc["error"]["code"] == code
+    assert match in doc["error"]["message"]
+    assert exit_code == cli.EXIT_INTERNAL == 6
+
+
+@pytest.mark.parametrize("name", TABLE_BREAKS)
+def test_broken_table_prints_an_internal_error(capsys, monkeypatch, name):
+    """Each raise of the table check, reached from the command line."""
+    row_index, tag, extra, match, command = TABLE_BREAKS[name]
+    _patch_entry(monkeypatch, GroupParams(2), extra, row_index, tag)
+    spec = "+".join(full_set(2).class_tags)
+    argv = [spec if word == "S" else word for word in command.split()]
+    code = "NonRealEigenvalue" if name == "non-real" else "CharacterTableError"
+    assert_internal_error(capsys, argv, code, match)
+
+
+def test_broken_rational_class_vector_prints_an_internal_error(capsys, monkeypatch):
+    """The raise of `_rational_integers`, reached from `search --verify`: + zeta
+    in alpha_1's reduced row of b^2 makes its rational class non-integral."""
+    params = GroupParams(2)
+    cmap = spectrum._class_map(params)
+    stacked = cmap.stacked.copy()
+    stacked[class_tags(params).index("b^2"), 0, 4 * params.n + 1] += 1
+    monkeypatch.setitem(spectrum._class_maps, params, cmap._replace(stacked=stacked))
+    monkeypatch.delitem(spectrum._rational_vectors, params, raising=False)
+    argv = ["search", "--n", "2", "--verify"]
+    assert_internal_error(capsys, argv, "IntegralityMismatch", "rationality criterion")
 
 
 def test_non_real_numerator_raises(monkeypatch):
@@ -259,8 +293,8 @@ def test_non_real_numerator_raises(monkeypatch):
 @pytest.mark.parametrize("n,expected", [(1, (0,)), (3, (0, 1, 2)), (2, (1,)), (4, (1, 2, 3))])
 def test_beta_index_ranges(n, expected):
     table = eigenvalues(valid_sets(n)[0])
-    beta = tuple(ev.index for ev in table.eigenvalues if ev.kind == "beta")
-    gamma = tuple(ev.index for ev in table.eigenvalues if ev.kind == "gamma")
+    beta = tuple(ev.index for ev in rows(table) if ev.kind == "beta")
+    gamma = tuple(ev.index for ev in rows(table) if ev.kind == "gamma")
     assert beta == expected
     assert gamma == tuple(range(1, n))
 
@@ -269,7 +303,7 @@ def test_nonintegral_example_exists_at_n4():
     tables = [eigenvalues(c) for c in valid_sets(4)]
     assert any(not t.all_integral for t in tables)
     bad = next(t for t in tables if not t.all_integral)
-    assert any(ev.integer_value is None for ev in bad.eigenvalues)
+    assert None in bad.integer_values
 
 
 def _non_integral_set(n):
@@ -277,17 +311,15 @@ def _non_integral_set(n):
 
 
 def test_reading_all_integral_builds_neither_values_nor_the_tuple():
-    """Integrality is decided on the summed rows; `values` and the tuple are
-    built on their first read, once."""
+    """Integrality is decided on the class bits; `values` is built on its
+    first read, once."""
     conn = _non_integral_set(4)
     table = eigenvalues(conn)
     assert not table.all_integral
-    assert vars(table).keys().isdisjoint({"_sums", "values", "eigenvalues"})
+    assert vars(table).keys().isdisjoint({"_sums", "values"})
     values = table.values
     assert not values.flags.writeable
-    assert "eigenvalues" not in vars(table)  # the oracle's read builds no tuple
-    entries = table.eigenvalues
-    assert table.values is values and table.eigenvalues is entries
+    assert table.values is values
 
 
 @pytest.mark.parametrize("n", range(1, 9))
@@ -333,7 +365,8 @@ def test_every_rational_class_vector_is_checked(n):
     "n,max_classes", [(n, 99) for n in range(1, 7)] + [(7, 3), (8, 3)]
 )
 def test_eager_integrality_matches_the_tuple(n, max_classes):
+    """`all_integral`, decided on the class bits, against the summed rows."""
     for conn in enumerate_connection_sets(GroupParams(n), max_classes):
         table = eigenvalues(conn)
-        assert table.all_integral == all(ev.is_integer for ev in table.eigenvalues)
+        assert table.all_integral == (None not in table.integer_values)
 
