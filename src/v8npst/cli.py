@@ -421,7 +421,7 @@ def cmd_probe(args) -> int:
         M = pst.gap_gcd(table)
         for ell in range(8):
             tau = math.pi / M * (1 + 2 * ell)
-            amp = oracle.pair_amplitudes(conn, args.u, args.v, [tau])[0]
+            amp = oracle.pair_amplitudes(conn, [(args.u, args.v)], [tau])[0, 0]
             candidates.append({"ell": ell, "tau": _f(tau), "amplitude": _f(float(amp))})
     else:
         # H is not 2pi-periodic for non-integral spectra; the scan is

@@ -62,8 +62,8 @@ class GroupParams:
             object.__setattr__(params, "n", int(n))
         return params
 
-    def __getnewargs__(self) -> tuple[int]:  # copies and pickles are the one instance
-        return (self.n,)
+    def __reduce__(self) -> tuple[type, tuple[int]]:  # copies and pickles are the one instance
+        return (GroupParams, (self.n,))
 
     @property
     def order(self) -> int:

@@ -30,7 +30,8 @@ P[0, 0], is kept with the stack as one (classes, labels) table; a graph's
 eigenvalues are its classes' rows, added in class order.
 `verify` owns the numerical check of a graph's verdicts, on the
 fixed grid of GRID_POINTS steps over 2 pi.
-Positive pairs are checked at their transfer time.  Every other pair is
+Positive pairs are checked at their transfer times, all of a graph's pairs
+from one phase table.  Every other pair is
 read, through the ratio table W, from one column of
 `grid_amplitude_maxima`, which runs four stages, each on the columns the one
 before leaves at or above the negative threshold:
@@ -40,8 +41,12 @@ before leaves at or above the negative threshold:
    bound for every tau (for n = 1..8 only some central involutions get past
    it);
 3. |H(t)_{w,0}| on every COARSE_STEP-th grid point plus a Lipschitz term,
-   a bound on the whole grid and for every tau in [0, 2 pi];
-4. the exact maximum over the grid, kept only where every bound fails.
+   a bound on the whole grid and for every tau in [0, 2 pi]; a column
+   whose samples at coarse points that are grid points reach the threshold
+   is a hit, since its grid maximum is at least that sample, and stops
+   here too;
+4. the exact maximum over the grid, kept only where every bound fails and
+   no sample decides a hit.
 
 Stages 3 and 4 share one scan over the distinct eigenvalues, with phases
 factorized into two short tables.  A column returns the value of the last
@@ -278,18 +283,23 @@ class ProbeResult:
     amplitude: float
 
 
-def pair_amplitudes(connection: ConnectionSet, u: int, v: int, times) -> np.ndarray:
-    """|H(tau)_{uv}| for every tau in `times` (vectorised over times)."""
+def pair_amplitudes(connection: ConnectionSet, pairs, times) -> np.ndarray:
+    """|H(tau)_{uv}| for every tau in `times` and every pair (u, v) in `pairs`.
+
+    Returns (len(times), len(pairs)).  The pairs share one eigenvalue vector
+    and one phase table; each pair's column is its own matrix-vector
+    product with that table, so it is bit-identical to a call on that pair
+    alone (one matrix product over all pairs would round differently).
+    """
     lams, stack = _spectral_data(connection)
-    coeffs = stack.mats[:, u, v]
-    times = np.asarray(times, dtype=float)
-    return np.abs(np.exp(-1j * np.outer(times, lams)) @ coeffs)
+    phases = np.exp(-1j * np.outer(np.asarray(times, dtype=float), lams))
+    return np.stack([np.abs(phases @ stack.mats[:, u, v]) for u, v in pairs], axis=1)
 
 
 def pst_probe(connection: ConnectionSet, u: int, v: int, times) -> ProbeResult:
     """Best (tau, |H(tau)_{uv}|) over the given times."""
     times = np.asarray(times, dtype=float)
-    amps = pair_amplitudes(connection, u, v, times)
+    amps = pair_amplitudes(connection, [(u, v)], times)[:, 0]
     best = int(np.argmax(amps))
     return ProbeResult(tau=float(times[best]), amplitude=float(amps[best]))
 
@@ -373,22 +383,29 @@ def grid_amplitude_maxima(connection: ConnectionSet, grid_points: int) -> np.nda
        |H(t + d)_{w, 0}| <= |H(t)_{w, 0}| + L[w] |d|; every grid point, and
        every tau in [0, 2 pi], lies within K h / 2 of a coarse point, so this
        bounds the column on the whole grid.
+       Coarse point j = 1 .. floor(grid_points / K) is grid point j K, so
+       a column whose sample there reaches the threshold has its grid
+       maximum at or above it: a hit, decided without stage 4, which keeps
+       its coarse bound (at or above the threshold too).
     4. The maximum of |H(t)_{w, 0}| over the grid t_k = k h, k = 1 ..
-       grid_points, exactly as scanned.
+       grid_points, exactly as scanned, for the columns stage 3 neither
+       certifies nor decides.
 
     So a column that stops at stage 1 or 2 bounds |H(tau)_{w, 0}| for every
     real tau, one that stops at stage 3 for every tau in [0, 2 pi], and a
-    column that reaches stage 4 is its grid maximum.  Column 0 (the
+    column that reaches stage 4 is its grid maximum.  Every column is on
+    the side of the threshold its grid maximum is on.  Column 0 (the
     identity, the ratio of no pair u < v) keeps B[0], which bounds
     |H(tau)_{00}| as well.  Through ratio_index_table the result bounds
     every pair's |H(tau)_{uv}| on the grid.
     """
+    threshold = 1.0 - NEGATIVE_TOL
     lams, stack = _spectral_data(connection)
     best = stack.bound.copy()
     spaces, coeffs = _eigenspaces(lams, stack.cand_col)
     weights = np.abs(coeffs)
     best[stack.cand] = weights.sum(axis=0)
-    left = best[stack.cand] >= 1.0 - NEGATIVE_TOL
+    left = best[stack.cand] >= threshold
     if not left.any():
         return best
     cols, coeffs, weights = stack.cand[left], coeffs[:, left], weights[:, left]
@@ -397,7 +414,10 @@ def grid_amplitude_maxima(connection: ConnectionSet, grid_points: int) -> np.nda
     lipschitz = np.abs(spaces - (spaces[0] + spaces[-1]) / 2) @ weights
     coarse = _scan(coeffs, spaces, COARSE_STEP * h, coarse_points)[:, : coarse_points + 1]
     best[cols] = coarse.max(axis=1) + lipschitz * (COARSE_STEP * h / 2)
-    left = best[cols] >= 1.0 - NEGATIVE_TOL
+    # coarse point j = 1 .. grid_points // K is grid point j K: a sample there
+    # at or above the threshold is a hit, which keeps its coarse bound
+    sampled = (coarse[:, 1 : grid_points // COARSE_STEP + 1] >= threshold).any(axis=1)
+    left = (best[cols] >= threshold) & ~sampled
     if left.any():
         fine = _scan(coeffs[:, left], spaces, h, grid_points)
         best[cols[left]] = fine[:, 1 : grid_points + 1].max(axis=1)
@@ -407,20 +427,27 @@ def grid_amplitude_maxima(connection: ConnectionSet, grid_points: int) -> np.nda
 def verify(connection: ConnectionSet, verdicts) -> tuple[float, int]:
     """(max 1 - |H(pi/M)_{uv}| over positive pairs, disagreements) of one graph.
 
-    A positive pair disagrees at or below 1 - POSITIVE_TOL, any other pair
-    u < v when grid_amplitude_maxima reaches 1 - NEGATIVE_TOL at its ratio:
-    a bound from B, B' or the coarse grid pass, and where none of them
-    certifies the ratio, its maximum over the grid of 2 pi / GRID_POINTS
-    steps.  The ratio of a pair u < v is never the identity, so
-    the identity column is never counted.
+    The positive pairs are read from one `pair_amplitudes` call over their
+    distinct transfer times, so they share one phase table; each pair's
+    amplitude is still its own product, bit-identical to a call on that pair
+    alone.  A positive pair disagrees at or below 1 - POSITIVE_TOL, any
+    other pair u < v when grid_amplitude_maxima reaches 1 - NEGATIVE_TOL at
+    its ratio: a bound from B, B' or the coarse grid pass, a coarse sample
+    at a grid point that reaches the threshold, and where none of these
+    decides the ratio, its maximum over the grid of 2 pi / GRID_POINTS
+    steps.  The ratio of a pair u < v is never the identity, so the identity
+    column is never counted.
     """
     disagreements = 0
     max_dev = 0.0
-    for v in verdicts:
-        amp = pair_amplitudes(connection, v.u, v.v, [v.min_time])[0]
-        max_dev = max(max_dev, 1.0 - amp)
-        if amp <= 1.0 - POSITIVE_TOL:
-            disagreements += 1
+    if verdicts:
+        times = sorted({v.min_time for v in verdicts})
+        amps = pair_amplitudes(connection, [(v.u, v.v) for v in verdicts], times)
+        for i, v in enumerate(verdicts):
+            amp = amps[times.index(v.min_time), i]
+            max_dev = max(max_dev, 1.0 - amp)
+            if amp <= 1.0 - POSITIVE_TOL:
+                disagreements += 1
     hit = grid_amplitude_maxima(connection, GRID_POINTS) >= 1.0 - NEGATIVE_TOL
     W = ratio_index_table(connection.params)
     # every pair u < v whose ratio is hit, less the positive pairs among them

@@ -329,8 +329,8 @@ def test_search_max_n_flag_is_usage_error(capsys):
 def test_search_detects_planted_disagreement(capsys, monkeypatch):
     real = oracle.pair_amplitudes
 
-    def sabotaged(conn, u, v, times):
-        return np.zeros(len(np.atleast_1d(times)))
+    def sabotaged(conn, pairs, times):
+        return np.zeros((len(times), len(pairs)))
 
     monkeypatch.setattr(cli.oracle, "pair_amplitudes", sabotaged)
     code, out = run_cli(capsys, ["search", "--n", "1", "--verify"])
@@ -359,8 +359,8 @@ def test_search_positive_threshold_is_one_minus_1e6(capsys, monkeypatch, deficit
     """Every positive pair's amplitude planted at 1 - deficit, just either side
     of 1 - POSITIVE_TOL: it disagrees below the threshold, and only there."""
 
-    def planted(conn, u, v, times):
-        return np.full(len(times), 1.0 - deficit)
+    def planted(conn, pairs, times):
+        return np.full((len(times), len(pairs)), 1.0 - deficit)
 
     monkeypatch.setattr(cli.oracle, "pair_amplitudes", planted)
     code, out = run_cli(capsys, ["search", "--n", "1", "--verify"])
@@ -385,6 +385,30 @@ def test_search_negative_threshold_is_one_minus_1e4(capsys, monkeypatch, deficit
     assert doc["totalSets"] == 8
     assert doc["disagreements"] == found
     assert code == (4 if found else 0)
+
+
+@pytest.mark.parametrize(
+    "tags, scans",
+    [
+        # integral, with transfer at pi/2: the coarse sample there decides the hit
+        ("a*b+a+a^3+a^5+a^7+a^9+a^11+a^13+a^15+a^4", 1),
+        # not integral: a central column left after the coarse pass is fine-scanned
+        ("b^2+b+a^2*b+a*b+a^3*b+a+a^3+a^5+a^7+a^9+a^11+a^13+a^15+a^2+a^2*b^2", 2),
+    ],
+)
+def test_analyze_verify_fine_scans_only_undecided_columns(capsys, monkeypatch, tags, scans):
+    calls = []
+
+    def counted(coeffs, spaces, step, points):
+        calls.append(points)
+        return real(coeffs, spaces, step, points)
+
+    real = oracle._scan
+    monkeypatch.setattr(oracle, "_scan", counted)
+    code, out = run_cli(capsys, ["analyze", "--n", "8", "--verify", "--set", tags])
+    assert code == 0 and json.loads(out)["oracle"]["checked"]
+    assert len(calls) == scans
+    assert (oracle.GRID_POINTS in calls) == (scans == 2)
 
 
 def test_verify_catches_a_swapped_class_map_row(capsys, monkeypatch):

@@ -1,7 +1,9 @@
 """Group arithmetic, conjugacy classes and connection-set validation."""
 
+import copy
 import functools
 import itertools
+import pickle
 
 import pytest
 
@@ -437,6 +439,17 @@ def test_group_params_is_one_instance_per_n():
     assert GroupParams(4) != GroupParams(5)
     assert {GroupParams(4): 1}[GroupParams(4)] == 1
     assert GroupParams(True) is GroupParams(1)
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_copies_and_pickles_are_the_one_instance(n):
+    """Every per-n cache keys on identity, so a copy or an unpickled
+    GroupParams must be the instance itself, under every pickle protocol."""
+    params = GroupParams(n)
+    assert copy.copy(params) is params
+    assert copy.deepcopy(params) is params
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        assert pickle.loads(pickle.dumps(params, protocol)) is params
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])

@@ -272,10 +272,13 @@ def check_grid_maxima(conn, grid_points):
 
     Every column is at least the reference's grid maximum, up to rounding
     of both sums, and every non-identity column is on the same side of the
-    negative threshold.  The non-identity columns that B, B' and the coarse
-    pass leave at or above the threshold (recomputed here from the
-    reference) are fine-scanned and match the reference; every other one is
-    a bound below the threshold.  Returns (maxima, fine-scanned columns).
+    negative threshold.  Of the non-identity columns that B, B' and the
+    coarse pass leave at or above the threshold (recomputed here from the
+    reference), those whose samples at the coarse points that are grid
+    points reach the threshold are hits, at or above the threshold and the
+    reference maximum; the others are fine-scanned and match the reference.
+    Every other column is a bound below the threshold.  Returns (maxima,
+    fine-scanned columns).
     """
     thr = 1 - oracle.NEGATIVE_TOL
     times = np.arange(1, grid_points + 1) * (2 * math.pi / grid_points)
@@ -286,27 +289,35 @@ def check_grid_maxima(conn, grid_points):
         | (eigenspace_bound(conn) < thr)
         | (coarse_bound(conn, grid_points) < thr)
     )
-    scanned = 1 + np.flatnonzero(~certified[1:])
+    # grid points K, 2 K, .., floor(N / K) K are the coarse points j = 1 .. floor(N / K)
+    on_grid = times[oracle.COARSE_STEP - 1 :: oracle.COARSE_STEP]
+    sampled = oracle_reference.grid_amplitude_maxima(conn, on_grid) >= thr
+    hits = 1 + np.flatnonzero((~certified & sampled)[1:])
+    scanned = 1 + np.flatnonzero(~(certified | sampled)[1:])
     assert np.all(best >= want - 1e-12)
     assert np.array_equal(best[1:] >= thr, want[1:] >= thr)
     assert np.all(np.abs(best[scanned] - want[scanned]) < 1e-12)
     assert np.all(best[certified] < thr)
+    assert np.all(best[hits] >= thr) and np.all(best[hits] >= want[hits])
     return best, scanned
 
 
 def test_grid_maxima_agree_with_direct_scan():
-    conn = valid_sets(1)[3]  # b^2 + b + a*b: no bound certifies b^2, so it is fine-scanned
-    times = np.arange(1, 801) * (2 * math.pi / 800)
-    best, scanned = check_grid_maxima(conn, 800)
+    # b^2 + b + a*b: no bound certifies b^2, the ratio of its transfer pairs;
+    # on 800 points pi/2 is a coarse point, whose sample decides the hit, and
+    # on 820 it is grid point 205, between two coarse points, so b^2 is fine-scanned
+    conn = valid_sets(1)[3]
+    assert not len(check_grid_maxima(conn, 800)[1])
+    times = np.arange(1, 821) * (2 * math.pi / 820)
+    best, scanned = check_grid_maxima(conn, 820)
     assert len(scanned)
     W = ratio_index_table(conn.params)
-    for u in range(8):
-        for v in range(8):
-            direct = pair_amplitudes(conn, u, v, times).max()
-            if W[u, v] in scanned:
-                assert abs(direct - best[W[u, v]]) < 1e-10
-            else:  # a bound on the grid, up to rounding of both sums
-                assert best[W[u, v]] >= direct - 1e-12
+    pairs = [(u, v) for u in range(8) for v in range(8)]
+    for (u, v), direct in zip(pairs, pair_amplitudes(conn, pairs, times).max(axis=0)):
+        if W[u, v] in scanned:
+            assert abs(direct - best[W[u, v]]) < 1e-10
+        else:  # a bound on the grid, up to rounding of both sums
+            assert best[W[u, v]] >= direct - 1e-12
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7, 8])
@@ -345,11 +356,14 @@ def test_eigenspace_bound_certifies_a_central_column(n):
 
 @pytest.mark.parametrize("n", [5, 6, 7, 8])
 def test_transfer_columns_reach_the_fine_pass(n):
-    """The ratio of a positive pair gets the fine scan and reaches the threshold there.
+    """The ratio of a positive pair reaches the threshold, from the coarse
+    samples or, where they miss the transfer time, in the fine pass.
 
-    On the second grid the transfer time pi/M is the grid point halfway
-    between two coarse points, where only the L K h / 2 term keeps the
-    coarse pass from certifying the column.
+    On the GRID_POINTS grid the transfer time pi/M is a coarse point, so the
+    sample there decides the hit and no fine scan runs.  On the second grid
+    pi/M is the grid point halfway between two coarse points, where only the
+    L K h / 2 term keeps the coarse pass from certifying the column, and the
+    fine pass finds it.
     """
     params = GroupParams(n)
     W = ratio_index_table(params)
@@ -362,14 +376,38 @@ def test_transfer_columns_reach_the_fine_pass(n):
             continue
         ratios = sorted({int(W[v.u, v.v]) for v in verdicts})
         assert all(ratio in central_vertices(params) for ratio in ratios)
-        for grid_points in (10000, 2 * verdicts[0].M * (250 * K + K // 2)):
-            best, scanned = check_grid_maxima(conn, grid_points)
-            assert set(ratios) <= set(scanned)
-            assert np.all(best[ratios] >= 1 - oracle.NEGATIVE_TOL)
+        M = verdicts[0].M
+        assert oracle.GRID_POINTS % (2 * M * K) == 0  # pi/M is a coarse point
+        best, scanned = check_grid_maxima(conn, oracle.GRID_POINTS)
+        assert not set(ratios) & set(scanned)  # neither certified nor scanned: a hit
+        assert np.all(best[ratios] >= 1 - oracle.NEGATIVE_TOL)
+        # 1,020 points for M = 2: the coarse samples nearest pi/M, 5 steps off,
+        # stay about 1e-2 below 1 (on 10,020 points one n = 6 set's reach 1 - 1e-4)
+        best, scanned = check_grid_maxima(conn, 2 * M * (25 * K + K // 2))
+        assert set(ratios) <= set(scanned)
+        assert np.all(best[ratios] >= 1 - oracle.NEGATIVE_TOL)
         checked += 1
         if checked == 2:
             return
     pytest.fail(f"fewer than 2 sets with transfer among unions of at most 5 classes at n = {n}")
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_positive_pairs_share_one_phase_table_bit_for_bit(n):
+    """One call over all of a graph's positive pairs, as `verify` makes it,
+    gives each pair the per-pair reference's amplitude bit for bit."""
+    checked = 0
+    for conn in valid_sets(n):
+        verdicts = all_pst_pairs(eigenvalues(conn))
+        if not verdicts:
+            continue
+        times = sorted({v.min_time for v in verdicts})
+        amps = pair_amplitudes(conn, [(v.u, v.v) for v in verdicts], times)
+        assert amps.shape == (len(times), len(verdicts))
+        for v, got in zip(verdicts, amps.T):
+            assert np.array_equal(got, oracle_reference.pair_amplitudes(conn, v.u, v.v, times))
+        checked += 1
+    assert checked
 
 
 def test_candidate_times_stay_below_threshold_for_negative_pairs():
@@ -400,7 +438,7 @@ def test_cached_stack_matches_per_call_reference(n, monkeypatch):
         for v in verdicts:
             tau = [math.pi / v.M]
             want = oracle_reference.pair_amplitudes(conn, v.u, v.v, tau)
-            assert np.array_equal(pair_amplitudes(conn, v.u, v.v, tau), want)
+            assert np.array_equal(pair_amplitudes(conn, [(v.u, v.v)], tau)[:, 0], want)
         check_grid_maxima(conn, 512)
         want = oracle_reference.oracle_check(conn, verdicts, 512)
         assert oracle.verify(conn, verdicts) == want

@@ -101,8 +101,7 @@ def test_gap_gcd_four_element_set_n1():
     assert gap_gcd(table) == 4
     assert all_pst_pairs(table) == ()
     times = np.arange(1, 2001) * (2 * np.pi / 2000)
-    for v in range(1, 8):
-        assert pair_amplitudes(conn, 0, v, times).max() < 1 - 1e-4
+    assert pair_amplitudes(conn, [(0, v) for v in range(1, 8)], times).max() < 1 - 1e-4
 
 
 def test_gcd_divides_every_gap():
@@ -152,7 +151,7 @@ def test_odd_transfer_on_cocktail_party_graph():
     for v in verdicts:
         assert v.clause == "pst:odd-antipodal"
         assert v.M == 2 and abs(v.min_time - math.pi / 2) < 1e-15
-        amp = pair_amplitudes(conn, v.u, v.v, [v.min_time])[0]
+        amp = pair_amplitudes(conn, [(v.u, v.v)], [v.min_time])[0, 0]
         assert amp > 1 - 1e-12
 
 
@@ -178,7 +177,7 @@ def test_odd_verdicts_match_oracle(n):
             for v in range(u + 1, order):
                 if (u, v) in positives:
                     verdict = classify_pair(table, u, v)
-                    at_min = pair_amplitudes(conn, u, v, [verdict.min_time])[0]
+                    at_min = pair_amplitudes(conn, [(u, v)], [verdict.min_time])[0, 0]
                     assert at_min > 1 - 1e-6
                 else:
                     assert best[W[u, v]] < 1 - 1e-4
@@ -254,7 +253,7 @@ def test_even_type3_cocktail_party():
         assert v.clause == "pst:type3-antipodal"
         assert v.v - v.u == 8  # 4n with n=2
         assert v.M == 2
-        amp = pair_amplitudes(conn, v.u, v.v, [v.min_time])[0]
+        amp = pair_amplitudes(conn, [(v.u, v.v)], [v.min_time])[0, 0]
         assert amp > 1 - 1e-12
 
 

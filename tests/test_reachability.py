@@ -30,7 +30,7 @@ ALLOWED = {
     "cyclotomic.CycloInt.__setattr__": "the immutability guard: nothing sets an attribute",
     "group.ConnectionSet.members": "built on read only when not given; no command reads it",
     "group.ConnectionSet.bits": "built on read only when not given; every command gives it",
-    "group.GroupParams.__getnewargs__": "copy and pickle call it, so that n keeps one instance",
+    "group.GroupParams.__reduce__": "copy and pickle call it, so that n keeps one instance",
 }
 
 COMMANDS = [
