@@ -227,63 +227,30 @@ class ConjugacyClass:
         return len(self.members)
 
 
-def _paper_partition_odd(params: GroupParams) -> list[frozenset[GroupElement]]:
+def _paper_partition(params: GroupParams) -> list[frozenset[GroupElement]]:
     n, two_n = params.n, params.two_n
-    classes: list[frozenset[GroupElement]] = [
-        frozenset({IDENTITY}),
-        frozenset({GroupElement(0, 2)}),
-        frozenset(
-            GroupElement(j, k) for j in range(0, two_n, 2) for k in (1, 3)
-        ),
-        frozenset(
-            GroupElement(j, k) for j in range(1, two_n, 2) for k in (1, 3)
-        ),
-    ]
-    for r in range(n):
-        e = 2 * r + 1
-        classes.append(
-            frozenset({GroupElement(e, 0), GroupElement((-e) % two_n, 2)})
-        )
-    for s in range(1, (n - 1) // 2 + 1):
-        e = 2 * s
-        classes.append(
-            frozenset({GroupElement(e, 0), GroupElement(two_n - e, 0)})
-        )
-        classes.append(
-            frozenset({GroupElement(e, 2), GroupElement(two_n - e, 2)})
-        )
-    return classes
-
-
-def _paper_partition_even(params: GroupParams) -> list[frozenset[GroupElement]]:
-    n, two_n = params.n, params.two_n
-    classes: list[frozenset[GroupElement]] = [
-        frozenset({IDENTITY}),
-        frozenset({GroupElement(0, 2)}),
-        frozenset({GroupElement(n, 0)}),
-        frozenset({GroupElement(n, 2)}),
-    ]
-    # The four n-element classes; b^{(-1)^k} means b for even k and b^3 for odd k.
-    for base, flip in ((0, 0), (0, 1), (1, 0), (1, 1)):
-        classes.append(
-            frozenset(
-                GroupElement((2 * k + base) % two_n, 1 if (k + flip) % 2 == 0 else 3)
-                for k in range(n)
+    classes = [frozenset({IDENTITY}), frozenset({GroupElement(0, 2)})]
+    if params.is_odd:
+        # the two 2n-element classes, a^j b^{1 or 3} by the parity of j
+        for base in (0, 1):
+            classes.append(
+                frozenset(GroupElement(j, k) for j in range(base, two_n, 2) for k in (1, 3))
             )
-        )
-    for r in range(n):
-        e = 2 * r + 1
-        classes.append(
-            frozenset({GroupElement(e, 0), GroupElement((-e) % two_n, 2)})
-        )
-    for s in range(1, n // 2):
-        e = 2 * s
-        classes.append(
-            frozenset({GroupElement(e, 0), GroupElement(two_n - e, 0)})
-        )
-        classes.append(
-            frozenset({GroupElement(e, 2), GroupElement(two_n - e, 2)})
-        )
+    else:
+        classes += [frozenset({GroupElement(n, 0)}), frozenset({GroupElement(n, 2)})]
+        # The four n-element classes; b^{(-1)^k} means b for even k and b^3 for odd k.
+        for base, flip in ((0, 0), (0, 1), (1, 0), (1, 1)):
+            classes.append(
+                frozenset(
+                    GroupElement((2 * k + base) % two_n, 1 if (k + flip) % 2 == 0 else 3)
+                    for k in range(n)
+                )
+            )
+    for e in range(1, two_n, 2):
+        classes.append(frozenset({GroupElement(e, 0), GroupElement(two_n - e, 2)}))
+    for e in range(2, n, 2):
+        classes.append(frozenset({GroupElement(e, 0), GroupElement(two_n - e, 0)}))
+        classes.append(frozenset({GroupElement(e, 2), GroupElement(two_n - e, 2)}))
     return classes
 
 
@@ -296,10 +263,7 @@ def conjugacy_classes(params: GroupParams) -> tuple[ConjugacyClass, ...]:
     by its smallest-label member.  The tests check the listing against a
     fresh computation of the conjugation orbits.
     """
-    if params.is_odd:
-        listed = _paper_partition_odd(params)
-    else:
-        listed = _paper_partition_even(params)
+    listed = _paper_partition(params)
     expected = 2 * params.n + (3 if params.is_odd else 6)
     if len(listed) != expected:
         raise RuntimeError(

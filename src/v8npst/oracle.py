@@ -7,12 +7,14 @@ dense adjacency matrix and the Taylor exponential, the second opinion on
 H(tau) that uses no spectral information, are kept with the tests
 (tests/oracle_reference.py).
 
-The closed-form projectors are block matrices over the four 2n-blocks: J
-blocks and (-1)^{u+v} sign patterns for the linear characters, and circulant
-blocks z^{p-q} for the 2-dimensional ones.  Every closed form is validated
-against the eigenvector outer products in the test suite; where the printed
-first-row convention of a circulant disagrees with the outer product (it
-happens for one family), the outer-product orientation is used.
+The projector of a linear character is x x* / 8n, where
+x[2n s + r] = i^(e_a r + e_b s) is the character's value at a^r b^s, read
+from one table of exponents (e_a, e_b) per parity of n.  The 2-dimensional
+families are block matrices over the four 2n-blocks, with circulant blocks
+z^{p-q}.  Every closed form is validated against the eigenvector outer
+products in the test suite; where the printed first-row convention of a
+circulant disagrees with the outer product (it happens for one family), the
+outer-product orientation is used.
 
 The per-representation projector sums depend only on n: they are stacked
 once per n, on first use, and shared read-only by every graph, together with
@@ -120,6 +122,17 @@ def _circulant(two_n: int, z: complex) -> np.ndarray:
 # the blocks (V1, V3) or (V2, V4) of projector i = 1..4 of a 2-dimensional family
 _FAMILY_BLOCKS = ((0, 2), (1, 3), (1, 3), (0, 2))
 
+# (label, e_a, e_b) of each linear character a^r b^s -> i^(e_a r + e_b s),
+# keyed by n odd; its projector is x x* / 8n with x[2n s + r] = i^(e_a r + e_b s)
+_LINEAR_CHARACTERS = {
+    True: (("E1", 0, 0), ("E2", 0, 2), ("E3", 2, 0), ("E4", 2, 2)),
+    False: (
+        ("E1", 0, 0), ("E3", 2, 2), ("E5", 0, 2), ("E7", 2, 0),
+        ("E2", 1, 3), ("E4", 3, 1), ("E6", 1, 1), ("E8", 3, 3),
+    ),
+}
+_POWERS_OF_I = np.array([1, 1j, -1, -1j])
+
 
 def projectors(connection: ConnectionSet) -> tuple[Eigenprojector, ...]:
     """Closed-form rank-1 eigenprojectors (they depend only on n, not on S).
@@ -137,23 +150,12 @@ def _iter_projectors(connection: ConnectionSet) -> Iterator[Eigenprojector]:
     order = params.order
     two_n = 2 * n
     omega = np.exp(1j * np.pi / n)
-    J = np.ones((two_n, two_n), dtype=complex)
-    idx = np.arange(order)
-    sign_all = (-1.0) ** (idx[:, None] + idx[None, :])
-    block_sign = np.where(idx // two_n % 2 == 0, 1.0, -1.0)  # + on V1,V3; - on V2,V4
-    e_pattern = sign_all * block_sign[:, None] * block_sign[None, :]
+    s, r = np.divmod(np.arange(order), two_n)  # vertex 2n s + r is a^r b^s
+    for label, e_a, e_b in _LINEAR_CHARACTERS[params.is_odd]:
+        x = _POWERS_OF_I[(e_a * r + e_b * s) % 4]
+        yield Eigenprojector(label, f"alpha_{label[1:]}", np.outer(x, x.conj()) / order)
 
     if params.is_odd:
-        yield Eigenprojector("E1", "alpha_1", np.ones((order, order), dtype=complex) / order)
-        s = np.array([1, -1, 1, -1])
-        yield Eigenprojector(
-            "E2",
-            "alpha_2",
-            _block_matrix(order, {(i, j): s[i] * s[j] * J for i in range(4) for j in range(4)})
-            / order,
-        )
-        yield Eigenprojector("E3", "alpha_3", sign_all.astype(complex) / order)
-        yield Eigenprojector("E4", "alpha_4", e_pattern.astype(complex) / order)
         families = [
             # printed first row of the third beta projector matches its
             # eigenvector's outer product; the fourth needs the transposed
@@ -164,35 +166,6 @@ def _iter_projectors(connection: ConnectionSet) -> Iterator[Eigenprojector]:
              lambda k: (omega ** k, omega ** k, omega ** (-k), omega ** (-k))),
         ]
     else:
-        yield Eigenprojector("E1", "alpha_1", np.ones((order, order), dtype=complex) / order)
-        yield Eigenprojector("E3", "alpha_3", e_pattern.astype(complex) / order)
-        s = np.array([1, -1, 1, -1])
-        yield Eigenprojector(
-            "E5",
-            "alpha_5",
-            _block_matrix(order, {(i, j): s[i] * s[j] * J for i in range(4) for j in range(4)})
-            / order,
-        )
-        yield Eigenprojector("E7", "alpha_7", sign_all.astype(complex) / order)
-        X = _circulant(two_n, 1j)
-        Y = _circulant(two_n, -1j)
-        i_unit = 1j
-        patterns = {
-            2: (X, [[1, i_unit, -1, -i_unit], [-i_unit, 1, i_unit, -1], [-1, -i_unit, 1, i_unit], [i_unit, -1, -i_unit, 1]]),
-            4: (Y, [[1, -i_unit, -1, i_unit], [i_unit, 1, -i_unit, -1], [-1, i_unit, 1, -i_unit], [-i_unit, -1, i_unit, 1]]),
-            6: (X, [[1, -i_unit, -1, i_unit], [i_unit, 1, -i_unit, -1], [-1, i_unit, 1, -i_unit], [-i_unit, -1, i_unit, 1]]),
-            8: (Y, [[1, i_unit, -1, -i_unit], [-i_unit, 1, i_unit, -1], [-1, -i_unit, 1, i_unit], [i_unit, -1, -i_unit, 1]]),
-        }
-        for i, (base, signs) in patterns.items():
-            yield Eigenprojector(
-                f"E{i}",
-                f"alpha_{i}",
-                _block_matrix(
-                    order,
-                    {(p, q): signs[p][q] * base for p in range(4) for q in range(4)},
-                )
-                / order,
-            )
         families = [
             ("E", "beta", range(1, n), 1,
              lambda j: (omega ** j, omega ** j, omega ** (-j), omega ** (-j))),
@@ -427,8 +400,8 @@ def grid_amplitude_maxima(connection: ConnectionSet, grid_points: int) -> np.nda
 def verify(connection: ConnectionSet, verdicts) -> tuple[float, int]:
     """(max 1 - |H(pi/M)_{uv}| over positive pairs, disagreements) of one graph.
 
-    The positive pairs are read from one `pair_amplitudes` call over their
-    distinct transfer times, so they share one phase table; each pair's
+    The positive pairs of one graph share one transfer time pi / M, so they
+    are read from one `pair_amplitudes` call at that time; each pair's
     amplitude is still its own product, bit-identical to a call on that pair
     alone.  A positive pair disagrees at or below 1 - POSITIVE_TOL, any
     other pair u < v when grid_amplitude_maxima reaches 1 - NEGATIVE_TOL at
@@ -441,13 +414,11 @@ def verify(connection: ConnectionSet, verdicts) -> tuple[float, int]:
     disagreements = 0
     max_dev = 0.0
     if verdicts:
-        times = sorted({v.min_time for v in verdicts})
-        amps = pair_amplitudes(connection, [(v.u, v.v) for v in verdicts], times)
-        for i, v in enumerate(verdicts):
-            amp = amps[times.index(v.min_time), i]
-            max_dev = max(max_dev, 1.0 - amp)
-            if amp <= 1.0 - POSITIVE_TOL:
-                disagreements += 1
+        amps = pair_amplitudes(
+            connection, [(v.u, v.v) for v in verdicts], [verdicts[0].min_time]
+        )[0]
+        max_dev = max(0.0, 1.0 - amps.min())
+        disagreements = int(np.count_nonzero(amps <= 1.0 - POSITIVE_TOL))
     hit = grid_amplitude_maxima(connection, GRID_POINTS) >= 1.0 - NEGATIVE_TOL
     W = ratio_index_table(connection.params)
     # every pair u < v whose ratio is hit, less the positive pairs among them

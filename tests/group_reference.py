@@ -3,7 +3,9 @@
 `enumerate_connection_sets` is the enumeration as it was before `group`
 decided symmetry and generation from per-n class bitmasks: every union of
 classes is checked element by element for inverse-closure, and its
-generated subgroup is computed by BFS.  `is_normal_subset` is the Sg = gS
+generated subgroup is computed by `generated_subgroup`, a BFS over the
+per-n multiplication table that `product_table` builds once from
+`multiply`.  `is_normal_subset` is the Sg = gS
 normality test that `validate_connection_set` once asserted against its
 class-union test.  `conjugate` gives the conjugation orbits that the
 listed conjugacy classes are checked against.  `rational_classes` is the
@@ -15,7 +17,8 @@ code against all four.
 from __future__ import annotations
 
 import itertools
-from typing import Iterator
+from functools import lru_cache
+from typing import Iterable, Iterator
 
 from v8npst.group import (
     IDENTITY,
@@ -24,10 +27,37 @@ from v8npst.group import (
     GroupParams,
     all_elements,
     conjugacy_classes,
-    generated_subgroup,
     inverse,
     multiply,
+    vertex_index,
 )
+
+
+@lru_cache(maxsize=None)
+def product_table(params: GroupParams) -> tuple[tuple[int, ...], ...]:
+    """T[i][j] = vertex index of g_i g_j, from `multiply`, once per n."""
+    elements = all_elements(params)
+    return tuple(
+        tuple(vertex_index(params, multiply(params, x, y)) for y in elements)
+        for x in elements
+    )
+
+
+def generated_subgroup(
+    params: GroupParams, members: Iterable[GroupElement]
+) -> frozenset[GroupElement]:
+    """<members>, by BFS from the identity over `product_table`: each level
+    right-multiplies the elements the last level reached first by every
+    generator."""
+    table = product_table(params)
+    gens = [vertex_index(params, x) for x in members]
+    seen = {0}
+    frontier = {0}
+    while frontier:
+        frontier = {table[x][g] for x in frontier for g in gens} - seen
+        seen |= frontier
+    elements = all_elements(params)
+    return frozenset(elements[i] for i in seen)
 
 
 def conjugate(params: GroupParams, g: GroupElement, x: GroupElement) -> GroupElement:
@@ -73,10 +103,11 @@ def enumerate_connection_sets(
     classes = conjugacy_classes(params)
     non_identity = [i for i, c in enumerate(classes) if IDENTITY not in c.members]
     full = frozenset(all_elements(params))
+    inverses = {x: inverse(params, x) for x in full}
     for k in range(1, min(max_classes, len(non_identity)) + 1):
         for combo in itertools.combinations(non_identity, k):
             members = frozenset().union(*(classes[i].members for i in combo))
-            if any(inverse(params, x) not in members for x in members):
+            if any(inverses[x] not in members for x in members):
                 continue
             if generated_subgroup(params, members) != full:
                 continue

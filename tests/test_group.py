@@ -468,7 +468,7 @@ def test_class_masks_match_element_checks(n):
             bits = sum(1 << i for i in combo)
             inverse_mask = sum(masks.inverse_bit[i] for i in combo)
             assert (inverse_mask == bits) == symmetric
-            assert masks.generates(bits) == (generated_subgroup(p, members) == full)
+            assert masks.generates(bits) == (group_reference.generated_subgroup(p, members) == full)
 
 
 @pytest.mark.parametrize("n", range(1, 13))

@@ -1,6 +1,7 @@
 """Oracle: closed-form projectors, transition matrix, probes and verify,
 against the dense references in oracle_reference."""
 
+import hashlib
 import math
 import tracemalloc
 from collections import defaultdict
@@ -89,7 +90,7 @@ def test_projector_algebra(n):
         assert np.max(np.abs(prods)) < 1e-9  # mutual annihilation
 
 
-@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("n", range(1, 9))
 def test_closed_forms_equal_outer_products(n):
     conn = valid_sets(n)[0]
     E = eigenvectors(conn)
@@ -102,6 +103,32 @@ def test_closed_forms_equal_outer_products(n):
         position[pr.eigenvalue_label] += 1
         v = E.matrix[:, col]
         assert np.max(np.abs(pr.matrix - np.outer(v, v.conj()))) < 1e-10, pr.label
+
+
+# SHA-256 of the labels and matrices of `projectors`, signed zeros folded
+PROJECTOR_DIGESTS = {
+    1: "7def3a38a42a4c1e108405161e797ac761aa801070454e2ee7e62700ae4bce71",
+    2: "5bbb0f2a7ecffec05b17098c57a2ee34c9a93b2703515649d17b83ac701862b8",
+    3: "a98fc3df87e1dda58b29f835367d07377d8044f228955ca22bdce1bc23f047d9",
+    4: "5a73064c7a483d9f836191353b267e626a9c908f9e6d404d489967aae77982d8",
+    5: "b05f955e0964b9de198e0cd003a0508eb9753c216a4aa6ff94b010fe7cdd23f6",
+    6: "ffb219480fb4826c8e8f9fe5e4dbc2d6ad17eb31d481b024ebbdf8916034f225",
+    7: "8b0f77de8d377ecb8d55b5c0f233ab67097e8cadef9b8d62cd5dced97720df97",
+    8: "82a83aa5666c5f6888cf784ad96506b26bdb23df7916aa62cb3707567ddf5a55",
+}
+
+
+@pytest.mark.parametrize("n", sorted(PROJECTOR_DIGESTS))
+def test_projector_digests(n):
+    """Every closed form, label and order of `projectors` is pinned to the
+    last bit: a change that keeps each projector within rounding of its
+    eigenvector's outer product still changes the digest."""
+    conn = next(enumerate_connection_sets(GroupParams(n), 99))
+    digest = hashlib.sha256()
+    for pr in projectors(conn):
+        digest.update(f"{pr.label} {pr.eigenvalue_label}\n".encode())
+        digest.update(np.ascontiguousarray(pr.matrix + 0.0, dtype=complex).tobytes())
+    assert digest.hexdigest() == PROJECTOR_DIGESTS[n]
 
 
 @pytest.mark.parametrize("n", [1, 2, 7, 8])
@@ -212,11 +239,17 @@ def test_periodicity_probe_integral_graph_every_vertex():
 
 
 def test_ratio_table_translation_invariance():
-    conn = valid_sets(2)[7]
-    W = ratio_index_table(conn.params)
-    for tau in (0.3, 1.1):
-        H = np.abs(transition(conn, tau).H)
-        assert np.max(np.abs(H - H[W, 0])) < 1e-10
+    """|H(tau)_{uv}| = |H(tau)_{W[u, v], 0}| on one drawn set per n = 1..8,
+    which `verify` relies on.  Only the modulus is a function of
+    g_u g_v^{-1}: for odd n the beta projector sums are not, so the check is
+    on |H|."""
+    for n in range(1, 9):
+        sets = valid_sets(n)
+        conn = sets[np.random.default_rng(n).integers(len(sets))]
+        W = ratio_index_table(conn.params)
+        for tau in (0.3, 1.1):
+            H = np.abs(transition(conn, tau).H)
+            assert np.max(np.abs(H - H[W, 0])) < 1e-10, (n, conn.class_tags, tau)
 
 
 def central_vertices(params):
