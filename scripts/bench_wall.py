@@ -1,4 +1,4 @@
-"""Wall time of whole `v8npst search` CLI processes, recorded in a BENCH file.
+"""Wall time of whole `v8npst` CLI processes, recorded in a BENCH file.
 
 Usage:
 
@@ -9,7 +9,10 @@ with `PYTHONPATH` set to `--src` (the `src` directory of any checkout,
 default this repository's), and times it from start to exit.  The runs are
 `search --n N --verify` for N = 1..6, `search --n N` and
 `search --n N --verify` for N = 7, 8, so every set up to n = 8 is verified
-under a recorded digest.
+under a recorded digest, and one `analyze --n N --set ... --verify` of a
+single graph with transfer for N = 7, 8: a process that builds every per-n
+table on its first call and decides one graph, so its time is mostly
+start-up and set-up.
 Each result holds the wall seconds, the exit code, the SHA-256 of stdout
 and the peak resident memory of the CLI process, read by `os.wait4` from
 that child's own resource usage, so two checkouts recorded into one file
@@ -44,13 +47,17 @@ RUNS = (
     ("search", "--n", "7", "--verify"),
     ("search", "--n", "8"),
     ("search", "--n", "8", "--verify"),
+    ("analyze", "--n", "7", "--set", "b^2+b+a*b", "--verify"),
+    ("analyze", "--n", "8", "--set", "b^2+b+a^2*b+a*b", "--verify"),
 )
 
 NOTE = (
     "Wall time and peak RSS of one CLI process per run, measured with no "
     "other benchmark running; the peak is the child's own ru_maxrss, read "
-    "with os.wait4. The per-layer split of these runs is not recorded: it "
-    "needs an opt-in --stats report from the CLI, which does not exist yet."
+    "with os.wait4. The two single-graph analyze runs measure the per-process "
+    "cost: start-up, imports and every per-n table built on the first call. "
+    "The per-layer split of these runs is not recorded: it needs an opt-in "
+    "--stats report from the CLI, which does not exist yet."
 )
 
 

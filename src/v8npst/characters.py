@@ -12,11 +12,16 @@ The group has three families of irreducible representations:
   even n:  theta_1..theta_8 (degree 1), psi_j and phi_k for
            1 <= j,k <= n-1 (degree 2).
 
-Each character value is the exact trace of a representation matrix, built
-from the images of the generators a and b.  The paper's printed character
-tables, with the two repairs they need, are kept in
-tests/characters_reference.py; the tests compare every entry against these
-traces.
+Each representation is given by the images of the generators: a diagonal
+a-image with monomial entries c * zeta^e (c = +-1) and an exact b-image.
+The character at a^r b^s is the trace of a(rho)^r b(rho)^s, that is
+sum_i a_i^r (b^s)_ii.  The diagonals of b^s, s = 0..3, are computed once
+per representation with `CycloInt` products; every table entry is then
+read off these diagonals in one array pass, with no matrix product per
+entry.  The full representation matrices (`rep_at`) and their traces are
+kept with the tests (tests/characters_reference.py), which compare every
+entry against them, coefficient for coefficient, and the traces against
+the paper's printed character tables, with the two repairs they need.
 """
 
 from __future__ import annotations
@@ -24,12 +29,10 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import NamedTuple
 
+import numpy as np
+
 from .cyclotomic import CycloInt
-from .group import GroupElement, GroupParams, conjugacy_classes, vertex_index
-
-
-class DescriptorRangeError(ValueError):
-    """Representation descriptor inconsistent with the group parameter."""
+from .group import GroupParams, class_labels
 
 
 class RepDescriptor(NamedTuple):
@@ -54,14 +57,7 @@ def rep_descriptors(params: GroupParams) -> tuple[RepDescriptor, ...]:
     return tuple(thetas + psis + phis)
 
 
-def _check_descriptor(params: GroupParams, desc: RepDescriptor) -> None:
-    if desc not in rep_descriptors(params):
-        raise DescriptorRangeError(
-            f"{desc} is not a representation of V_{8 * params.n}"
-        )
-
-
-# Exact monomial c * zeta^e; generator images only ever need this shape.
+# Exact monomial c * zeta^e; the a-images only ever need this shape.
 class _Mono(NamedTuple):
     coeff: int
     exp: int
@@ -83,12 +79,10 @@ _EVEN_THETA_EXPONENTS = {
 _ODD_THETA_SIGNS = {1: (1, 1), 2: (1, -1), 3: (-1, 1), 4: (-1, -1)}
 
 
-@lru_cache(maxsize=None)
 def _generator_images(
     params: GroupParams, desc: RepDescriptor
 ) -> tuple[tuple[_Mono, ...], Matrix]:
     """(diagonal monomials of the a-image, exact matrix of the b-image)."""
-    _check_descriptor(params, desc)
     m = 4 * params.n
     n = params.n
     one = CycloInt.integer(m, 1)
@@ -122,72 +116,49 @@ def _generator_images(
     return a, b
 
 
-def _matmul(m: int, A: Matrix, B: Matrix) -> Matrix:
-    d = len(A)
-    return tuple(
-        tuple(
-            sum((A[i][t] * B[t][j] for t in range(d)), CycloInt.zero(m))
-            for j in range(d)
-        )
-        for i in range(d)
+def _b_power_diagonals(m: int, B: Matrix) -> tuple[tuple[CycloInt, ...], ...]:
+    """The diagonal of B^s for s = 0..3.
+
+    Every b-image squares to a scalar matrix (trivially in degree 1; a
+    2-dimensional b-image is antidiagonal), so the diagonal of B^3 is that
+    of B^2 times that of B.
+    """
+    d = len(B)
+    square = tuple(sum((B[i][t] * B[t][i] for t in range(d)), CycloInt.zero(m)) for i in range(d))
+    return (
+        (CycloInt.integer(m, 1),) * d,
+        tuple(B[i][i] for i in range(d)),
+        square,
+        tuple(square[i] * B[i][i] for i in range(d)),
     )
-
-
-@lru_cache(maxsize=None)
-def _b_powers(params: GroupParams, desc: RepDescriptor) -> tuple[Matrix, ...]:
-    m = 4 * params.n
-    _, Mb = _generator_images(params, desc)
-    d = len(Mb)
-    ident = tuple(
-        tuple(CycloInt.integer(m, 1 if i == j else 0) for j in range(d))
-        for i in range(d)
-    )
-    powers = [ident]
-    for _ in range(3):
-        powers.append(_matmul(m, powers[-1], Mb))
-    return tuple(powers)
-
-
-def rep_at(params: GroupParams, desc: RepDescriptor, x: GroupElement) -> Matrix:
-    """Exact representation matrix theta(a)^r * theta(b)^s at x = a^r b^s."""
-    m = 4 * params.n
-    a_monos, _ = _generator_images(params, desc)
-    r, s = x
-    # the a-image is diagonal with monomial entries (c * zeta^e)^r = c^r zeta^{er}
-    diag = [
-        _Mono(1 if mono.coeff == 1 or r % 2 == 0 else -1, (mono.exp * r) % m)
-        for mono in a_monos
-    ]
-    Mb_s = _b_powers(params, desc)[s]
-    return tuple(
-        tuple(CycloInt.root(m, diag[i].exp, diag[i].coeff) * Mb_s[i][j]
-              for j in range(len(diag)))
-        for i in range(len(diag))
-    )
-
-
-def _trace(m: int, M: Matrix) -> CycloInt:
-    t = CycloInt.zero(m)
-    for i in range(len(M)):
-        t = t + M[i][i]
-    return t
-
-
-@lru_cache(maxsize=None)
-def _character_on_class(
-    params: GroupParams, desc: RepDescriptor, class_idx: int
-) -> CycloInt:
-    cls = conjugacy_classes(params)[class_idx]
-    rep = min(cls.members, key=lambda e: vertex_index(params, e))
-    return _trace(4 * params.n, rep_at(params, desc, rep))
 
 
 @lru_cache(maxsize=None)
 def character_table(params: GroupParams) -> tuple[tuple[CycloInt, ...], ...]:
-    """Full table indexed [representation][conjugacy class]."""
+    """Full table indexed [representation][conjugacy class].
+
+    Entry (rho, c) is the character at the class's smallest vertex a^r b^s:
+    sum_i a_i^r (b^s)_ii, where a_i^r = c_i^r zeta^{e_i r} multiplies the
+    coefficient vector of (b^s)_ii by c_i^r and shifts it by e_i r.  A
+    degree-1 representation has one term; its second slot is padded with
+    coefficient 0.
+    """
+    m = 4 * params.n
     descs = rep_descriptors(params)
-    n_classes = len(conjugacy_classes(params))
-    return tuple(
-        tuple(_character_on_class(params, d, c) for c in range(n_classes))
-        for d in descs
-    )
+    s, r = np.divmod([labels[0] for labels in class_labels(params)], params.two_n)
+    a_coeff = np.zeros((len(descs), 1, 2), dtype=np.int64)  # (reps, 1, slots)
+    a_exp = np.zeros_like(a_coeff)
+    b_diag = np.zeros((len(descs), 4, 2, m), dtype=np.int64)  # (reps, s, slots, m)
+    for rho, desc in enumerate(descs):
+        monos, B = _generator_images(params, desc)
+        for i, mono in enumerate(monos):
+            a_coeff[rho, 0, i], a_exp[rho, 0, i] = mono
+        for power, diagonal in enumerate(_b_power_diagonals(m, B)):
+            b_diag[rho, power, : len(diagonal)] = [entry.c for entry in diagonal]
+    # c^r for c = +-1 is c for odd r and c * c = 1 for even r; a padding 0 stays 0
+    sign = np.where(r[:, None] % 2 == 1, a_coeff, a_coeff * a_coeff)  # (reps, classes, slots)
+    # coefficient k of zeta^{e r} x is coefficient k - e r of x
+    source = (np.arange(m) - (a_exp * r[:, None])[..., None]) % m
+    terms = np.take_along_axis(b_diag[:, s], source, axis=3) * sign[..., None]
+    table = terms.sum(axis=2)
+    return tuple(tuple(CycloInt(m, entry) for entry in row) for row in table.tolist())

@@ -65,15 +65,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .group import (
-    ConnectionSet,
-    GroupParams,
-    all_elements,
-    class_labels,
-    inverse,
-    multiply,
-    vertex_index,
-)
+from .group import ConnectionSet, GroupParams, class_labels
 # `eigenvalues` is not called here; it stays bound because the benchmark
 # (perfbench/layers.py) patches `oracle.eigenvalues`
 from .spectrum import eigenvalues, rep_labels  # noqa: F401
@@ -114,9 +106,14 @@ def _block_matrix(order: int, blocks: dict[tuple[int, int], np.ndarray]) -> np.n
 
 
 def _circulant(two_n: int, z: complex) -> np.ndarray:
-    """Matrix with entries z^{p-q}; |z| = 1 and z^{2n} = 1."""
+    """Matrix with entries z^{p-q}; |z| = 1 and z^{2n} = 1.
+
+    Each entry is read from one table of z^k, k = 1 - 2n .. 2n - 1, so it is
+    the same power `z ** (p - q)` would compute, evaluated 4n - 1 times
+    instead of (2n)^2 times.
+    """
     p = np.arange(two_n)
-    return z ** (p[:, None] - p[None, :])
+    return (z ** np.arange(1 - two_n, two_n))[p[:, None] - p[None, :] + two_n - 1]
 
 
 # the blocks (V1, V3) or (V2, V4) of projector i = 1..4 of a 2-dimensional family
@@ -172,16 +169,17 @@ def _iter_projectors(connection: ConnectionSet) -> Iterator[Eigenprojector]:
             ("F", "gamma", range(1, n), -1,
              lambda k: (1j * omega ** k, 1j * omega ** k, 1j * omega ** (-k), 1j * omega ** (-k))),
         ]
-    # z^{p-q} on the two diagonal blocks of each projector, sign * z^{p-q} off them
+    # z^{p-q} / 4n on the two diagonal blocks of each projector, sign * z^{p-q} / 4n
+    # off them; only the blocks are scaled, the zeros need no division.  A negative
+    # block is (-C) / 4n, not -(C / 4n), which keeps the sign of every zero.
     for name, kind, indices, sign, zs in families:
         for j in indices:
             for i, (z, (p, q)) in enumerate(zip(zs(j), _FAMILY_BLOCKS), 1):
-                X = _circulant(two_n, z)
-                off = X if sign > 0 else -X
+                C = _circulant(two_n, z)
+                X = C / (4 * n)
+                off = X if sign > 0 else -C / (4 * n)
                 blocks = {(p, p): X, (p, q): off, (q, p): off, (q, q): X}
-                yield Eigenprojector(
-                    f"{name}{j}.{i}", f"{kind}_{j}", _block_matrix(order, blocks) / (4 * n)
-                )
+                yield Eigenprojector(f"{name}{j}.{i}", f"{kind}_{j}", _block_matrix(order, blocks))
 
 
 def rep_projectors(connection: ConnectionSet) -> dict[str, np.ndarray]:
@@ -256,17 +254,42 @@ class ProbeResult:
     amplitude: float
 
 
+@lru_cache(maxsize=256)
+def _distinct_pairs(params: GroupParams, pairs: tuple) -> tuple[tuple, np.ndarray]:
+    """(one pair per distinct coefficient vector, the index of each pair's vector).
+
+    Two pairs share a vector when their `mats[:, u, v]` are byte-identical.
+    The pair lists come from the input, so the cache is bounded; `verify`
+    passes the pairs of a verdict, which are few per n.
+    """
+    mats = _STACKS[params].mats
+    first: dict[bytes, int] = {}
+    kept, index = [], []
+    for u, v in pairs:
+        key = mats[:, u, v].tobytes()
+        if key not in first:
+            first[key] = len(kept)
+            kept.append((u, v))
+        index.append(first[key])
+    columns = np.array(index, dtype=np.intp)
+    columns.flags.writeable = False
+    return tuple(kept), columns
+
+
 def pair_amplitudes(connection: ConnectionSet, pairs, times) -> np.ndarray:
     """|H(tau)_{uv}| for every tau in `times` and every pair (u, v) in `pairs`.
 
     Returns (len(times), len(pairs)).  The pairs share one eigenvalue vector
-    and one phase table; each pair's column is its own matrix-vector
-    product with that table, so it is bit-identical to a call on that pair
-    alone (one matrix product over all pairs would round differently).
+    and one phase table; each distinct coefficient vector is its own
+    matrix-vector product with that table, so every column is bit-identical
+    to a call on that pair alone (one matrix product over all pairs would
+    round differently).  Pairs with byte-identical vectors share a product:
+    a transfer graph's 4n pairs have one or two for n <= 8.
     """
     lams, stack = _spectral_data(connection)
     phases = np.exp(-1j * np.outer(np.asarray(times, dtype=float), lams))
-    return np.stack([np.abs(phases @ stack.mats[:, u, v]) for u, v in pairs], axis=1)
+    kept, columns = _distinct_pairs(connection.params, tuple((u, v) for u, v in pairs))
+    return np.stack([np.abs(phases @ stack.mats[:, u, v]) for u, v in kept], axis=1)[:, columns]
 
 
 def pst_probe(connection: ConnectionSet, u: int, v: int, times) -> ProbeResult:
@@ -279,19 +302,27 @@ def pst_probe(connection: ConnectionSet, u: int, v: int, times) -> ProbeResult:
 
 @lru_cache(maxsize=None)
 def ratio_index_table(params: GroupParams) -> np.ndarray:
-    """W[u, v] = vertex index of g_u g_v^{-1}.
+    """W[u, v] = vertex index of g_u g_v^{-1}, read-only.
 
     For Cayley graphs right translation is an automorphism, so
     |H(tau)_{uv}| = |H(tau)_{W[u,v], 0}|; `verify` reads pair maxima from
-    the first column through this table.
+    the first column through this table.  Built on (r, s) index arrays by
+    the rewriting rules of `group.multiply`: a^{r1} b^{s1} a^{r2} b^{s2} is
+    a^{r1 + r2} b^{s1 + s2} for even s1, and a^{r1 - r2} b^{s1 + 2 r2 + s2}
+    for odd s1 (b a^r = a^{-r} b^{1 or 3}, 3 when r is odd).
     """
-    elems = all_elements(params)
-    order = params.order
-    W = np.zeros((order, order), dtype=int)
-    for v, gv in enumerate(elems):
-        gv_inv = inverse(params, gv)
-        for u, gu in enumerate(elems):
-            W[u, v] = vertex_index(params, multiply(params, gu, gv_inv))
+    two_n = params.two_n
+
+    def product(r1, s1, r2, s2):
+        odd = s1 % 2
+        return (r1 + (1 - 2 * odd) * r2) % two_n, (s1 + 2 * odd * r2 + s2) % 4
+
+    s, r = np.divmod(np.arange(params.order), two_n)
+    # (a^r b^s)^{-1} = b^{-s} a^{-r}
+    r_inv, s_inv = product(0, -s % 4, -r % two_n, 0)
+    r_w, s_w = product(r[:, None], s[:, None], r_inv[None, :], s_inv[None, :])
+    W = two_n * s_w + r_w
+    W.flags.writeable = False
     return W
 
 

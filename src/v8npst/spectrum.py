@@ -112,6 +112,18 @@ def _class_map(params: GroupParams) -> _ClassMap:
     return cached
 
 
+def _class_gram(conj: np.ndarray, column: np.ndarray) -> np.ndarray:
+    """(classes, m): coefficient k of row d sums conj[rho, d, i] * column[rho, k - i].
+
+    With `column` the class-size-weighted characters at one class c and
+    `conj` those at every class d, conjugated, row d is the coefficient
+    vector of sum_rho |c| chi_rho(c) conj(|d| chi_rho(d)).
+    """
+    m = column.shape[1]
+    shift = (np.arange(m)[None, :] - np.arange(m)[:, None]) % m
+    return np.tensordot(conj, column[:, shift], ([0, 2], [0, 1]))
+
+
 def _build_class_map(params: GroupParams, table) -> _ClassMap:
     """The map of `table`, built after checking the table exactly mod Phi_m.
 
@@ -123,10 +135,8 @@ def _build_class_map(params: GroupParams, table) -> _ClassMap:
     m = 4 * params.n
     classes = conjugacy_classes(params)
     sizes = [len(c) for c in classes]
-    unreduced = np.array(
-        [[[size * x for x in entry.c] for size, entry in zip(sizes, row)] for row in table],
-        dtype=np.int64,
-    )
+    unreduced = np.array([[entry.c for entry in row] for row in table], dtype=np.int64)
+    unreduced *= np.array(sizes)[:, None]
     reduce = np.array(reduced_powers(m), dtype=np.int64)
     descs = rep_descriptors(params)
 
@@ -143,11 +153,16 @@ def _build_class_map(params: GroupParams, table) -> _ClassMap:
         raise CharacterTableError("theta_1 is not 1 on every class: alpha_1 must equal |S|")
     if not is_integer(unreduced[:, 0], [d.degree for d in descs]):  # class 0 is {1}
         raise CharacterTableError("the identity column of the character table is not the degrees")
-    # sum_rho |c| chi_rho(c) conj(|d| chi_rho(d)) = delta_cd 8n |c|, one class c at
-    # a time: coefficient k sums conj[rho, d, i] * unreduced[rho, c, k - i]
-    shift = (np.arange(m)[None, :] - np.arange(m)[:, None]) % m
+    # sum_rho |c| chi_rho(c) conj(|d| chi_rho(d)) = delta_cd 8n |c|, one class c at a
+    # time, in float64 so that BLAS sums it.  Every term and every partial sum is
+    # an integer of absolute value at most `bound`, so below 2^53 the sums are exact.
+    weights = np.abs(unreduced).sum(axis=2)
+    bound = int((weights.T @ weights).max())
+    if bound >= 2**53:
+        raise CharacterTableError(f"column orthogonality sums reach {bound}: not exact in float64")
+    conj_f, unreduced_f = conj.astype(float), unreduced.astype(float)
     for c, size in enumerate(sizes):
-        gram = np.tensordot(conj, unreduced[:, c][:, shift], ([0, 2], [0, 1]))
+        gram = _class_gram(conj_f, unreduced_f[:, c]).astype(np.int64)
         if not is_integer(gram, params.order * size * (np.arange(len(sizes)) == c)):
             raise CharacterTableError(f"column orthogonality fails at class {classes[c].tag}")
     stacked = np.concatenate([unreduced, unreduced @ reduce], axis=2)

@@ -1,11 +1,16 @@
-"""The paper's printed character tables, as a reference for `v8npst.characters`.
+"""References for `v8npst.characters`: the representation matrices and the
+paper's printed character tables.
 
-`characters` evaluates every character as the exact trace of a
-representation matrix.  This module keeps the independent second source:
-`closed_form_character` reproduces the printed character tables entry by
-entry, and `character` is the trace of the representation matrix at one
-element (no class representative, no table).  Tests compare the two, and
-the character table, on every class for n = 1..6.
+`characters` reads every character value off the diagonals of the powers of
+the generator images.  This module keeps the full matrices as the ground
+truth: `rep_at` is the product a(rho)^r b(rho)^s of the exact generator
+images, with the powers of b built by 2x2 `CycloInt` matrix products;
+`character` is its trace at one element (no class representative, no
+table) and `character_on_class` the trace at a class's smallest vertex, as
+the table reads it.  `closed_form_character` reproduces the printed
+character tables entry by entry.  Tests compare the table with the traces
+coefficient for coefficient for n = 1..12, and the traces with the printed
+tables on every class for n = 1..6.
 
 The printed tables need two repairs, both validated against traces of the
 representation matrices (the matrices are the ground truth):
@@ -19,23 +24,108 @@ representation matrices (the matrices are the ground truth):
 
 from __future__ import annotations
 
+from functools import lru_cache
+
+from v8npst import characters
 from v8npst.characters import (
     _EVEN_THETA_EXPONENTS,
     _ODD_THETA_SIGNS,
+    Matrix,
     RepDescriptor,
-    _check_descriptor,
-    rep_at,
+    _Mono,
+    rep_descriptors,
 )
 from v8npst.cyclotomic import CycloInt
-from v8npst.group import ConjugacyClass, GroupElement, GroupParams
+from v8npst.group import (
+    ConjugacyClass,
+    GroupElement,
+    GroupParams,
+    conjugacy_classes,
+    vertex_index,
+)
 
 from cyclotomic_reference import neg
+
+
+# the package's exact generator images, kept per representation here
+_generator_images = lru_cache(maxsize=None)(characters._generator_images)
+
+
+class DescriptorRangeError(ValueError):
+    """Representation descriptor inconsistent with the group parameter."""
+
+
+def _check_descriptor(params: GroupParams, desc: RepDescriptor) -> None:
+    if desc not in rep_descriptors(params):
+        raise DescriptorRangeError(
+            f"{desc} is not a representation of V_{8 * params.n}"
+        )
+
+
+def _matmul(m: int, A: Matrix, B: Matrix) -> Matrix:
+    d = len(A)
+    return tuple(
+        tuple(
+            sum((A[i][t] * B[t][j] for t in range(d)), CycloInt.zero(m))
+            for j in range(d)
+        )
+        for i in range(d)
+    )
+
+
+@lru_cache(maxsize=None)
+def _b_powers(params: GroupParams, desc: RepDescriptor) -> tuple[Matrix, ...]:
+    m = 4 * params.n
+    _, Mb = _generator_images(params, desc)
+    d = len(Mb)
+    ident = tuple(
+        tuple(CycloInt.integer(m, 1 if i == j else 0) for j in range(d))
+        for i in range(d)
+    )
+    powers = [ident]
+    for _ in range(3):
+        powers.append(_matmul(m, powers[-1], Mb))
+    return tuple(powers)
+
+
+def rep_at(params: GroupParams, desc: RepDescriptor, x: GroupElement) -> Matrix:
+    """Exact representation matrix theta(a)^r * theta(b)^s at x = a^r b^s."""
+    _check_descriptor(params, desc)
+    m = 4 * params.n
+    a_monos, _ = _generator_images(params, desc)
+    r, s = x
+    # the a-image is diagonal with monomial entries (c * zeta^e)^r = c^r zeta^{er}
+    diag = [
+        _Mono(1 if mono.coeff == 1 or r % 2 == 0 else -1, (mono.exp * r) % m)
+        for mono in a_monos
+    ]
+    Mb_s = _b_powers(params, desc)[s]
+    return tuple(
+        tuple(CycloInt.root(m, diag[i].exp, diag[i].coeff) * Mb_s[i][j]
+              for j in range(len(diag)))
+        for i in range(len(diag))
+    )
+
+
+def _trace(m: int, M: Matrix) -> CycloInt:
+    t = CycloInt.zero(m)
+    for i in range(len(M)):
+        t = t + M[i][i]
+    return t
 
 
 def character(params: GroupParams, desc: RepDescriptor, x: GroupElement) -> CycloInt:
     """Exact chi_desc(x): the trace of the representation matrix at x."""
     M = rep_at(params, desc, x)
     return sum((M[i][i] for i in range(1, len(M))), M[0][0])
+
+
+def character_on_class(params: GroupParams, desc: RepDescriptor, class_idx: int) -> CycloInt:
+    """The trace of the representation matrix at the class's smallest vertex,
+    as the sum `characters.character_table` writes, coefficient for coefficient."""
+    cls = conjugacy_classes(params)[class_idx]
+    rep = min(cls.members, key=lambda e: vertex_index(params, e))
+    return _trace(4 * params.n, rep_at(params, desc, rep))
 
 
 def _column_info(params: GroupParams, cls: ConjugacyClass) -> tuple[str, int]:

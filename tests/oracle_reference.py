@@ -15,6 +15,8 @@ sum_{w in S} P[w, 0] / P[0, 0], added up here class by class in class order,
 as the oracle adds up its per-n class rows.  `transition` and
 `pair_amplitudes` evaluate the oracle's formulas on that data, and tests
 compare them bit for bit.
+`ratio_index_table` is the double loop of `multiply` calls that the
+oracle's index-array table replaced; tests compare the two for n = 1..12.
 `grid_amplitude_maxima` is the plain scan the oracle replaced: one `exp` per
 label and time, over all 8n columns.  The oracle's scan must match it on the
 columns it scans and bound it on the others.  `oracle_check` is the
@@ -30,7 +32,15 @@ from functools import lru_cache
 import numpy as np
 
 from v8npst import oracle
-from v8npst.group import ConnectionSet, all_elements, class_labels, inverse, multiply
+from v8npst.group import (
+    ConnectionSet,
+    GroupParams,
+    all_elements,
+    class_labels,
+    inverse,
+    multiply,
+    vertex_index,
+)
 from v8npst.spectrum import rep_labels
 
 POSITIVE_TOL = 1e-6
@@ -51,6 +61,18 @@ def adjacency(connection: ConnectionSet) -> np.ndarray:
             if u != v and multiply(params, gu, gv_inv) in members:
                 A[u, v] = 1.0
     return A
+
+
+def ratio_index_table(params: GroupParams) -> np.ndarray:
+    """W[u, v] = vertex index of g_u g_v^{-1}, one `multiply` call per pair."""
+    elems = all_elements(params)
+    order = params.order
+    W = np.zeros((order, order), dtype=int)
+    for v, gv in enumerate(elems):
+        gv_inv = inverse(params, gv)
+        for u, gu in enumerate(elems):
+            W[u, v] = vertex_index(params, multiply(params, gu, gv_inv))
+    return W
 
 
 def expm_taylor(M: np.ndarray, order: int = 20) -> np.ndarray:

@@ -64,7 +64,7 @@ from v8npst.group import (
     validate_connection_set,
 )
 
-from characters_reference import closed_form_character
+from characters_reference import character_on_class, closed_form_character
 from cyclotomic_reference import sub
 from conftest import (
     eigh_column_max,
@@ -138,7 +138,7 @@ def test_criterion_character_table_fidelity():
             descs = characters.rep_descriptors(p)
             for d in descs:
                 for ci, cls in enumerate(classes):
-                    by_trace = characters._character_on_class(p, d, ci)
+                    by_trace = character_on_class(p, d, ci)
                     by_table = closed_form_character(p, d, cls)
                     assert sub(by_trace, by_table).is_zero(), (n, d, cls.tag)
             table = characters.character_table(p)

@@ -6,13 +6,7 @@ import itertools
 import numpy as np
 import pytest
 
-from v8npst.characters import (
-    DescriptorRangeError,
-    RepDescriptor,
-    character_table,
-    rep_at,
-    rep_descriptors,
-)
+from v8npst.characters import RepDescriptor, character_table, rep_descriptors
 from v8npst.group import (
     IDENTITY,
     GroupParams,
@@ -22,7 +16,13 @@ from v8npst.group import (
     multiply,
 )
 
-from characters_reference import character, closed_form_character
+from characters_reference import (
+    DescriptorRangeError,
+    character,
+    character_on_class,
+    closed_form_character,
+    rep_at,
+)
 from cyclotomic_reference import as_integer, sub
 
 
@@ -137,6 +137,17 @@ def test_trace_matches_closed_form_tables(n):
             by_trace = character(p, d, next(iter(cls.members)))
             by_table = closed_form_character(p, d, cls)
             assert sub(by_trace, by_table).is_zero(), (n, d, cls.tag)
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_character_table_matches_matrix_traces(n):
+    """Each entry read off the diagonals is the trace of the representation
+    matrix at the class's smallest vertex, coefficient for coefficient."""
+    p = GroupParams(n)
+    table = character_table(p)
+    for row, d in zip(table, rep_descriptors(p)):
+        for c, entry in enumerate(row):
+            assert entry.c == character_on_class(p, d, c).c, (n, d, c)
 
 
 @pytest.mark.parametrize("n", range(1, 7))

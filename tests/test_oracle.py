@@ -252,6 +252,22 @@ def test_ratio_table_translation_invariance():
             assert np.max(np.abs(H - H[W, 0])) < 1e-10, (n, conn.class_tags, tau)
 
 
+@pytest.mark.parametrize("n", range(1, 13))
+def test_ratio_index_table_matches_group_law(n):
+    params = GroupParams(n)
+    want = oracle_reference.ratio_index_table(params)
+    W = ratio_index_table(params)
+    assert W.dtype == want.dtype and np.array_equal(W, want)
+
+
+def test_ratio_index_table_is_read_only():
+    """Like every other per-n array, the cached table cannot be written."""
+    W = ratio_index_table(GroupParams(3))
+    assert not W.flags.writeable
+    with pytest.raises(ValueError):
+        W[0, 1] = 0
+
+
 def central_vertices(params):
     """Vertex indices of the centre of V_8n, found by brute force."""
     elems = all_elements(params)

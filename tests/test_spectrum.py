@@ -214,6 +214,27 @@ def test_broken_spectral_identity_raises(monkeypatch, name):
         eigenvalues(full_set(2))
 
 
+def test_one_unit_change_breaks_orthogonality_at_n8(monkeypatch):
+    """+1 on one coefficient of theta_2 at {b^2}: still real, theta_1 and the
+    degrees intact, so only the float64 orthogonality check can reject it."""
+    _patch_entry(monkeypatch, GroupParams(8), CycloInt.integer(32, 1))
+    with pytest.raises(spectrum.CharacterTableError, match="column orthogonality"):
+        eigenvalues(full_set(8))
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_float_gram_equals_integer_gram(n):
+    """The orthogonality check's float64 Gram equals the int64 one entry for
+    entry: every term and partial sum is an integer far below 2^53."""
+    m = 4 * n
+    unreduced = spectrum._class_map(GroupParams(n)).stacked[:, :, :m].transpose(1, 0, 2)
+    conj = unreduced[:, :, -np.arange(m) % m]
+    for c in range(unreduced.shape[1]):
+        exact = spectrum._class_gram(conj, unreduced[:, c])
+        floating = spectrum._class_gram(conj.astype(float), unreduced[:, c].astype(float))
+        assert exact.dtype == np.int64 and np.array_equal(floating, exact)
+
+
 def test_near_integer_irrational_is_not_integral(monkeypatch):
     # eps = (sqrt2 - 1)^21 added to one eigenvalue's numerator stays far
     # inside any float tolerance of the true integer, yet the eigenvalue is
