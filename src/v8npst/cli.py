@@ -54,7 +54,9 @@ keeps -h and the errors for a missing or unknown subcommand.
 
 Every failure prints one JSON error document on stdout.  Exit codes: 0 ok,
 1 usage error (a UsageError document, with the usage line on stderr; n
-above 8 for search is a BoundExceeded one), 2 invalid connection set,
+above MAX_N = 8 for search, or above MAX_GRAPH_N = 32 for analyze and
+probe, is a BoundExceeded one, printed before any per-n table is built),
+2 invalid connection set,
 4 decision/oracle disagreement (with --verify), 5 stdout closed by its
 reader before the document was written (a broken pipe, as in
 `search ... | head`), 6 internal check failed (the character table or the
@@ -105,6 +107,9 @@ EXIT_OUTPUT_CLOSED = 5
 EXIT_INTERNAL = 6
 
 MAX_N = 8  # search enumerates every class union, so its cost grows fast with n
+# analyze and probe build every per-n table of V_8n for one graph: 1.6 to 1.8 s
+# and 190 MB at n = 32 with --verify, 3.4 to 3.9 s and 330 MB at n = 40
+MAX_GRAPH_N = 32
 
 
 class UsageError(Exception):
@@ -328,7 +333,15 @@ def _structured_error(code: str, message: str, exit_code: int) -> int:
     return exit_code
 
 
+def _bound_exceeded(n: int, command: str, bound: int) -> int:
+    return _structured_error(
+        "BoundExceeded", f"n={n} above the {command} bound {bound}", EXIT_USAGE
+    )
+
+
 def cmd_analyze(args) -> int:
+    if args.n > MAX_GRAPH_N:
+        return _bound_exceeded(args.n, "analyze", MAX_GRAPH_N)
     params = GroupParams(args.n)
     try:
         conn = parse_set_spec(params, args.set)
@@ -346,9 +359,7 @@ def cmd_analyze(args) -> int:
 
 def cmd_search(args) -> int:
     if args.n > MAX_N:
-        return _structured_error(
-            "BoundExceeded", f"n={args.n} above the search bound {MAX_N}", EXIT_USAGE
-        )
+        return _bound_exceeded(args.n, "search", MAX_N)
     params = GroupParams(args.n)
     max_classes = args.max_classes or len(conjugacy_classes(params))
     sizes = class_sizes(params)
@@ -402,6 +413,8 @@ def cmd_search(args) -> int:
 
 
 def cmd_probe(args) -> int:
+    if args.n > MAX_GRAPH_N:
+        return _bound_exceeded(args.n, "probe", MAX_GRAPH_N)
     params = GroupParams(args.n)
     try:
         conn = parse_set_spec(params, args.set)

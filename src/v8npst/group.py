@@ -109,26 +109,23 @@ def element(params: GroupParams, r: int, s: int) -> GroupElement:
     return GroupElement(r % params.two_n, s % 4)
 
 
-def multiply(params: GroupParams, x: GroupElement, y: GroupElement) -> GroupElement:
-    """Product xy in normal form.
+def product_rule(two_n, r1, s1, r2, s2):
+    """(r, s) with a^r b^s = a^{r1} b^{s1} a^{r2} b^{s2}, on ints or int arrays.
 
-    Uses the rewriting rules derived from the presentation:
+    The rewriting rules derived from the presentation,
         b   a^r = a^{-r} b^{1 or 3}   (3 when r is odd)
         b^2 a^r = a^{r}  b^2          (b^2 is central)
-        b^3 a^r = a^{-r} b^{3 or 1}   (1 when r is odd)
+        b^3 a^r = a^{-r} b^{3 or 1}   (1 when r is odd),
+    in one closed form: a^{r1 + r2} b^{s1 + s2} for even s1, and
+    a^{r1 - r2} b^{s1 + 2 r2 + s2} for odd s1.
     """
-    two_n = params.two_n
-    r1, s1 = x
-    r2, s2 = y
-    if s1 == 0:
-        return GroupElement((r1 + r2) % two_n, s2)
-    if s1 == 2:
-        return GroupElement((r1 + r2) % two_n, (2 + s2) % 4)
-    if s1 == 1:
-        t = 1 if r2 % 2 == 0 else 3
-    else:
-        t = 3 if r2 % 2 == 0 else 1
-    return GroupElement((r1 - r2) % two_n, (t + s2) % 4)
+    odd = s1 % 2
+    return (r1 + (1 - 2 * odd) * r2) % two_n, (s1 + 2 * odd * r2 + s2) % 4
+
+
+def multiply(params: GroupParams, x: GroupElement, y: GroupElement) -> GroupElement:
+    """Product xy in normal form, by `product_rule`."""
+    return GroupElement(*product_rule(params.two_n, x.r, x.s, y.r, y.s))
 
 
 def inverse(params: GroupParams, x: GroupElement) -> GroupElement:

@@ -30,27 +30,26 @@ gives
 Each class's share of that sum, the real parts over its vertices divided by
 P[0, 0], is kept with the stack as one (classes, labels) table; a graph's
 eigenvalues are its classes' rows, added in class order.
-`verify` owns the numerical check of a graph's verdicts, on the
-fixed grid of GRID_POINTS steps over 2 pi.
+`verify` owns the numerical check of a graph's verdicts, on the fixed grid
+of GRID_POINTS steps over 2 pi: it runs on the graph's own label
+eigenvalues, in label order, and every positive pair is its own product.
 Positive pairs are checked at their transfer times, all of a graph's pairs
-from one phase table.  Every other pair is
-read, through the ratio table W, from one column of
-`grid_amplitude_maxima`, which runs four stages, each on the columns the one
-before leaves at or above the negative threshold:
+from one phase table.  Every other pair is read, through the ratio table W,
+from one column of `grid_amplitude_maxima`, which runs three
+stages, each on the columns the one before leaves at or above the negative
+threshold:
 
-1. B[w] = sum |P_label[w, 0]|, a per-n bound for every real tau;
-2. B'[w], which first adds up the labels that share an eigenvalue, again a
-   bound for every tau (for n = 1..8 only some central involutions get past
-   it);
-3. |H(t)_{w,0}| on every COARSE_STEP-th grid point plus a Lipschitz term,
+1. B[w] = sum |P_label[w, 0]|, a per-n bound for every real tau, which
+   leaves only the identity and the central involutions for n = 1..8;
+2. |H(t)_{w,0}| on every COARSE_STEP-th grid point plus a Lipschitz term,
    a bound on the whole grid and for every tau in [0, 2 pi]; a column
    whose samples at coarse points that are grid points reach the threshold
    is a hit, since its grid maximum is at least that sample, and stops
    here too;
-4. the exact maximum over the grid, kept only where every bound fails and
+3. the exact maximum over the grid, kept only where every bound fails and
    no sample decides a hit.
 
-Stages 3 and 4 share one scan over the distinct eigenvalues, with phases
+Stages 2 and 3 share one scan over the labels' eigenvalues, with phases
 factorized into two short tables.  A column returns the value of the last
 stage it reached, so every column is an upper bound on its grid maximum,
 and a fine-scanned column is that maximum.
@@ -65,7 +64,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .group import ConnectionSet, GroupParams, class_labels
+from .group import ConnectionSet, GroupParams, class_labels, product_rule
 # `eigenvalues` is not called here; it stays bound because the benchmark
 # (perfbench/layers.py) patches `oracle.eigenvalues`
 from .spectrum import eigenvalues, rep_labels  # noqa: F401
@@ -254,42 +253,17 @@ class ProbeResult:
     amplitude: float
 
 
-@lru_cache(maxsize=256)
-def _distinct_pairs(params: GroupParams, pairs: tuple) -> tuple[tuple, np.ndarray]:
-    """(one pair per distinct coefficient vector, the index of each pair's vector).
-
-    Two pairs share a vector when their `mats[:, u, v]` are byte-identical.
-    The pair lists come from the input, so the cache is bounded; `verify`
-    passes the pairs of a verdict, which are few per n.
-    """
-    mats = _STACKS[params].mats
-    first: dict[bytes, int] = {}
-    kept, index = [], []
-    for u, v in pairs:
-        key = mats[:, u, v].tobytes()
-        if key not in first:
-            first[key] = len(kept)
-            kept.append((u, v))
-        index.append(first[key])
-    columns = np.array(index, dtype=np.intp)
-    columns.flags.writeable = False
-    return tuple(kept), columns
-
-
 def pair_amplitudes(connection: ConnectionSet, pairs, times) -> np.ndarray:
     """|H(tau)_{uv}| for every tau in `times` and every pair (u, v) in `pairs`.
 
     Returns (len(times), len(pairs)).  The pairs share one eigenvalue vector
-    and one phase table; each distinct coefficient vector is its own
-    matrix-vector product with that table, so every column is bit-identical
-    to a call on that pair alone (one matrix product over all pairs would
-    round differently).  Pairs with byte-identical vectors share a product:
-    a transfer graph's 4n pairs have one or two for n <= 8.
+    and one phase table; each pair is its own matrix-vector product with that
+    table, so every column is bit-identical to a call on that pair alone (one
+    matrix product over all pairs would round differently).
     """
     lams, stack = _spectral_data(connection)
     phases = np.exp(-1j * np.outer(np.asarray(times, dtype=float), lams))
-    kept, columns = _distinct_pairs(connection.params, tuple((u, v) for u, v in pairs))
-    return np.stack([np.abs(phases @ stack.mats[:, u, v]) for u, v in kept], axis=1)[:, columns]
+    return np.abs(np.stack([phases @ stack.mats[:, u, v] for u, v in pairs], axis=1))
 
 
 def pst_probe(connection: ConnectionSet, u: int, v: int, times) -> ProbeResult:
@@ -307,20 +281,13 @@ def ratio_index_table(params: GroupParams) -> np.ndarray:
     For Cayley graphs right translation is an automorphism, so
     |H(tau)_{uv}| = |H(tau)_{W[u,v], 0}|; `verify` reads pair maxima from
     the first column through this table.  Built on (r, s) index arrays by
-    the rewriting rules of `group.multiply`: a^{r1} b^{s1} a^{r2} b^{s2} is
-    a^{r1 + r2} b^{s1 + s2} for even s1, and a^{r1 - r2} b^{s1 + 2 r2 + s2}
-    for odd s1 (b a^r = a^{-r} b^{1 or 3}, 3 when r is odd).
+    `group.product_rule`, the rule `group.multiply` applies to one pair.
     """
     two_n = params.two_n
-
-    def product(r1, s1, r2, s2):
-        odd = s1 % 2
-        return (r1 + (1 - 2 * odd) * r2) % two_n, (s1 + 2 * odd * r2 + s2) % 4
-
     s, r = np.divmod(np.arange(params.order), two_n)
     # (a^r b^s)^{-1} = b^{-s} a^{-r}
-    r_inv, s_inv = product(0, -s % 4, -r % two_n, 0)
-    r_w, s_w = product(r[:, None], s[:, None], r_inv[None, :], s_inv[None, :])
+    r_inv, s_inv = product_rule(two_n, 0, -s % 4, -r % two_n, 0)
+    r_w, s_w = product_rule(two_n, r[:, None], s[:, None], r_inv[None, :], s_inv[None, :])
     W = two_n * s_w + r_w
     W.flags.writeable = False
     return W
@@ -335,95 +302,76 @@ def _pairs_per_ratio(params: GroupParams) -> np.ndarray:
     return counts
 
 
-def _eigenspaces(lams: np.ndarray, col: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(distinct eigenvalues ascending, coefficients summed per eigenvalue).
-
-    A stable sort keeps the labels of one eigenvalue in label order, so each
-    sum adds them in that order.
-    """
-    order = np.argsort(lams, kind="stable")
-    ordered = lams[order]
-    starts = np.flatnonzero(np.concatenate(([True], ordered[1:] != ordered[:-1])))
-    return ordered[starts], np.add.reduceat(col[order], starts)
-
-
-def _scan(coeffs: np.ndarray, spaces: np.ndarray, step: float, points: int) -> np.ndarray:
-    """|sum_s coeffs[s, c] e^{-i spaces[s] k step}| for each column c and k = 0 .. points.
+def _scan(coeffs: np.ndarray, lams: np.ndarray, step: float, points: int) -> np.ndarray:
+    """|sum_l coeffs[l, c] e^{-i lams[l] k step}| for each column c and k = 0 .. points.
 
     Writing k = q R + r with R = isqrt(points) + 1 factorizes the phase as
     e^{-i lambda q R step} e^{-i lambda r step}: two short exp tables over the
-    distinct eigenvalues and one matrix product.  Returns (columns, Q R) with
+    labels' eigenvalues and one matrix product.  Returns (columns, Q R) with
     Q R > points, so the last few k lie past `points`.
     """
     R = math.isqrt(points) + 1
     Q = points // R + 1
-    by_q = np.exp(-1j * np.outer(np.arange(Q) * R * step, spaces))  # (Q, spaces)
-    by_r = np.exp(-1j * np.outer(spaces, np.arange(R) * step))  # (spaces, R)
-    weighted = coeffs.T[:, None, :] * by_q  # (C, Q, spaces)
-    return np.abs(weighted.reshape(-1, len(spaces)) @ by_r).reshape(coeffs.shape[1], Q * R)
+    by_q = np.exp(-1j * np.outer(np.arange(Q) * R * step, lams))  # (Q, labels)
+    by_r = np.exp(-1j * np.outer(lams, np.arange(R) * step))  # (labels, R)
+    weighted = coeffs.T[:, None, :] * by_q  # (C, Q, labels)
+    return np.abs(weighted.reshape(-1, len(lams)) @ by_r).reshape(coeffs.shape[1], Q * R)
 
 
 def grid_amplitude_maxima(connection: ConnectionSet, grid_points: int) -> np.ndarray:
     """Upper bound on max over tau of |H(tau)_{w, 0}|, for every vertex w.
 
-    Four stages, each run only on the columns the one before leaves at or
+    Three stages, each run only on the columns the one before leaves at or
     above 1 - NEGATIVE_TOL; what a column returns is its value from the
     last stage it reached.
 
     1. B[w] = sum over labels of |P_label[w, 0]| bounds |H(tau)_{w, 0}| for
        every real tau, since H(tau) = sum over labels of
        e^{-i lambda tau} P_label.  It depends only on n, so it is kept with
-       the stack.  For n = 1..8 it certifies every column except the
-       identity and the central involutions.
-    2. Labels whose float eigenvalues are bit-identical share one phase, so
-       summing their coefficients per eigenspace leaves H unchanged and gives
-       B'[w] = sum over eigenspaces s of |c_s[w]| <= B[w], again a bound for
-       every tau.
-    3. With h = 2 pi / grid_points, |H(t)_{w, 0}| on every COARSE_STEP-th grid
+       the stack, with the columns it leaves (`stack.cand`).  For n = 1..8
+       it certifies every column except the identity and the central
+       involutions.
+    2. With h = 2 pi / grid_points, |H(t)_{w, 0}| on every COARSE_STEP-th grid
        point t = j K h (K = COARSE_STEP, j = 0 .. ceil(grid_points / K)),
-       plus L[w] K h / 2, where L[w] = sum_s |c_s[w]| |lambda_s - mu| and mu
-       is the midpoint of the smallest and largest eigenvalue.  A global
-       phase does not change the modulus, so
-       |H(t + d)_{w, 0}| <= |H(t)_{w, 0}| + L[w] |d|; every grid point, and
-       every tau in [0, 2 pi], lies within K h / 2 of a coarse point, so this
-       bounds the column on the whole grid.
+       plus L[w] K h / 2, where L[w] = sum over labels of
+       |P_label[w, 0]| |lambda_label - mu| and mu is the midpoint of the
+       smallest and largest eigenvalue.  A global phase does not change the
+       modulus, so |H(t + d)_{w, 0}| <= |H(t)_{w, 0}| + L[w] |d|; every grid
+       point, and every tau in [0, 2 pi], lies within K h / 2 of a coarse
+       point, so this bounds the column on the whole grid.
        Coarse point j = 1 .. floor(grid_points / K) is grid point j K, so
        a column whose sample there reaches the threshold has its grid
-       maximum at or above it: a hit, decided without stage 4, which keeps
+       maximum at or above it: a hit, decided without stage 3, which keeps
        its coarse bound (at or above the threshold too).
-    4. The maximum of |H(t)_{w, 0}| over the grid t_k = k h, k = 1 ..
-       grid_points, exactly as scanned, for the columns stage 3 neither
+    3. The maximum of |H(t)_{w, 0}| over the grid t_k = k h, k = 1 ..
+       grid_points, exactly as scanned, for the columns stage 2 neither
        certifies nor decides.
 
-    So a column that stops at stage 1 or 2 bounds |H(tau)_{w, 0}| for every
-    real tau, one that stops at stage 3 for every tau in [0, 2 pi], and a
-    column that reaches stage 4 is its grid maximum.  Every column is on
-    the side of the threshold its grid maximum is on.  Column 0 (the
-    identity, the ratio of no pair u < v) keeps B[0], which bounds
-    |H(tau)_{00}| as well.  Through ratio_index_table the result bounds
-    every pair's |H(tau)_{uv}| on the grid.
+    Stages 2 and 3 run on the graph's label eigenvalues and the columns'
+    per-label coefficients, in label order.  So a column that stops at
+    stage 1 bounds |H(tau)_{w, 0}| for every real tau, one that stops at
+    stage 2 for every tau in [0, 2 pi], and a column that reaches stage 3
+    is its grid maximum.  Every column is on the side of
+    the threshold its grid maximum is on.  Column 0 (the identity, the
+    ratio of no pair u < v) keeps B[0], which bounds |H(tau)_{00}| as well.
+    Through ratio_index_table the result bounds every pair's |H(tau)_{uv}|
+    on the grid.
     """
     threshold = 1.0 - NEGATIVE_TOL
     lams, stack = _spectral_data(connection)
     best = stack.bound.copy()
-    spaces, coeffs = _eigenspaces(lams, stack.cand_col)
-    weights = np.abs(coeffs)
-    best[stack.cand] = weights.sum(axis=0)
-    left = best[stack.cand] >= threshold
-    if not left.any():
-        return best
-    cols, coeffs, weights = stack.cand[left], coeffs[:, left], weights[:, left]
+    cols, coeffs = stack.cand, stack.cand_col
     h = 2 * math.pi / grid_points
     coarse_points = -(-grid_points // COARSE_STEP)
-    lipschitz = np.abs(spaces - (spaces[0] + spaces[-1]) / 2) @ weights
-    coarse = _scan(coeffs, spaces, COARSE_STEP * h, coarse_points)[:, : coarse_points + 1]
+    lipschitz = np.abs(lams - (lams.min() + lams.max()) / 2) @ np.abs(coeffs)
+    coarse = _scan(coeffs, lams, COARSE_STEP * h, coarse_points)[:, : coarse_points + 1]
     best[cols] = coarse.max(axis=1) + lipschitz * (COARSE_STEP * h / 2)
     # coarse point j = 1 .. grid_points // K is grid point j K: a sample there
     # at or above the threshold is a hit, which keeps its coarse bound
     sampled = (coarse[:, 1 : grid_points // COARSE_STEP + 1] >= threshold).any(axis=1)
     left = (best[cols] >= threshold) & ~sampled
     if left.any():
-        fine = _scan(coeffs[:, left], spaces, h, grid_points)
+        fine = _scan(coeffs[:, left], lams, h, grid_points)
         best[cols[left]] = fine[:, 1 : grid_points + 1].max(axis=1)
     return best
 
@@ -436,11 +384,11 @@ def verify(connection: ConnectionSet, verdicts) -> tuple[float, int]:
     amplitude is still its own product, bit-identical to a call on that pair
     alone.  A positive pair disagrees at or below 1 - POSITIVE_TOL, any
     other pair u < v when grid_amplitude_maxima reaches 1 - NEGATIVE_TOL at
-    its ratio: a bound from B, B' or the coarse grid pass, a coarse sample
-    at a grid point that reaches the threshold, and where none of these
-    decides the ratio, its maximum over the grid of 2 pi / GRID_POINTS
-    steps.  The ratio of a pair u < v is never the identity, so the identity
-    column is never counted.
+    its ratio: a bound from B or the coarse grid pass, a coarse sample at a
+    grid point that reaches the threshold, and where none of these decides
+    the ratio, its maximum over the grid of 2 pi / GRID_POINTS steps.  The
+    ratio of a pair u < v is never the identity, so the identity column is
+    never counted.
     """
     disagreements = 0
     max_dev = 0.0

@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from v8npst import cli, oracle, spectrum
+from v8npst import characters, cli, group, oracle, spectrum
 from v8npst.group import (
     GroupParams,
     class_masks,
@@ -145,6 +145,35 @@ def test_search_above_bound_is_error_document(capsys):
     assert json.loads(out) == {
         "error": {"code": "BoundExceeded", "message": "n=9 above the search bound 8"}
     }
+
+
+@pytest.mark.parametrize("command", ["analyze", "probe"])
+def test_graph_commands_above_bound_build_no_table(capsys, monkeypatch, command):
+    """Above MAX_GRAPH_N, analyze and probe print a BoundExceeded document
+    before any per-n table, or the group itself, is built; at the bound the
+    check lets the command through to the group."""
+
+    class Built(Exception):
+        pass
+
+    def no_table(*args):
+        raise Built
+
+    monkeypatch.setattr(group, "conjugacy_classes", no_table)
+    monkeypatch.setattr(characters, "character_table", no_table)
+    monkeypatch.setattr(cli, "GroupParams", no_table)
+    tail = ["--set", "b^2"] + (["--u", "0", "--v", "1"] if command == "probe" else ["--verify"])
+    for n in (cli.MAX_GRAPH_N + 1, 100_000):
+        code, out = run_cli(capsys, [command, "--n", str(n)] + tail)
+        assert code == 1
+        assert json.loads(out) == {
+            "error": {
+                "code": "BoundExceeded",
+                "message": f"n={n} above the {command} bound {cli.MAX_GRAPH_N}",
+            }
+        }
+    with pytest.raises(Built):
+        cli.main([command, "--n", str(cli.MAX_GRAPH_N)] + tail)
 
 
 def test_parser_is_built_once_and_survives_a_usage_error(capsys):
