@@ -46,7 +46,8 @@ in slices of about 1 MiB, so neither the whole text nor an encoded copy
 of it is ever held.
 
 `--verify` scans the fixed grid `oracle.GRID_POINTS` (10^4 points over
-2 pi); `probe --grid` defaults to the same constant.
+2 pi); `probe --grid` defaults to the same constant and accepts at most
+MAX_GRID = 10^5 points.
 
 A command line whose first word names a subcommand is parsed by that
 subcommand's parser alone; any other goes to the top-level parser, which
@@ -55,14 +56,16 @@ keeps -h and the errors for a missing or unknown subcommand.
 Every failure prints one JSON error document on stdout.  Exit codes: 0 ok,
 1 usage error (a UsageError document, with the usage line on stderr; n
 above MAX_N = 8 for search, or above MAX_GRAPH_N = 32 for analyze and
-probe, is a BoundExceeded one, printed before any per-n table is built),
-2 invalid connection set,
+probe, or a probe --grid above MAX_GRID, is a BoundExceeded one, printed
+before any per-n table or array is built), 2 invalid connection set,
 4 decision/oracle disagreement (with --verify), 5 stdout closed by its
 reader before the document was written (a broken pipe, as in
-`search ... | head`), 6 internal check failed (the character table or the
-class map built from it fails an exact check: a `NonRealEigenvalue`,
-`CharacterTableError` or `IntegralityMismatch` document).  Code 5 is the
-one path that prints no document: there is nowhere to print it.
+`search ... | head`), 6 internal check failed (the class map fails one of
+the five exact checks made, once per n, as it is built from the character
+table: a `NonRealEigenvalue`, `CharacterTableError` or
+`IntegralityMismatch` document, from every command that builds the map).
+Code 5 is the one path that prints no document: there is nowhere to
+print it.
 Integrality is decided exactly, so no input is numerically ambiguous; the
 former code 3 is retired.
 """
@@ -110,6 +113,9 @@ MAX_N = 8  # search enumerates every class union, so its cost grows fast with n
 # analyze and probe build every per-n table of V_8n for one graph: 1.6 to 1.8 s
 # and 190 MB at n = 32 with --verify, 3.4 to 3.9 s and 330 MB at n = 40
 MAX_GRAPH_N = 32
+# probe holds a (grid + 1) x labels phase table: at n = 32, 2.8 s and 359 MB at
+# 10^5 points, against 2.5 s and 187 MB at the default 10^4 and 572 MB at 2 * 10^5
+MAX_GRID = 10**5
 
 
 class UsageError(Exception):
@@ -333,15 +339,15 @@ def _structured_error(code: str, message: str, exit_code: int) -> int:
     return exit_code
 
 
-def _bound_exceeded(n: int, command: str, bound: int) -> int:
+def _bound_exceeded(value: str, command: str, bound: int) -> int:
     return _structured_error(
-        "BoundExceeded", f"n={n} above the {command} bound {bound}", EXIT_USAGE
+        "BoundExceeded", f"{value} above the {command} bound {bound}", EXIT_USAGE
     )
 
 
 def cmd_analyze(args) -> int:
     if args.n > MAX_GRAPH_N:
-        return _bound_exceeded(args.n, "analyze", MAX_GRAPH_N)
+        return _bound_exceeded(f"n={args.n}", "analyze", MAX_GRAPH_N)
     params = GroupParams(args.n)
     try:
         conn = parse_set_spec(params, args.set)
@@ -359,7 +365,7 @@ def cmd_analyze(args) -> int:
 
 def cmd_search(args) -> int:
     if args.n > MAX_N:
-        return _bound_exceeded(args.n, "search", MAX_N)
+        return _bound_exceeded(f"n={args.n}", "search", MAX_N)
     params = GroupParams(args.n)
     max_classes = args.max_classes or len(conjugacy_classes(params))
     sizes = class_sizes(params)
@@ -414,7 +420,9 @@ def cmd_search(args) -> int:
 
 def cmd_probe(args) -> int:
     if args.n > MAX_GRAPH_N:
-        return _bound_exceeded(args.n, "probe", MAX_GRAPH_N)
+        return _bound_exceeded(f"n={args.n}", "probe", MAX_GRAPH_N)
+    if args.grid > MAX_GRID:
+        return _bound_exceeded(f"grid={args.grid}", "probe grid", MAX_GRID)
     params = GroupParams(args.n)
     try:
         conn = parse_set_spec(params, args.set)

@@ -33,17 +33,17 @@ rational classes (`group.class_masks`); `search` asks the same criterion
 first and builds no table for a set that fails it, most sets (144 of 152
 on `search --n 7 --max-classes 4`).  An integral table's `integers`, the
 exact eigenvalue k / d of each representation, is the sum of per-n integer
-vectors, one per rational class in S, each checked exact once, when it is
-built (`_rational_integers`).  The decision reads only these, so deciding
-a graph sums no rows and evaluates no float.  A set's rows are summed
-only for `values` and `integer_values`, which print the spectrum of a
-non-integral graph.  No eigenvalue is kept past its table.
+vectors, one per rational class in S, each checked exact as the last of
+the five checks made when the class map is built.  The decision reads
+only these, so deciding a graph sums no rows and evaluates no float.  A
+set's rows are summed only for `values` and `integer_values`, which print
+the spectrum of a non-integral graph.  No eigenvalue is kept past its table.
 """
 
 from __future__ import annotations
 
 import math
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -90,26 +90,21 @@ class _ClassMap(NamedTuple):
     S are the eigenvalue numerator and its reduced form.  Entries are class
     sizes times coefficients of a few units, so the int64 sums are exact.
     Each class's block is contiguous, so a set's sum is one `take` and one
-    sum over the first axis.
+    sum over the first axis.  `rational` holds the exact eigenvalues of
+    each rational class on its own (`_rational_integers`).
     """
 
-    table: tuple  # the character table the map was built from
     stacked: np.ndarray  # int64, (classes, reps, m + phi(m))
     reps: tuple[tuple[str, str, int, int], ...]  # label, kind, index, multiplicity
     degrees: np.ndarray  # int64, (reps,): the degree d of each representation
     re_roots: np.ndarray  # float, (m,): Re zeta^e for e = 0 .. m-1
+    rational: tuple[tuple[int, tuple[int, ...]], ...]  # class bits, eigenvalues
 
 
-_class_maps: dict[GroupParams, _ClassMap] = {}
-
-
+@lru_cache(maxsize=None)
 def _class_map(params: GroupParams) -> _ClassMap:
-    """The cached map, rebuilt whenever `character_table` returns a new table."""
-    table = character_table(params)
-    cached = _class_maps.get(params)
-    if cached is None or cached.table is not table:
-        cached = _class_maps[params] = _build_class_map(params, table)
-    return cached
+    """The map of `character_table`, built and checked once per n."""
+    return _build_class_map(params, character_table(params))
 
 
 def _class_gram(conj: np.ndarray, column: np.ndarray) -> np.ndarray:
@@ -125,12 +120,14 @@ def _class_gram(conj: np.ndarray, column: np.ndarray) -> np.ndarray:
 
 
 def _build_class_map(params: GroupParams, table) -> _ClassMap:
-    """The map of `table`, built after checking the table exactly mod Phi_m.
+    """The map of `table`, built after checking it exactly mod Phi_m.
 
     The checks, in order: chi(c^-1) = conj chi(c); theta_1 = 1; chi(1) = d;
-    column orthogonality.  Over an inverse-closed S they make every lambda
-    real, alpha_1 = |S|, the degrees' squares sum to 8n, the trace 0 and the
-    second moment 8n|S| (Isaacs, Character Theory of Finite Groups, ch. 2).
+    column orthogonality; each rational class's eigenvalues are integers
+    (`_rational_integers`).  Over an inverse-closed S the first four make
+    every lambda real, alpha_1 = |S|, the degrees' squares sum to 8n, the
+    trace 0 and the second moment 8n|S| (Isaacs, Character Theory of Finite
+    Groups, ch. 2).
     """
     m = 4 * params.n
     classes = conjugacy_classes(params)
@@ -139,6 +136,7 @@ def _build_class_map(params: GroupParams, table) -> _ClassMap:
     unreduced *= np.array(sizes)[:, None]
     reduce = np.array(reduced_powers(m), dtype=np.int64)
     descs = rep_descriptors(params)
+    degrees = _read_only(np.array([d.degree for d in descs], dtype=np.int64))
 
     def is_integer(coeffs, k) -> bool:
         """Each coefficient vector reduces to the integer k (broadcast)."""
@@ -151,7 +149,7 @@ def _build_class_map(params: GroupParams, table) -> _ClassMap:
         raise NonRealEigenvalue("chi(c^-1) != conj chi(c) for some c: eigenvalues not real")
     if not is_integer(unreduced[0], sizes):
         raise CharacterTableError("theta_1 is not 1 on every class: alpha_1 must equal |S|")
-    if not is_integer(unreduced[:, 0], [d.degree for d in descs]):  # class 0 is {1}
+    if not is_integer(unreduced[:, 0], degrees):  # class 0 is {1}
         raise CharacterTableError("the identity column of the character table is not the degrees")
     # sum_rho |c| chi_rho(c) conj(|d| chi_rho(d)) = delta_cd 8n |c|, one class c at a
     # time, in float64 so that BLAS sums it.  Every term and every partial sum is
@@ -165,49 +163,43 @@ def _build_class_map(params: GroupParams, table) -> _ClassMap:
         gram = _class_gram(conj_f, unreduced_f[:, c]).astype(np.int64)
         if not is_integer(gram, params.order * size * (np.arange(len(sizes)) == c)):
             raise CharacterTableError(f"column orthogonality fails at class {classes[c].tag}")
-    stacked = np.concatenate([unreduced, unreduced @ reduce], axis=2)
+    stacked = np.concatenate([unreduced, unreduced @ reduce], axis=2).transpose(1, 0, 2)
+    stacked = _read_only(np.ascontiguousarray(stacked))
     return _ClassMap(
-        table=table,
-        stacked=_read_only(np.ascontiguousarray(stacked.transpose(1, 0, 2))),
+        stacked=stacked,
         reps=tuple(
             (f"{_KIND_BY_REP[d.kind]}_{d.index}", _KIND_BY_REP[d.kind], d.index, d.degree**2)
             for d in descs
         ),
-        degrees=_read_only(np.array([d.degree for d in descs], dtype=np.int64)),
+        degrees=degrees,
         re_roots=_read_only(np.array([z.real for z in unit_roots(m)])),
+        rational=_rational_integers(params, stacked, degrees),
     )
 
 
-_rational_vectors: dict[GroupParams, tuple[_ClassMap, tuple[tuple[int, tuple[int, ...]], ...]]] = {}
-
-
 def _rational_integers(
-    params: GroupParams, class_map: _ClassMap
+    params: GroupParams, stacked: np.ndarray, degrees: np.ndarray
 ) -> tuple[tuple[int, tuple[int, ...]], ...]:
     """(class bits, exact eigenvalues) of each rational class on its own.
 
     A rational class is a union of rational classes, so its summed reduced
-    rows are integers that the degrees divide, or the map is wrong and
-    `IntegralityMismatch` is raised; the quotients are its eigenvalues, and
-    a union's are the sums of theirs.  Kept per `class_map`, so a rebuilt
-    map is checked again.
+    rows of `stacked` are integers that the `degrees` divide, or the map is
+    wrong and `IntegralityMismatch` is raised; the quotients are its
+    eigenvalues, and a union's are the sums of theirs.
     """
-    cached = _rational_vectors.get(params)
-    if cached is None or cached[0] is not class_map:
-        m = len(class_map.re_roots)
-        vectors = []
-        for bits in class_masks(params).rational:
-            indices = [i for i in range(bits.bit_length()) if bits >> i & 1]
-            reduced = class_map.stacked.take(indices, axis=0).sum(axis=0)[:, m:]
-            k, rest = np.divmod(reduced[:, 0], class_map.degrees)
-            if rest.any() or reduced[:, 1:].any():
-                raise IntegralityMismatch(
-                    "a rational class has a non-integral eigenvalue: "
-                    "the class map breaks the rationality criterion"
-                )
-            vectors.append((bits, tuple(k.tolist())))
-        cached = _rational_vectors[params] = (class_map, tuple(vectors))
-    return cached[1]
+    m = 4 * params.n
+    vectors = []
+    for bits in class_masks(params).rational:
+        indices = [i for i in range(bits.bit_length()) if bits >> i & 1]
+        reduced = stacked.take(indices, axis=0).sum(axis=0)[:, m:]
+        k, rest = np.divmod(reduced[:, 0], degrees)
+        if rest.any() or reduced[:, 1:].any():
+            raise IntegralityMismatch(
+                "a rational class has a non-integral eigenvalue: "
+                "the class map breaks the rationality criterion"
+            )
+        vectors.append((bits, tuple(k.tolist())))
+    return tuple(vectors)
 
 
 def representations(params: GroupParams) -> tuple[tuple[str, str, int, int], ...]:
@@ -237,8 +229,8 @@ class SpectrumTable:
     under x -> x^k have the same inner product with every character, so
     they are equal: S is closed under the k-th powers.
 
-    `integers`, on an integral table, sums the per-n vectors of the
-    rational classes in S (`_rational_integers`) and reads no rows.
+    `integers`, on an integral table, sums the class map's per-n vectors
+    of the rational classes in S (`rational`) and reads no rows.
     `values` and `integer_values` read `_sums`, the summed rows, built on
     the first read of either.  `values` is the read-only float vector of
     the eigenvalues, in the order of `rep_labels`: one array pass over the
@@ -275,7 +267,7 @@ class SpectrumTable:
         if not self.all_integral:
             raise ValueError("only an integral spectrum has integer eigenvalues")
         bits = self.connection.bits
-        vectors = _rational_integers(self.connection.params, self._class_map)
+        vectors = self._class_map.rational
         return tuple(map(sum, zip(*[vector for mask, vector in vectors if bits & mask])))
 
     @cached_property

@@ -7,6 +7,7 @@ from functools import lru_cache
 import numpy as np
 import pytest
 
+from v8npst import spectrum
 from v8npst.group import (
     IDENTITY,
     GroupElement,
@@ -103,3 +104,15 @@ def eigh_column_max(lam, V, times, chunk: int = 2000) -> np.ndarray:
 @pytest.fixture(scope="session")
 def rng():
     return np.random.default_rng(20240811)
+
+
+@pytest.fixture
+def fresh_class_map(monkeypatch):
+    """`monkeypatch`, with `spectrum._class_map`'s cache cleared before the
+    test and again after its patches are undone: a map is built, and
+    checked, from a patched character table or rational partition, and is
+    never kept past the test."""
+    spectrum._class_map.cache_clear()
+    yield monkeypatch
+    monkeypatch.undo()
+    spectrum._class_map.cache_clear()

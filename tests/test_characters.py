@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from v8npst.characters import RepDescriptor, character_table, rep_descriptors
+from v8npst.cli import MAX_GRAPH_N
 from v8npst.group import (
     IDENTITY,
     GroupParams,
@@ -139,7 +140,7 @@ def test_trace_matches_closed_form_tables(n):
             assert sub(by_trace, by_table).is_zero(), (n, d, cls.tag)
 
 
-@pytest.mark.parametrize("n", range(1, 13))
+@pytest.mark.parametrize("n", [*range(1, 13), 16, 24, MAX_GRAPH_N])
 def test_character_table_matches_matrix_traces(n):
     """Each entry read off the diagonals is the trace of the representation
     matrix at the class's smallest vertex, coefficient for coefficient."""

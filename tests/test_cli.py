@@ -147,21 +147,27 @@ def test_search_above_bound_is_error_document(capsys):
     }
 
 
-@pytest.mark.parametrize("command", ["analyze", "probe"])
-def test_graph_commands_above_bound_build_no_table(capsys, monkeypatch, command):
-    """Above MAX_GRAPH_N, analyze and probe print a BoundExceeded document
-    before any per-n table, or the group itself, is built; at the bound the
-    check lets the command through to the group."""
+class Built(Exception):
+    """A per-n table, or the group itself, was about to be built."""
 
-    class Built(Exception):
-        pass
+
+@pytest.fixture
+def no_tables(fresh_class_map):
+    """The group and the per-n table builders raise `Built`."""
 
     def no_table(*args):
         raise Built
 
-    monkeypatch.setattr(group, "conjugacy_classes", no_table)
-    monkeypatch.setattr(characters, "character_table", no_table)
-    monkeypatch.setattr(cli, "GroupParams", no_table)
+    fresh_class_map.setattr(group, "conjugacy_classes", no_table)
+    fresh_class_map.setattr(characters, "character_table", no_table)
+    fresh_class_map.setattr(cli, "GroupParams", no_table)
+
+
+@pytest.mark.parametrize("command", ["analyze", "probe"])
+def test_graph_commands_above_bound_build_no_table(capsys, no_tables, command):
+    """Above MAX_GRAPH_N, analyze and probe print a BoundExceeded document
+    before any per-n table, or the group itself, is built; at the bound the
+    check lets the command through to the group."""
     tail = ["--set", "b^2"] + (["--u", "0", "--v", "1"] if command == "probe" else ["--verify"])
     for n in (cli.MAX_GRAPH_N + 1, 100_000):
         code, out = run_cli(capsys, [command, "--n", str(n)] + tail)
@@ -174,6 +180,23 @@ def test_graph_commands_above_bound_build_no_table(capsys, monkeypatch, command)
         }
     with pytest.raises(Built):
         cli.main([command, "--n", str(cli.MAX_GRAPH_N)] + tail)
+
+
+def test_probe_grid_above_bound_builds_no_table(capsys, no_tables):
+    """Above MAX_GRID, probe prints a BoundExceeded document before the group,
+    any per-n table or the phase table is built; at the bound it goes on."""
+    argv = ["probe", "--n", "1", "--set", "a+b+a*b", "--u", "0", "--v", "4", "--grid"]
+    for grid in (cli.MAX_GRID + 1, 10**9):
+        code, out = run_cli(capsys, argv + [str(grid)])
+        assert code == 1
+        assert json.loads(out) == {
+            "error": {
+                "code": "BoundExceeded",
+                "message": f"grid={grid} above the probe grid bound {cli.MAX_GRID}",
+            }
+        }
+    with pytest.raises(Built):
+        cli.main(argv + [str(cli.MAX_GRID)])
 
 
 def test_parser_is_built_once_and_survives_a_usage_error(capsys):
@@ -451,8 +474,9 @@ def test_verify_catches_a_swapped_class_map_row(capsys, monkeypatch):
     i, j = labels.index("beta_1"), labels.index("gamma_1")
     stacked = class_map.stacked.copy()
     stacked[c, [i, j]] = stacked[c, [j, i]]
-    monkeypatch.setitem(spectrum._class_maps, params, class_map._replace(stacked=stacked))
-    monkeypatch.delitem(spectrum._rational_vectors, params, raising=False)
+    rational = spectrum._rational_integers(params, stacked, class_map.degrees)
+    swapped = class_map._replace(stacked=stacked, rational=rational)
+    monkeypatch.setattr(spectrum, "_class_map", lambda p: swapped)
     code, out = run_cli(capsys, ["search", "--n", "4", "--verify"])
     doc = json.loads(out)
     assert doc["pstCount"] != 240  # the mutant changes the verdicts
@@ -929,3 +953,91 @@ def test_every_document_is_printed_as_json_dumps_indent_2(capsys, argv):
     out = capsys.readouterr().out
     assert out == json.dumps(json.loads(out), indent=2) + "\n"
 
+
+
+# The fuzzed grammar's values, each accepted one listed three times, so
+# that most draws reach a command.  n stops at 4 below the bound: the
+# per-n stacks of every n up to 32 would hold about 0.5 GB in one process.
+_BOUND = cli.MAX_GRAPH_N
+_FUZZ_N = ["1", "2", "3", "4"] * 3 + ["-1", "0", str(_BOUND + 1), str(_BOUND + 2), "100000"]
+_FUZZ_SPECS = [
+    "b", "a+b+a*b", "b^2+b", "a*b+a+a^7", "b+b", "1", "a + b+a*b+b",  # tags
+    "a,a^3", "a,a*b^2,b,b^3,a*b,a*b^3", "b,a^2*b^3", "a^-1,a^99*b^5",  # element lists
+    "", "+", "a++b", ",", " ", "x", "a^x", "a*b*c",  # garbage, empty parts
+]
+_FUZZ_INTS = ["0", "1", "4", "7"] * 3 + ["-1", "99", "x"]
+_FUZZ_GRIDS = ["1", "7", str(cli.MAX_GRID)] * 2 + [str(cli.MAX_GRID + 1), "10000000000"] * 2
+_FUZZ_GRIDS += ["-1", "0", "1e3"]
+_FUZZ_OPTIONS = {  # the options each subcommand accepts, besides the required ones
+    "analyze": st.just(["--verify"]),
+    "search": st.one_of(
+        st.just(["--verify"]),
+        st.builds(lambda k: ["--max-classes", k], st.sampled_from(_FUZZ_INTS)),
+    ),
+    "probe": st.builds(lambda g: ["--grid", g], st.sampled_from(_FUZZ_GRIDS)),
+}
+_FUZZ_MALFORMED = st.sampled_from(
+    [["--n"], ["--bogus"], ["--u"], ["--verify"], ["--grid", "3"], ["--max-classes", "2"], ["-n", "2"]]
+)
+
+
+@st.composite
+def _command_lines(draw):
+    """A subcommand, each of its required options kept with probability
+    15/16, up to two options it accepts, and with probability 1/8 one it
+    may not accept or that lacks its value, in any order.  A set is a
+    valid union of class tags at n, with probability 1/2, or a drawn spec."""
+    command = draw(st.sampled_from(["analyze", "search", "probe"] * 3 + ["frobnicate"]))
+    n = draw(st.sampled_from(_FUZZ_N))
+    required = [["--n", n]]
+    if command in ("analyze", "probe"):
+        valid = sum(specs_by_integrality(int(n)), ()) if 1 <= int(n) <= 4 else ()
+        spec = st.sampled_from(_FUZZ_SPECS)
+        required.append(["--set", draw(st.one_of(st.sampled_from(valid), spec) if valid else spec)])
+    if command == "probe":
+        required += [["--u", draw(st.sampled_from(_FUZZ_INTS))], ["--v", draw(st.sampled_from(_FUZZ_INTS))]]
+    chunks = [chunk for chunk in required if draw(st.integers(0, 15)) < 15]
+    chunks += draw(st.lists(_FUZZ_OPTIONS.get(command, _FUZZ_MALFORMED), max_size=2))
+    if draw(st.integers(0, 7)) == 7:
+        chunks.append(draw(_FUZZ_MALFORMED))
+    return [command, *(word for chunk in draw(st.permutations(chunks)) for word in chunk)]
+
+
+def test_fuzzed_command_lines_print_one_document(fresh_class_map):
+    """Any drawn command line prints exactly one JSON document and exits with
+    a documented code; a draw above a bound returns before the group or a
+    per-n table of that n is built."""
+
+    def below_bound(build):
+        def guarded(arg, *rest):
+            if (arg if type(arg) is int else arg.n) > _BOUND:
+                raise Built
+            return build(arg, *rest)
+
+        return guarded
+
+    for owner, name in ((group, "conjugacy_classes"), (characters, "character_table"), (cli, "GroupParams")):
+        fresh_class_map.setattr(owner, name, below_bound(getattr(owner, name)))
+    documented = {
+        cli.EXIT_OK, cli.EXIT_USAGE, cli.EXIT_INVALID_SET,
+        cli.EXIT_DISAGREEMENT, cli.EXIT_OUTPUT_CLOSED, cli.EXIT_INTERNAL,
+    }
+    seen = Counter()
+
+    @settings(derandomize=True, max_examples=200, deadline=None, database=None)
+    @given(_command_lines())
+    def check(argv):
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf), contextlib.redirect_stderr(io.StringIO()):
+            code = cli.main(argv)
+        out = buf.getvalue()
+        doc = json.loads(out)  # a second document or a partial report fails to parse
+        assert out == json.dumps(doc, indent=2) + "\n"
+        assert code in documented
+        error = doc.get("error", {"code": argv[0], "message": ""})
+        bound = error["message"].split("=")[0] if error["code"] == "BoundExceeded" else ""
+        seen[error["code"], bound] += 1
+
+    check()
+    kinds = [(c, "") for c in ("analyze", "search", "probe", "UsageError", "NotSymmetric")]
+    assert {*kinds, ("BoundExceeded", "n"), ("BoundExceeded", "grid")} <= set(seen)

@@ -8,6 +8,7 @@ import pickle
 import pytest
 
 from v8npst import group
+from v8npst.cli import MAX_GRAPH_N
 from v8npst.group import (
     IDENTITY,
     ConnectionSet,
@@ -179,10 +180,13 @@ def test_classes_partition_group(n):
     assert union == set(all_elements(p)) and total == 8 * n
 
 
-@pytest.mark.parametrize("n", range(1, 9))
+@pytest.mark.parametrize("n", range(1, MAX_GRAPH_N + 1))
 def test_classes_match_fresh_orbit_computation(n):
+    """The closed-form listing is the conjugation orbits, each listed once,
+    for every n that a command accepts."""
     p = GroupParams(n)
-    classes = {frozenset(c.members) for c in conjugacy_classes(p)}
+    listed = conjugacy_classes(p)
+    classes = {frozenset(c.members) for c in listed}
     elems = all_elements(p)
     seen = set()
     orbits = set()
@@ -192,7 +196,7 @@ def test_classes_match_fresh_orbit_computation(n):
         orbit = frozenset(conjugate(p, g, x) for g in elems)
         orbits.add(orbit)
         seen |= orbit
-    assert classes == orbits
+    assert classes == orbits and len(listed) == len(orbits)
 
 
 def _symmetric_closure(p, subset):
@@ -471,7 +475,7 @@ def test_class_masks_match_element_checks(n):
             assert masks.generates(bits) == (group_reference.generated_subgroup(p, members) == full)
 
 
-@pytest.mark.parametrize("n", range(1, 13))
+@pytest.mark.parametrize("n", [*range(1, 13), 16, 24, MAX_GRAPH_N])
 def test_rational_classes_match_conjugate_cyclic_subgroups(n):
     """The rational classes, from the classes of the powers x^k with k
     coprime to 8n, are the classes of x ~ y iff <x> and <y> are conjugate."""

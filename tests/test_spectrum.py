@@ -14,7 +14,6 @@ from v8npst.group import (
     NotGenerating,
     class_index_map,
     class_masks,
-    class_tags,
     conjugacy_classes,
     element,
     enumerate_connection_sets,
@@ -206,36 +205,51 @@ TABLE_BREAKS = {
 
 
 @pytest.mark.parametrize("name", ["alpha_1", "degree", "orthogonality"])
-def test_broken_spectral_identity_raises(monkeypatch, name):
+def test_broken_spectral_identity_raises(fresh_class_map, name):
     """Each table check rejects a table that passes the checks before it."""
     row_index, tag, extra, match, _ = TABLE_BREAKS[name]
-    _patch_entry(monkeypatch, GroupParams(2), extra, row_index, tag)
+    _patch_entry(fresh_class_map, GroupParams(2), extra, row_index, tag)
     with pytest.raises(RuntimeError, match=match):
         eigenvalues(full_set(2))
 
 
-def test_one_unit_change_breaks_orthogonality_at_n8(monkeypatch):
+def test_one_unit_change_breaks_orthogonality_at_n8(fresh_class_map):
     """+1 on one coefficient of theta_2 at {b^2}: still real, theta_1 and the
     degrees intact, so only the float64 orthogonality check can reject it."""
-    _patch_entry(monkeypatch, GroupParams(8), CycloInt.integer(32, 1))
+    _patch_entry(fresh_class_map, GroupParams(8), CycloInt.integer(32, 1))
     with pytest.raises(spectrum.CharacterTableError, match="column orthogonality"):
         eigenvalues(full_set(8))
 
 
-@pytest.mark.parametrize("n", range(1, 13))
+def _integer_gram(unreduced: np.ndarray) -> np.ndarray:
+    """(classes, classes, m): entry [c, d, k] is coefficient k of
+    sum_rho |c| chi_rho(c) conj(|d| chi_rho(d)), in int64, from the nonzero
+    coefficients alone (an entry has a few): each pair of them with
+    exponents e at c and e' at d adds its product at k = e - e' mod m."""
+    classes, m = unreduced.shape[1:]
+    gram = np.zeros((classes, classes, m), dtype=np.int64)
+    for row in unreduced:
+        c, e = row.nonzero()
+        v = row[c, e]
+        np.add.at(
+            gram, (c[:, None], c[None, :], (e[:, None] - e[None, :]) % m), v[:, None] * v[None, :]
+        )
+    return gram
+
+
+@pytest.mark.parametrize("n", [*range(1, 13), 16, 24, cli.MAX_GRAPH_N])
 def test_float_gram_equals_integer_gram(n):
     """The orthogonality check's float64 Gram equals the int64 one entry for
     entry: every term and partial sum is an integer far below 2^53."""
     m = 4 * n
     unreduced = spectrum._class_map(GroupParams(n)).stacked[:, :, :m].transpose(1, 0, 2)
-    conj = unreduced[:, :, -np.arange(m) % m]
+    conj = unreduced[:, :, -np.arange(m) % m].astype(float)
+    exact = _integer_gram(unreduced)
     for c in range(unreduced.shape[1]):
-        exact = spectrum._class_gram(conj, unreduced[:, c])
-        floating = spectrum._class_gram(conj.astype(float), unreduced[:, c].astype(float))
-        assert exact.dtype == np.int64 and np.array_equal(floating, exact)
+        assert np.array_equal(spectrum._class_gram(conj, unreduced[:, c].astype(float)), exact[c])
 
 
-def test_near_integer_irrational_is_not_integral(monkeypatch):
+def test_near_integer_irrational_is_not_integral(fresh_class_map):
     # eps = (sqrt2 - 1)^21 added to one eigenvalue's numerator stays far
     # inside any float tolerance of the true integer, yet the eigenvalue is
     # irrational.  It is exactly real, but its float value has an imaginary
@@ -244,29 +258,27 @@ def test_near_integer_irrational_is_not_integral(monkeypatch):
     assert 0 < eps.value().real < 1e-8 and abs(eps.value().imag) > 1e-10
     p = GroupParams(2)
     conn = full_set(2)
-    plain = eigenvalues(conn)
     # in the character table, eps breaks column orthogonality exactly
-    b2 = _patch_entry(monkeypatch, p, eps)
+    b2 = _patch_entry(fresh_class_map, p, eps)
     assert b2 in conn.class_indices
     with pytest.raises(RuntimeError, match="column orthogonality"):
         eigenvalues(conn)
-    monkeypatch.undo()
-    # in the built map it reaches the integrality decision
+    fresh_class_map.undo()
+    # in the built map's rows it reaches the integrality decision
+    plain = eigenvalues(conn)
     cmap = spectrum._class_map(p)
     stacked = cmap.stacked.copy()
     stacked[b2, 1] += np.concatenate([eps.c, np.array(eps.c) @ np.array(reduced_powers(8))])
-    monkeypatch.setattr(spectrum, "_class_map", lambda params: cmap._replace(stacked=stacked))
+    fresh_class_map.setattr(spectrum, "_class_map", lambda params: cmap._replace(stacked=stacked))
     table = eigenvalues(conn)
     assert abs(table.values[1] - plain.values[1]) < 1e-8
     assert table.integer_values[1] is None
     # S is a union of rational classes, so the criterion calls it integral;
-    # the exact check of the vector of b^2's rational class, made when the
-    # vectors of the corrupted map are built, catches it
+    # the exact check of the vector of b^2's rational class, made as a map
+    # is built, catches it
     assert table.all_integral
     with pytest.raises(spectrum.IntegralityMismatch):
-        table.integers
-    # `cli.main` prints it as an error document and exits 6
-    assert cli.main(["analyze", "--n", "2", "--set", "+".join(conn.class_tags)]) == 6
+        spectrum._rational_integers(p, stacked, cmap.degrees)
 
 
 def assert_internal_error(capsys, argv, code, match):
@@ -281,32 +293,38 @@ def assert_internal_error(capsys, argv, code, match):
 
 
 @pytest.mark.parametrize("name", TABLE_BREAKS)
-def test_broken_table_prints_an_internal_error(capsys, monkeypatch, name):
+def test_broken_table_prints_an_internal_error(capsys, fresh_class_map, name):
     """Each raise of the table check, reached from the command line."""
     row_index, tag, extra, match, command = TABLE_BREAKS[name]
-    _patch_entry(monkeypatch, GroupParams(2), extra, row_index, tag)
+    _patch_entry(fresh_class_map, GroupParams(2), extra, row_index, tag)
     spec = "+".join(full_set(2).class_tags)
     argv = [spec if word == "S" else word for word in command.split()]
     code = "NonRealEigenvalue" if name == "non-real" else "CharacterTableError"
     assert_internal_error(capsys, argv, code, match)
 
 
-def test_broken_rational_class_vector_prints_an_internal_error(capsys, monkeypatch):
-    """The raise of `_rational_integers`, reached from `search --verify`: + zeta
-    in alpha_1's reduced row of b^2 makes its rational class non-integral."""
-    params = GroupParams(2)
-    cmap = spectrum._class_map(params)
-    stacked = cmap.stacked.copy()
-    stacked[class_tags(params).index("b^2"), 0, 4 * params.n + 1] += 1
-    monkeypatch.setitem(spectrum._class_maps, params, cmap._replace(stacked=stacked))
-    monkeypatch.delitem(spectrum._rational_vectors, params, raising=False)
-    argv = ["search", "--n", "2", "--verify"]
-    assert_internal_error(capsys, argv, "IntegralityMismatch", "rationality criterion")
+def test_broken_rational_class_vector_prints_an_internal_error(capsys, fresh_class_map):
+    """The map's last check, reached from each command: with the rational
+    class {b, a^2*b} of n = 4 split into its two conjugacy classes, a class
+    alone has a non-integral eigenvalue, and the map's build raises, also
+    for a set that is not integral itself (analyze and probe below)."""
+    params = GroupParams(4)
+    masks = class_masks(params)
+    merged = next(bits for bits in masks.rational if bits & (bits - 1))
+    split = [bits for bits in masks.rational if bits != merged]
+    split += [1 << i for i in range(merged.bit_length()) if merged >> i & 1]
+    wrong = masks._replace(rational=tuple(split))
+    fresh_class_map.setattr(
+        spectrum, "class_masks", lambda p: wrong if p == params else class_masks(p)
+    )
+    spec = "a*b+a+a^7"
+    for command in (f"analyze --n 4 --set {spec}", f"probe --n 4 --set {spec} --u 0 --v 1", "search --n 4"):
+        assert_internal_error(capsys, command.split(), "IntegralityMismatch", "rationality criterion")
 
 
-def test_non_real_numerator_raises(monkeypatch):
+def test_non_real_numerator_raises(fresh_class_map):
     conn = full_set(2)
-    _patch_entry(monkeypatch, GroupParams(2), CycloInt.root(8, 2))  # + i
+    _patch_entry(fresh_class_map, GroupParams(2), CycloInt.root(8, 2))  # + i
     with pytest.raises(spectrum.NonRealEigenvalue, match="not real"):
         eigenvalues(conn)
 
@@ -366,9 +384,9 @@ def test_rational_criterion_matches_the_summed_rows(n):
 
 @pytest.mark.parametrize("n", range(1, 9))
 def test_every_rational_class_vector_is_checked(n):
-    """A class map that gives any one rational class a non-integral
-    eigenvalue raises as its vectors are built, and the vectors are kept
-    per map: the intact map's are built again, and are exact."""
+    """Rows that give any one rational class a non-integral eigenvalue
+    raise as the map's vectors are built; the intact rows give the map's
+    `rational`, one vector per rational class."""
     params = GroupParams(n)
     cmap = spectrum._class_map(params)
     rational = class_masks(params).rational
@@ -376,10 +394,9 @@ def test_every_rational_class_vector_is_checked(n):
         stacked = cmap.stacked.copy()
         stacked[(bits & -bits).bit_length() - 1, 0, 4 * n + 1] += 1  # + zeta in alpha_1's row
         with pytest.raises(spectrum.IntegralityMismatch):
-            spectrum._rational_integers(params, cmap._replace(stacked=stacked))
-    vectors = spectrum._rational_integers(params, cmap)
-    assert [bits for bits, _ in vectors] == list(rational)
-    assert spectrum._rational_integers(params, cmap) is vectors
+            spectrum._rational_integers(params, stacked, cmap.degrees)
+    assert [bits for bits, _ in cmap.rational] == list(rational)
+    assert spectrum._rational_integers(params, cmap.stacked, cmap.degrees) == cmap.rational
 
 
 @pytest.mark.parametrize(
