@@ -12,7 +12,10 @@ default this repository's), and times it from start to exit.  The runs are
 under a recorded digest, and one `analyze --n N --set ... --verify` of a
 single graph with transfer for N = 7, 8: a process that builds every per-n
 table on its first call and decides one graph, so its time is mostly
-start-up and set-up.
+start-up and set-up.  Two runs at the top of the accepted range of
+`analyze` and `probe`, n = 32 (`cli.MAX_GRAPH_N`), measure how that
+set-up scales: `analyze --n 32 --set b+a^2*b+a*b --verify` and `probe`
+of the same set from vertex 0 to 1 at the largest grid, 10^5 points.
 Each result holds the wall seconds, the exit code, the SHA-256 of stdout
 and the peak resident memory of the CLI process, read by `os.wait4` from
 that child's own resource usage, so two checkouts recorded into one file
@@ -49,13 +52,17 @@ RUNS = (
     ("search", "--n", "8", "--verify"),
     ("analyze", "--n", "7", "--set", "b^2+b+a*b", "--verify"),
     ("analyze", "--n", "8", "--set", "b^2+b+a^2*b+a*b", "--verify"),
+    ("analyze", "--n", "32", "--set", "b+a^2*b+a*b", "--verify"),
+    ("probe", "--n", "32", "--set", "b+a^2*b+a*b", "--u", "0", "--v", "1", "--grid", "100000"),
 )
 
 NOTE = (
     "Wall time and peak RSS of one CLI process per run, measured with no "
     "other benchmark running; the peak is the child's own ru_maxrss, read "
-    "with os.wait4. The two single-graph analyze runs measure the per-process "
-    "cost: start-up, imports and every per-n table built on the first call. "
+    "with os.wait4. The single-graph analyze runs at n = 7 and 8 measure the "
+    "per-process cost: start-up, imports and every per-n table built on the "
+    "first call. The analyze --verify and probe runs at n = 32, the largest n "
+    "these commands accept, measure how that set-up scales. "
     "The per-layer split of these runs is not recorded: it needs an opt-in "
     "--stats report from the CLI, which does not exist yet."
 )

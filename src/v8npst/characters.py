@@ -1,9 +1,9 @@
 """Irreducible representations and characters of V_8n, evaluated exactly.
 
-All scalars are CycloInt values over the 4n-th roots of unity: with
-zeta = exp(pi*i/(2n)), the primitive 2n-th root omega = exp(pi*i/n) is
-zeta^2 and the imaginary unit is zeta^n, so every table entry lives in
-Z[zeta_4n].
+With zeta = exp(pi*i/(2n)), the primitive 2n-th root omega = exp(pi*i/n)
+is zeta^2 and the imaginary unit is zeta^n, so every character value lives
+in Z[zeta_4n] and is written as its integer coefficient vector over
+zeta^0 .. zeta^{4n-1}.
 
 The group has three families of irreducible representations:
 
@@ -16,12 +16,12 @@ Each representation is given by the images of the generators: a diagonal
 a-image with monomial entries c * zeta^e (c = +-1) and an exact b-image.
 The character at a^r b^s is the trace of a(rho)^r b(rho)^s, that is
 sum_i a_i^r (b^s)_ii.  The diagonals of b^s, s = 0..3, are computed once
-per representation with `CycloInt` products; every table entry is then
-read off these diagonals in one array pass, with no matrix product per
-entry.  The full representation matrices (`rep_at`) and their traces are
-kept with the tests (tests/characters_reference.py), which compare every
-entry against them, coefficient for coefficient, and the traces against
-the paper's printed character tables, with the two repairs they need.
+per representation with `CycloInt` products; the table is then read off
+these diagonals in one array pass, into one read-only int64 array.  The
+full representation matrices (`rep_at`) and their traces are kept with the
+tests (tests/characters_reference.py), which compare every entry against
+them, coefficient for coefficient, and the traces against the paper's
+printed character tables, with the two repairs they need.
 """
 
 from __future__ import annotations
@@ -134,10 +134,9 @@ def _b_power_diagonals(m: int, B: Matrix) -> tuple[tuple[CycloInt, ...], ...]:
 
 
 @lru_cache(maxsize=None)
-def character_table(params: GroupParams) -> tuple[tuple[CycloInt, ...], ...]:
-    """Full table indexed [representation][conjugacy class].
-
-    Entry (rho, c) is the character at the class's smallest vertex a^r b^s:
+def character_table(params: GroupParams) -> np.ndarray:
+    """Full table, read-only int64 (reps, classes, 4n): entry [rho, c] is the
+    coefficient vector of the character at the class's smallest vertex a^r b^s:
     sum_i a_i^r (b^s)_ii, where a_i^r = c_i^r zeta^{e_i r} multiplies the
     coefficient vector of (b^s)_ii by c_i^r and shifts it by e_i r.  A
     degree-1 representation has one term; its second slot is padded with
@@ -161,4 +160,5 @@ def character_table(params: GroupParams) -> tuple[tuple[CycloInt, ...], ...]:
     source = (np.arange(m) - (a_exp * r[:, None])[..., None]) % m
     terms = np.take_along_axis(b_diag[:, s], source, axis=3) * sign[..., None]
     table = terms.sum(axis=2)
-    return tuple(tuple(CycloInt(m, entry) for entry in row) for row in table.tolist())
+    table.flags.writeable = False
+    return table

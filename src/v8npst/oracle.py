@@ -133,7 +133,7 @@ _POWERS_OF_I = np.array([1, 1j, -1, -1j])
 def projectors(connection: ConnectionSet) -> tuple[Eigenprojector, ...]:
     """Closed-form rank-1 eigenprojectors (they depend only on n, not on S).
 
-    Built afresh on every call and not kept: `_spectral_data` keeps only
+    Built afresh on every call and not kept: `_stack` keeps only
     their per-representation sums, once per n.
     """
     return tuple(_iter_projectors(connection))
@@ -213,29 +213,29 @@ class _Stack:
     cand_col: np.ndarray  # mats[:, cand, 0]
 
 
-_STACKS: dict[GroupParams, _Stack] = {}
+@lru_cache(maxsize=None)
+def _stack(params: GroupParams) -> _Stack:
+    """The projector sums of V_8n, in the order of `rep_labels`, once per n."""
+    sums = rep_projectors(ConnectionSet(params, frozenset(), ()))
+    mats = np.stack([sums[label] for label in rep_labels(params)])
+    col = mats[:, :, 0]
+    class_eigs = np.stack(
+        [col[:, labels].real.sum(axis=1) for labels in class_labels(params)]
+    ) / col[:, 0].real
+    bound = np.abs(col).sum(axis=0)
+    cand = 1 + np.flatnonzero(bound[1:] >= 1.0 - NEGATIVE_TOL)
+    stack = _Stack(mats, class_eigs, bound, cand, col[:, cand])
+    for array in (mats, class_eigs, bound, cand, stack.cand_col):
+        array.flags.writeable = False
+    return stack
 
 
 def _spectral_data(connection: ConnectionSet) -> tuple[np.ndarray, _Stack]:
     """(float eigenvalues, per-n stack of projector sums) aligned by label.
 
-    The stack is built once per n, in the order of `rep_labels`.  A graph's
-    eigenvalues are its classes' rows of `class_eigs`, summed in class order.
+    A graph's eigenvalues are its classes' rows of `class_eigs`, summed in class order.
     """
-    params = connection.params
-    stack = _STACKS.get(params)
-    if stack is None:
-        sums = rep_projectors(connection)
-        mats = np.stack([sums[label] for label in rep_labels(params)])
-        col = mats[:, :, 0]
-        class_eigs = np.stack(
-            [col[:, labels].real.sum(axis=1) for labels in class_labels(params)]
-        ) / col[:, 0].real
-        bound = np.abs(col).sum(axis=0)
-        cand = 1 + np.flatnonzero(bound[1:] >= 1.0 - NEGATIVE_TOL)
-        stack = _STACKS[params] = _Stack(mats, class_eigs, bound, cand, col[:, cand])
-        for array in (mats, class_eigs, bound, cand, stack.cand_col):
-            array.flags.writeable = False
+    stack = _stack(connection.params)
     return stack.class_eigs.take(connection.class_indices, axis=0).sum(axis=0), stack
 
 

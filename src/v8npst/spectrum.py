@@ -9,19 +9,18 @@ ones).  Eigenvalues are kept per representation, labelled alpha_i / beta_j /
 gamma_k, and never merged across representations even when numerically
 equal: the transfer-time decision rules distinguish them by label.
 
-S is a union of classes, so the numerator sum_{c in S} |c| * chi(c) is
-linear in the class indicator of S.  The exact character table is turned,
-once per n, into an integer map from classes to coefficient vectors over
-Z[zeta_4n]: unreduced, and reduced mod Phi_4n.  The table is checked once,
-exactly, as the map is built; each spectrum's identities (real values,
-alpha_1 = |S|, trace 0, second moment 8n|S|) follow from that check, so no
-spectrum is checked again.  A spectrum is then a sum of integer rows over
-the classes of S: lambda is an integer iff the reduced row is an integer k
-with d | k.  `CycloInt` arithmetic only builds the table and the map.  The
-numerical oracle reads its own eigenvalues off the paper's projectors
-(`v8npst.oracle`).  The paper's closed-form eigenbasis is kept with the tests
-(tests/spectrum_reference.py), which check it against these eigenvalues
-and the dense adjacency matrix.
+S is a union of classes, so the numerator sum_{c in S} |c| * chi(c) is linear
+in the class indicator of S.  The exact character table, an int64 array of
+coefficient vectors over Z[zeta_4n], is turned once per n into an integer map
+from classes to those vectors: unreduced, and reduced mod Phi_4n.  The table is
+checked once, exactly in int64, as the map is built; each spectrum's identities
+(real values, alpha_1 = |S|, trace 0, second moment 8n|S|) follow from that
+check, so no spectrum is checked again.  A spectrum is then a sum of integer
+rows over the classes of S: lambda is an integer iff the reduced row is an
+integer k with d | k.  The numerical oracle reads its own eigenvalues off the
+paper's projectors (`v8npst.oracle`).  The paper's closed-form eigenbasis is
+kept with the tests (tests/spectrum_reference.py), which check it against these
+eigenvalues and the dense adjacency matrix.
 
 Integrality needs no sum at all.  The rational class of x is the union
 of the classes of x^k over every k coprime to 8n, and a normal Cayley
@@ -107,19 +106,21 @@ def _class_map(params: GroupParams) -> _ClassMap:
     return _build_class_map(params, character_table(params))
 
 
-def _class_gram(conj: np.ndarray, column: np.ndarray) -> np.ndarray:
-    """(classes, m): coefficient k of row d sums conj[rho, d, i] * column[rho, k - i].
+def _class_gram(unreduced: np.ndarray) -> np.ndarray:
+    """(classes, classes, m) int64: [c, d] is the coefficient vector of sum_rho |c|
+    chi_rho(c) conj(|d| chi_rho(d)) for the weighted characters `unreduced`: one
+    scatter per representation, in which each pair of nonzero coefficients x zeta^e
+    at c and y zeta^e' at d adds x y at e - e' mod m (an entry has a few)."""
+    classes, m = unreduced.shape[1:]
+    gram = np.zeros(classes * classes * m, dtype=np.int64)
+    for row in unreduced:
+        c, e = row.nonzero()
+        x = row[c, e]
+        np.add.at(gram, (c[:, None] * classes + c) * m + (e[:, None] - e) % m, x[:, None] * x)
+    return gram.reshape(classes, classes, m)
 
-    With `column` the class-size-weighted characters at one class c and
-    `conj` those at every class d, conjugated, row d is the coefficient
-    vector of sum_rho |c| chi_rho(c) conj(|d| chi_rho(d)).
-    """
-    m = column.shape[1]
-    shift = (np.arange(m)[None, :] - np.arange(m)[:, None]) % m
-    return np.tensordot(conj, column[:, shift], ([0, 2], [0, 1]))
 
-
-def _build_class_map(params: GroupParams, table) -> _ClassMap:
+def _build_class_map(params: GroupParams, table: np.ndarray) -> _ClassMap:
     """The map of `table`, built after checking it exactly mod Phi_m.
 
     The checks, in order: chi(c^-1) = conj chi(c); theta_1 = 1; chi(1) = d;
@@ -132,8 +133,7 @@ def _build_class_map(params: GroupParams, table) -> _ClassMap:
     m = 4 * params.n
     classes = conjugacy_classes(params)
     sizes = [len(c) for c in classes]
-    unreduced = np.array([[entry.c for entry in row] for row in table], dtype=np.int64)
-    unreduced *= np.array(sizes)[:, None]
+    unreduced = table * np.array(sizes)[:, None]
     reduce = np.array(reduced_powers(m), dtype=np.int64)
     descs = rep_descriptors(params)
     degrees = _read_only(np.array([d.degree for d in descs], dtype=np.int64))
@@ -151,17 +151,16 @@ def _build_class_map(params: GroupParams, table) -> _ClassMap:
         raise CharacterTableError("theta_1 is not 1 on every class: alpha_1 must equal |S|")
     if not is_integer(unreduced[:, 0], degrees):  # class 0 is {1}
         raise CharacterTableError("the identity column of the character table is not the degrees")
-    # sum_rho |c| chi_rho(c) conj(|d| chi_rho(d)) = delta_cd 8n |c|, one class c at a
-    # time, in float64 so that BLAS sums it.  Every term and every partial sum is
-    # an integer of absolute value at most `bound`, so below 2^53 the sums are exact.
-    weights = np.abs(unreduced).sum(axis=2)
-    bound = int((weights.T @ weights).max())
-    if bound >= 2**53:
-        raise CharacterTableError(f"column orthogonality sums reach {bound}: not exact in float64")
-    conj_f, unreduced_f = conj.astype(float), unreduced.astype(float)
+    # sum_rho |c| chi_rho(c) conj(|d| chi_rho(d)) = delta_cd 8n |c|, in int64.  Each term and
+    # partial sum of the Gram is at most max_c sum_rho w[rho, c]^2 (Cauchy-Schwarz), and of its
+    # reduction that times the largest |reduce|; w is in Python ints from `table`, so never wraps.
+    w = np.abs(table.astype(object)).sum(axis=2) * sizes
+    bound = int((w**2).sum(axis=0).max()) * int(np.abs(reduce).max())
+    if bound >= 2**63:
+        raise CharacterTableError(f"column orthogonality sums reach {bound}: not exact in int64")
+    gram = _class_gram(unreduced)
     for c, size in enumerate(sizes):
-        gram = _class_gram(conj_f, unreduced_f[:, c]).astype(np.int64)
-        if not is_integer(gram, params.order * size * (np.arange(len(sizes)) == c)):
+        if not is_integer(gram[c], params.order * size * (np.arange(len(sizes)) == c)):
             raise CharacterTableError(f"column orthogonality fails at class {classes[c].tag}")
     stacked = np.concatenate([unreduced, unreduced @ reduce], axis=2).transpose(1, 0, 2)
     stacked = _read_only(np.ascontiguousarray(stacked))

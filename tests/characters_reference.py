@@ -7,8 +7,10 @@ truth: `rep_at` is the product a(rho)^r b(rho)^s of the exact generator
 images, with the powers of b built by 2x2 `CycloInt` matrix products;
 `character` is its trace at one element (no class representative, no
 table) and `character_on_class` the trace at a class's smallest vertex, as
-the table reads it.  `closed_form_character` reproduces the printed
-character tables entry by entry.  Tests compare the table with the traces
+the table reads it.  `table_entries` wraps each coefficient vector of the
+int64 table in a `CycloInt`, for the tests that do exact arithmetic on it.
+`closed_form_character` reproduces the printed character tables entry by
+entry.  Tests compare the table with the traces
 coefficient for coefficient for n = 1..12, and the traces with the printed
 tables on every class for n = 1..6.
 
@@ -118,6 +120,12 @@ def character(params: GroupParams, desc: RepDescriptor, x: GroupElement) -> Cycl
     """Exact chi_desc(x): the trace of the representation matrix at x."""
     M = rep_at(params, desc, x)
     return sum((M[i][i] for i in range(1, len(M))), M[0][0])
+
+
+def table_entries(table) -> tuple[tuple[CycloInt, ...], ...]:
+    """A `characters.character_table` array as rows of `CycloInt` entries."""
+    m = table.shape[2]
+    return tuple(tuple(CycloInt(m, entry) for entry in row) for row in table.tolist())
 
 
 def character_on_class(params: GroupParams, desc: RepDescriptor, class_idx: int) -> CycloInt:

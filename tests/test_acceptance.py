@@ -64,7 +64,7 @@ from v8npst.group import (
     validate_connection_set,
 )
 
-from characters_reference import character_on_class, closed_form_character
+from characters_reference import character_on_class, closed_form_character, table_entries
 from cyclotomic_reference import sub
 from conftest import (
     eigh_column_max,
@@ -141,7 +141,7 @@ def test_criterion_character_table_fidelity():
                     by_trace = character_on_class(p, d, ci)
                     by_table = closed_form_character(p, d, cls)
                     assert sub(by_trace, by_table).is_zero(), (n, d, cls.tag)
-            table = characters.character_table(p)
+            table = table_entries(characters.character_table(p))
             numeric = [[v.value() for v in row] for row in table]
             sizes = [len(c) for c in classes]
             for r1 in range(len(descs)):

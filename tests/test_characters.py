@@ -23,6 +23,7 @@ from characters_reference import (
     character_on_class,
     closed_form_character,
     rep_at,
+    table_entries,
 )
 from cyclotomic_reference import as_integer, sub
 
@@ -146,16 +147,16 @@ def test_character_table_matches_matrix_traces(n):
     matrix at the class's smallest vertex, coefficient for coefficient."""
     p = GroupParams(n)
     table = character_table(p)
-    for row, d in zip(table, rep_descriptors(p)):
+    for row, d in zip(table.tolist(), rep_descriptors(p)):
         for c, entry in enumerate(row):
-            assert entry.c == character_on_class(p, d, c).c, (n, d, c)
+            assert tuple(entry) == character_on_class(p, d, c).c, (n, d, c)
 
 
 @pytest.mark.parametrize("n", range(1, 7))
 def test_row_orthogonality(n):
     p = GroupParams(n)
     classes = conjugacy_classes(p)
-    table = character_table(p)
+    table = table_entries(character_table(p))
     sizes = [len(c) for c in classes]
     numeric = [[v.value() for v in row] for row in table]
     for r1 in range(len(table)):
@@ -169,13 +170,12 @@ def test_row_orthogonality(n):
 
 
 def test_table_shapes_and_trivial_row():
-    p1 = GroupParams(1)
-    t1 = character_table(p1)
-    assert len(t1) == 5 and all(len(row) == 5 for row in t1)
-    assert all(as_integer(v) == 1 for v in t1[0])
-    p2 = GroupParams(2)
-    t2 = character_table(p2)
-    assert len(t2) == 10 and all(len(row) == 10 for row in t2)
+    """The table is one read-only int64 array (reps, classes, 4n)."""
+    for n, classes in ((1, 5), (2, 10)):
+        table = character_table(GroupParams(n))
+        assert table.shape == (classes, classes, 4 * n) and table.dtype == np.int64
+        assert not table.flags.writeable
+        assert all(as_integer(v) == 1 for v in table_entries(table)[0])
 
 
 def test_printed_value_spot_checks():

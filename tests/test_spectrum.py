@@ -176,14 +176,10 @@ def _patch_entry(monkeypatch, p, extra, row_index=1, tag="b^2"):
     returns that class's index."""
     idx = next(i for i, c in enumerate(conjugacy_classes(p)) if c.tag == tag)
     assert len(conjugacy_classes(p)[idx]) == 1
-    chars = spectrum.character_table(p)
-    old = chars[row_index]
-    row = old[:idx] + (old[idx] + extra,) + old[idx + 1 :]
-    monkeypatch.setattr(
-        spectrum,
-        "character_table",
-        lambda params: chars[:row_index] + (row,) + chars[row_index + 1 :],
-    )
+    chars = spectrum.character_table(p).copy()
+    chars[row_index, idx] += extra.c
+    chars.flags.writeable = False
+    monkeypatch.setattr(spectrum, "character_table", lambda params: chars)
     return idx
 
 
@@ -215,38 +211,53 @@ def test_broken_spectral_identity_raises(fresh_class_map, name):
 
 def test_one_unit_change_breaks_orthogonality_at_n8(fresh_class_map):
     """+1 on one coefficient of theta_2 at {b^2}: still real, theta_1 and the
-    degrees intact, so only the float64 orthogonality check can reject it."""
+    degrees intact, so only the orthogonality check can reject it."""
     _patch_entry(fresh_class_map, GroupParams(8), CycloInt.integer(32, 1))
     with pytest.raises(spectrum.CharacterTableError, match="column orthogonality"):
         eigenvalues(full_set(8))
 
 
-def _integer_gram(unreduced: np.ndarray) -> np.ndarray:
-    """(classes, classes, m): entry [c, d, k] is coefficient k of
-    sum_rho |c| chi_rho(c) conj(|d| chi_rho(d)), in int64, from the nonzero
-    coefficients alone (an entry has a few): each pair of them with
-    exponents e at c and e' at d adds its product at k = e - e' mod m."""
-    classes, m = unreduced.shape[1:]
-    gram = np.zeros((classes, classes, m), dtype=np.int64)
-    for row in unreduced:
-        c, e = row.nonzero()
-        v = row[c, e]
-        np.add.at(
-            gram, (c[:, None], c[None, :], (e[:, None] - e[None, :]) % m), v[:, None] * v[None, :]
-        )
-    return gram
+@pytest.mark.parametrize("n", [3, 8])
+def test_orthogonality_failure_names_the_failing_class(fresh_class_map, n):
+    """+1 on theta_2 and -1 on theta_3 at {b^2}: the identity class's Gram
+    row sums degree times entry, so it is unchanged, and the first row that
+    fails is that of {b^2}.  (A change at one entry alone always fails the
+    identity class's row first.)"""
+    p = GroupParams(n)
+    assert conjugacy_classes(p)[1].tag == "b^2"
+    chars = spectrum.character_table(p).copy()
+    chars[1, 1, 0] += 1
+    chars[2, 1, 0] -= 1
+    fresh_class_map.setattr(spectrum, "character_table", lambda params: chars)
+    with pytest.raises(spectrum.CharacterTableError, match=r"fails at class b\^2$"):
+        eigenvalues(full_set(n))
+
+
+@pytest.mark.parametrize("n,tag,extra", [(8, "b^2", 2**32), (8, "b^2", 2**40), (4, "b", 2**62)])
+def test_orthogonality_sums_past_int64_are_refused(fresh_class_map, n, tag, extra):
+    """An entry this large would wrap the int64 Gram, and an int64 sum of
+    its bound too; 2^62 at the 4-element class of b even wraps |c| chi(c)
+    back to the intact entry.  The build refuses each table before the
+    scatter."""
+    p = GroupParams(n)
+    idx = next(i for i, c in enumerate(conjugacy_classes(p)) if c.tag == tag)
+    chars = spectrum.character_table(p).copy()
+    chars[1, idx, 0] += extra
+    fresh_class_map.setattr(spectrum, "character_table", lambda params: chars)
+    with pytest.raises(spectrum.CharacterTableError, match="not exact"):
+        eigenvalues(full_set(n))
 
 
 @pytest.mark.parametrize("n", [*range(1, 13), 16, 24, cli.MAX_GRAPH_N])
 def test_float_gram_equals_integer_gram(n):
-    """The orthogonality check's float64 Gram equals the int64 one entry for
-    entry: every term and partial sum is an integer far below 2^53."""
+    """The orthogonality check's int64 Gram, one scatter per representation
+    over its nonzero coefficients, equals the float64 dense shift-index
+    convolution of `spectrum_reference.class_gram` entry for entry."""
     m = 4 * n
     unreduced = spectrum._class_map(GroupParams(n)).stacked[:, :, :m].transpose(1, 0, 2)
-    conj = unreduced[:, :, -np.arange(m) % m].astype(float)
-    exact = _integer_gram(unreduced)
-    for c in range(unreduced.shape[1]):
-        assert np.array_equal(spectrum._class_gram(conj, unreduced[:, c].astype(float)), exact[c])
+    gram = spectrum._class_gram(unreduced)
+    assert gram.dtype == np.int64
+    assert np.array_equal(gram, spectrum_reference.class_gram(unreduced))
 
 
 def test_near_integer_irrational_is_not_integral(fresh_class_map):
