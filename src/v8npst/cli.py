@@ -113,8 +113,8 @@ MAX_N = 8  # search enumerates every class union, so its cost grows fast with n
 # analyze and probe build every per-n table for one graph, with --verify 0.4 to 0.8 s
 # and 186 MB at n = 32, 0.8 to 1.1 s and 326 MB at n = 40 (memory grows as n^3)
 MAX_GRAPH_N = 32
-# probe holds a (grid + 1) x labels phase table: at n = 32, 0.65 to 0.85 s and 353 MB
-# at 10^5 points, against 186 MB at the default 10^4 and 566 MB at 2 * 10^5
+# probe scans its grid in slices (oracle.PROBE_SLICE), so its memory stays flat: at
+# n = 32, 0.7 s and 187 MB at 10^5 points, as at the default 10^4
 MAX_GRID = 10**5
 
 

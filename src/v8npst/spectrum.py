@@ -158,10 +158,15 @@ def _build_class_map(params: GroupParams, table: np.ndarray) -> _ClassMap:
     bound = int((w**2).sum(axis=0).max()) * int(np.abs(reduce).max())
     if bound >= 2**63:
         raise CharacterTableError(f"column orthogonality sums reach {bound}: not exact in int64")
-    gram = _class_gram(unreduced)
-    for c, size in enumerate(sizes):
-        if not is_integer(gram[c], params.order * size * (np.arange(len(sizes)) == c)):
-            raise CharacterTableError(f"column orthogonality fails at class {classes[c].tag}")
+    reduced = _class_gram(unreduced) @ reduce
+    failed = reduced[..., 1:].any(axis=2) | (reduced[..., 0] != params.order * np.diag(sizes))
+    if failed.any():
+        # the identity's row sums degree times entry over every representation, so a
+        # change at one entry fails it first: name that row's first failing column then
+        c = int(failed.any(axis=1).argmax())
+        if c == 0:
+            c = int(failed[0].argmax())
+        raise CharacterTableError(f"column orthogonality fails at class {classes[c].tag}")
     stacked = np.concatenate([unreduced, unreduced @ reduce], axis=2).transpose(1, 0, 2)
     stacked = _read_only(np.ascontiguousarray(stacked))
     return _ClassMap(

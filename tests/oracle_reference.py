@@ -17,9 +17,13 @@ as the oracle adds up its per-n class rows.  `transition` and
 compare them bit for bit.
 `ratio_index_table` is the double loop of `multiply` calls that the
 oracle's index-array table replaced; tests compare the two for n = 1..12.
+`phase_product` is that per-pair product on data already read, so a test
+over many pairs of one graph reads it once.
 `grid_amplitude_maxima` is the plain scan the oracle replaced: one `exp` per
 label and time, over all 8n columns.  The oracle's scan must match it on the
-columns it scans and bound it on the others.  `oracle_check` is the
+columns it scans and bound it on the others.  `scan` is the oracle's
+factorized scan with its two phase tables evaluated one `exp` per entry, as
+it was before the tables became powers of one `exp` per label.  `oracle_check` is the
 verification arithmetic the CLI used to hold, on the reference functions;
 `oracle.verify` must return exactly what it returns.
 """
@@ -125,10 +129,26 @@ def transition(connection, tau) -> np.ndarray:
 
 
 def pair_amplitudes(connection, u, v, times) -> np.ndarray:
-    lams, mats = spectral_data(connection)
+    return phase_product(*spectral_data(connection), u, v, times)
+
+
+def phase_product(lams, mats, u, v, times) -> np.ndarray:
+    """|H(tau)_{uv}| for every tau in `times`, one pair's own matrix-vector product."""
     coeffs = mats[:, u, v]
     times = np.asarray(times, dtype=float)
     return np.abs(np.exp(-1j * np.outer(times, lams)) @ coeffs)
+
+
+def scan(coeffs, lams, step, points) -> np.ndarray:
+    """`oracle._scan` with one `exp` per table entry: k = q R + r,
+    R = isqrt(points) + 1, and the tables e^{-i lambda q R step} and
+    e^{-i lambda r step} each evaluated entry by entry."""
+    R = math.isqrt(points) + 1
+    Q = points // R + 1
+    by_q = np.exp(-1j * np.outer(np.arange(Q) * R * step, lams))
+    by_r = np.exp(-1j * np.outer(lams, np.arange(R) * step))
+    weighted = coeffs.T[:, None, :] * by_q
+    return np.abs(weighted.reshape(-1, len(lams)) @ by_r).reshape(coeffs.shape[1], Q * R)
 
 
 def grid_amplitude_maxima(connection, times) -> np.ndarray:

@@ -463,6 +463,24 @@ def test_analyze_verify_fine_scans_only_undecided_columns(capsys, monkeypatch, t
     assert (oracle.GRID_POINTS in calls) == (scans == 2)
 
 
+def test_search_n6_verify_scan_counts(capsys, monkeypatch):
+    """`search --n 6 --verify` runs one coarse pass on each of its 6,656 sets
+    and fine-scans 48 columns; a scan that moved a decision past a threshold
+    would change these counts."""
+    calls = []
+
+    def counted(coeffs, lams, step, points):
+        calls.append(points)
+        return real(coeffs, lams, step, points)
+
+    real = oracle._scan
+    monkeypatch.setattr(oracle, "_scan", counted)
+    code, out = run_cli(capsys, ["search", "--n", "6", "--verify"])
+    assert code == 0 and json.loads(out)["disagreements"] == 0
+    coarse = -(-oracle.GRID_POINTS // oracle.COARSE_STEP)
+    assert (calls.count(coarse), calls.count(oracle.GRID_POINTS), len(calls)) == (6656, 48, 6704)
+
+
 def test_verify_catches_a_swapped_class_map_row(capsys, monkeypatch):
     """Two representations' rows of class b^2 swapped in the n = 4 class map,
     after its exact check: the decision reads the wrong integers, and the

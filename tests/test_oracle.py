@@ -424,22 +424,145 @@ def test_transfer_columns_reach_the_fine_pass(n):
     pytest.fail(f"fewer than 2 sets with transfer among unions of at most 5 classes at n = {n}")
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7, 8])
 def test_positive_pairs_share_one_phase_table_bit_for_bit(n):
     """One call over all of a graph's positive pairs, as `verify` makes it,
-    gives each pair the per-pair reference's amplitude bit for bit."""
+    gives each pair the per-pair reference's amplitude bit for bit, on every
+    graph with transfer."""
     checked = 0
     for conn in valid_sets(n):
         verdicts = all_pst_pairs(eigenvalues(conn))
         if not verdicts:
             continue
+        lams, mats = oracle_reference.spectral_data(conn)
         times = sorted({v.min_time for v in verdicts})
         amps = pair_amplitudes(conn, [(v.u, v.v) for v in verdicts], times)
         assert amps.shape == (len(times), len(verdicts))
         for v, got in zip(verdicts, amps.T):
-            assert np.array_equal(got, oracle_reference.pair_amplitudes(conn, v.u, v.v, times))
+            assert np.array_equal(got, oracle_reference.phase_product(lams, mats, v.u, v.v, times))
         checked += 1
     assert checked
+
+
+@pytest.mark.parametrize("n", [1, 4, 5, 8])
+def test_pair_amplitudes_on_many_times_bit_for_bit(n):
+    """Many times at once, as `probe` scans them (a matrix-vector product per
+    pair, where one time is a dot product): every pair's column is the
+    per-pair reference's, bit for bit."""
+    conn = cp_set(n)
+    lams, mats = oracle_reference.spectral_data(conn)
+    times = np.arange(0, 777) * (2 * math.pi / 776)
+    pairs = [(0, w) for w in range(0, conn.params.order, 3)] + [(5, 2)]
+    amps = pair_amplitudes(conn, pairs, times)
+    assert amps.shape == (len(times), len(pairs))
+    for (u, v), got in zip(pairs, amps.T):
+        assert np.array_equal(got, oracle_reference.phase_product(lams, mats, u, v, times))
+
+
+@pytest.mark.parametrize("slice_rows", [3, 7, 64, oracle.PROBE_SLICE])
+@pytest.mark.parametrize("n", [2, 5, 8])
+def test_probe_slices_match_the_whole_grid(monkeypatch, n, slice_rows):
+    """`pst_probe` scans its grid in slices and returns what one product over
+    the whole grid gives, bit for bit: the first time of the largest
+    amplitude.  On cp_set(n), which is integral, each pair's largest
+    amplitude recurs, exactly equal, in more than one slice, so the first of
+    them must be the one kept; (0, 4n) is a transfer pair."""
+    slices = []
+
+    def recorded(connection, pairs, times):
+        amps = real(connection, pairs, times)
+        slices.append(amps[:, 0])
+        return amps
+
+    real = oracle.pair_amplitudes
+    monkeypatch.setattr(oracle, "pair_amplitudes", recorded)
+    monkeypatch.setattr(oracle, "PROBE_SLICE", slice_rows)
+    conn = cp_set(n)
+    lams, mats = oracle_reference.spectral_data(conn)
+    # 2 PROBE_SLICE + 1 times: cut into slices of PROBE_SLICE from the start, the
+    # last would be a single row; near-equal slices have no such row
+    grid = 2 * oracle.PROBE_SLICE
+    times = np.arange(0, grid + 1) * (2 * math.pi / grid)
+    for u, v in ((0, 4 * n), (0, 2 * n), (0, 1), (3, 3)):
+        slices.clear()
+        whole = oracle_reference.phase_product(lams, mats, u, v, times)
+        best = int(np.argmax(whole))
+        got = pst_probe(conn, u, v, times)
+        assert (got.tau, got.amplitude) == (times[best], whole[best])
+        assert len(slices) == 3 and min(map(len, slices)) >= 2
+        assert np.array_equal(np.concatenate(slices), whole)
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_verify_counts_planted_hits_pair_by_pair(monkeypatch, n):
+    """Grid maxima planted at or above the negative threshold on a drawn half
+    of the columns: `verify` counts exactly the pairs u < v, less the positive
+    ones, whose ratio is drawn, read pair by pair; the positive pairs' own
+    ratios are drawn or not, so each is subtracted by its own ratio."""
+    params = GroupParams(n)
+    W = ratio_index_table(params)
+    rng = np.random.default_rng(n)
+    checked = 0
+    for conn in valid_sets(n):
+        verdicts = all_pst_pairs(eigenvalues(conn))
+        if not verdicts:
+            continue
+        hit = rng.random(params.order) < 0.5
+        monkeypatch.setattr(oracle, "grid_amplitude_maxima", lambda c, g: hit.astype(float))
+        positive = {(v.u, v.v) for v in verdicts}
+        want = sum(
+            1
+            for u in range(params.order)
+            for v in range(u + 1, params.order)
+            if hit[W[u, v]] and (u, v) not in positive
+        )
+        assert oracle.verify(conn, verdicts)[1] == want
+        checked += 1
+        if checked == 10:
+            return
+    pytest.fail(f"fewer than 10 graphs with transfer at n = {n}")
+
+
+def test_probe_memory_does_not_grow_with_the_grid():
+    """10^5 + 1 times at n = 8: the probe holds a few slices, not the
+    (times, labels) phase table of the whole grid."""
+    conn = cp_set(8)
+    times = np.arange(0, 100_001) * (2 * math.pi / 100_000)
+    labels = len(rep_labels(conn.params))
+    pst_probe(conn, 0, 1, times[:2])  # the per-n tables, built once
+    tracemalloc.start()
+    try:
+        pst_probe(conn, 0, 1, times)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    one_slice = oracle.PROBE_SLICE * labels * 16  # bytes of one slice's complex phases
+    assert peak <= 4 * one_slice < len(times) * labels * 16 / 5
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7, 8])
+def test_scan_matches_one_exp_per_entry(n):
+    """The scan's phase tables, powers of one `exp` per label, against tables
+    of one `exp` per entry (`oracle_reference.scan`), on the coarse grid
+    (every COARSE_STEP-th point of GRID_POINTS) and the fine one: every set
+    for n <= 4, 40 drawn sets (fixed seed) for n = 5..8, every column the
+    projector bound leaves."""
+    h = 2 * math.pi / oracle.GRID_POINTS
+    grids = (
+        (oracle.COARSE_STEP * h, -(-oracle.GRID_POINTS // oracle.COARSE_STEP)),
+        (h, oracle.GRID_POINTS),
+    )
+    sets = valid_sets(n)
+    if n > 4:
+        draw = np.random.default_rng(n).choice(len(sets), size=40, replace=False)
+        sets = [sets[i] for i in sorted(draw)]
+    for conn in sets:
+        lams, stack = oracle._spectral_data(conn)
+        for step, points in grids:
+            got = oracle._scan(stack.cand_col, lams, step, points)
+            want = oracle_reference.scan(stack.cand_col, lams, step, points)
+            assert got.shape == want.shape
+            assert np.abs(got - want).max() <= 1e-13
 
 
 def test_candidate_times_stay_below_threshold_for_negative_pairs():

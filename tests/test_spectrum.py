@@ -211,9 +211,13 @@ def test_broken_spectral_identity_raises(fresh_class_map, name):
 
 def test_one_unit_change_breaks_orthogonality_at_n8(fresh_class_map):
     """+1 on one coefficient of theta_2 at {b^2}: still real, theta_1 and the
-    degrees intact, so only the orthogonality check can reject it."""
+    degrees intact, so only the orthogonality check can reject it.  The
+    identity class's Gram row fails first, at the column of {b^2}, and the
+    message names that column's class."""
     _patch_entry(fresh_class_map, GroupParams(8), CycloInt.integer(32, 1))
-    with pytest.raises(spectrum.CharacterTableError, match="column orthogonality"):
+    with pytest.raises(
+        spectrum.CharacterTableError, match=r"column orthogonality fails at class b\^2$"
+    ):
         eigenvalues(full_set(8))
 
 
@@ -221,8 +225,7 @@ def test_one_unit_change_breaks_orthogonality_at_n8(fresh_class_map):
 def test_orthogonality_failure_names_the_failing_class(fresh_class_map, n):
     """+1 on theta_2 and -1 on theta_3 at {b^2}: the identity class's Gram
     row sums degree times entry, so it is unchanged, and the first row that
-    fails is that of {b^2}.  (A change at one entry alone always fails the
-    identity class's row first.)"""
+    fails is that of {b^2}, which the message names."""
     p = GroupParams(n)
     assert conjugacy_classes(p)[1].tag == "b^2"
     chars = spectrum.character_table(p).copy()
